@@ -4,8 +4,8 @@ Not a paper figure — operational context for the correctness tooling:
 the linter runs on every CI push and inside the tier-1 gate, so its
 cold-parse cost, its warm-cache speedup, and the marginal price of the
 flow tier (PR 5: CFGs + fixpoints), the perf tier (hot-path derivation +
-array fixpoints) and the capacity tier (scale-lattice fixpoints +
-streaming-contract) are worth tracking release over release.
+array fixpoints) and the procs tier (process-model project rules) are
+worth tracking release over release.
 The project is synthetic so the numbers measure the engine, not the
 repo's current line count; every run rewrites ``BENCH_staticcheck.json``
 at the repo root as the second committed trajectory next to
@@ -58,29 +58,8 @@ PERF_RULES = (
 PROCS_RULES = (
     "fork-unsafe-inheritance",
     "boundary-escape",
-    "sharedmem-protocol",
     "child-global-divergence",
     "blocking-in-worker",
-)
-#: The capacity tier (this PR): scale-lattice fixpoints over ``# scale:``
-#: annotations, plus the streaming-contract project rule.  Ignoring the
-#: file rules skips the per-file scale fixpoints; ignoring the project
-#: rule skips the every-invocation streaming-contract pass.
-CAPACITY_RULES = (
-    "full-materialization",
-    "unbounded-accumulation",
-    "scale-amplification",
-    "rowwise-loop",
-)
-#: The sysmodel tier (this PR): spec-literal dimension checks per file,
-#: plus the three cross-module contract/leak/dispatch project rules.
-#: Per-file sysmodel facts are cold-only summary work; the warm overhead
-#: column isolates the every-invocation project-rule pass.
-SYSMODEL_RULES = (
-    "sysmodel-dimension",
-    "sysmodel-contract",
-    "system-constant-leak",
-    "system-dispatch",
 )
 
 NUM_FILES = 24
@@ -132,23 +111,6 @@ def _predict_{i}(X, w):  # hotpath: synthetic serve path, keeps the perf tier bu
 def _scale_{i}(n):
     base = np.zeros((n, 4), dtype=np.float32)
     return base * np.float32(0.5)
-
-
-def _drain_{i}(batches):
-    # streaming: synthetic capacity-tier workload; stays clean
-    # scale: batches=batch -> bounded
-    total = 0
-    for chunk in batches:
-        total = total + len(chunk)
-    return total
-
-
-_SPEC_{i} = MachineSpec(
-    name="bench{i}",
-    peak_gflops_node=100.0,
-    peak_membw_gbs=50.0,
-    frequencies_ghz=(2.0, 2.2),
-)
 '''
 
 
@@ -170,8 +132,6 @@ def results():
             "flow_rules": list(FLOW_RULES),
             "perf_rules": list(PERF_RULES),
             "procs_rules": list(PROCS_RULES),
-            "capacity_rules": list(CAPACITY_RULES),
-            "sysmodel_rules": list(SYSMODEL_RULES),
         }
     }
 
@@ -226,18 +186,6 @@ def test_warm_runs(results, project, tmp_path):
             resolve_rules(),
             resolve_project_rules(ignore=list(PROCS_RULES)),
         ),
-        "no_capacity": (
-            tmp_path / "warm-nocap.json",
-            resolve_rules(ignore=list(CAPACITY_RULES)),
-            resolve_project_rules(ignore=["streaming-contract"]),
-        ),
-        "no_sysmodel": (
-            tmp_path / "warm-nosys.json",
-            resolve_rules(ignore=["sysmodel-dimension"]),
-            resolve_project_rules(
-                ignore=["sysmodel-contract", "system-constant-leak", "system-dispatch"]
-            ),
-        ),
     }
     warm = {}
     for tag, (cache, rules, project_rules) in caches.items():
@@ -251,15 +199,10 @@ def test_warm_runs(results, project, tmp_path):
         assert result.stats.perf_hot_functions == 0
         assert result.stats.perf_array_fixpoints == 0
         assert result.stats.procs_boundaries == 0
-        assert result.stats.capacity_fixpoints == 0
-        assert result.stats.sysmodel_classes == 0
-        assert result.stats.sysmodel_specs == 0
     results["warm"] = {
         "all_s": warm["all"],
         "no_perf_s": warm["no_perf"],
         "no_procs_s": warm["no_procs"],
-        "no_capacity_s": warm["no_capacity"],
-        "no_sysmodel_s": warm["no_sysmodel"],
         "files_per_s": throughput(NUM_FILES + 1, warm["all"]),
     }
 
@@ -300,8 +243,6 @@ def test_write_bench_json(results):
         "perf_cold_overhead": cold["all_s"] / cold["no_perf_s"],
         "perf_warm_overhead": warm["all_s"] / warm["no_perf_s"],
         "procs_warm_overhead": warm["all_s"] / warm["no_procs_s"],
-        "capacity_warm_overhead": warm["all_s"] / warm["no_capacity_s"],
-        "sysmodel_warm_overhead": warm["all_s"] / warm["no_sysmodel_s"],
     }
     results["ratios"] = ratios
 
@@ -329,18 +270,6 @@ def test_write_bench_json(results):
             f"procs tier costs {ratios['procs_warm_overhead']:.2f}x on a "
             f"warm cache (cap {WARM_TIER_OVERHEAD_CAP}x): the project-rule "
             "pass is doing per-file work the summaries should already hold"
-        )
-    if ratios["capacity_warm_overhead"] > WARM_TIER_OVERHEAD_CAP:
-        failures.append(
-            f"capacity tier costs {ratios['capacity_warm_overhead']:.2f}x "
-            f"on a warm cache (cap {WARM_TIER_OVERHEAD_CAP}x): scale "
-            "fixpoints are being recomputed despite cached findings"
-        )
-    if ratios["sysmodel_warm_overhead"] > WARM_TIER_OVERHEAD_CAP:
-        failures.append(
-            f"sysmodel tier costs {ratios['sysmodel_warm_overhead']:.2f}x "
-            f"on a warm cache (cap {WARM_TIER_OVERHEAD_CAP}x): the contract "
-            "pass is redoing per-file work the cached summaries already hold"
         )
     if baseline and "ratios" in baseline:
         old = baseline["ratios"].get("warm_speedup")

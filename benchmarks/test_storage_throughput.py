@@ -1,9 +1,9 @@
 """Storage streaming throughput: the BENCH_storage.json perf trajectory.
 
-The capacity lint tier (this PR) statically forbids materializing
-jobs-scale results inside streaming code; this benchmark is the dynamic
-side of that contract, and the third committed trajectory next to
-``BENCH_mlcore.json`` and ``BENCH_staticcheck.json``.  Three sections:
+Streaming code must never materialize jobs-scale results; this
+benchmark measures what that buys, and is the third committed
+trajectory next to ``BENCH_mlcore.json`` and ``BENCH_staticcheck.json``.
+Three sections:
 
 * **fetch+characterize at 10^5 jobs** — the windowed Data Fetcher path,
   streaming (``fetch_batches`` + ``labels_from_result``, no row dicts)

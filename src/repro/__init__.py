@@ -12,7 +12,7 @@ Layers (see README.md and DESIGN.md):
 - :mod:`repro.nlp` — the deterministic sentence-embedding substitute.
 - :mod:`repro.storage` — the relational jobs data storage.
 - :mod:`repro.web` — the micro web framework behind the deployment.
-- :mod:`repro.parallel` — chunking/executor/communicator utilities.
+- :mod:`repro.parallel` — chunking and the ordered parallel-map executor.
 - :mod:`repro.evaluation` — the §V online-evaluation experiment harness.
 - :mod:`repro.analysis` — the §IV characterization analyses and the
   §V-C.d impact estimator.

@@ -109,8 +109,6 @@ class DataFetcher:
         *,
         batch_rows: int = SCAN_BATCH_ROWS,
     ) -> Iterator[ResultSet]:
-        # streaming: chunked columnar fetch, one ~batch_rows ResultSet per yield
-        # scale: -> batch
         """Fetch a submit-time window as bounded columnar batches.
 
         The streaming counterpart of windowed :meth:`fetch`: the same

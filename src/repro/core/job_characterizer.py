@@ -27,7 +27,10 @@ from repro.roofline.characterize import (
 )
 from repro.roofline.model import Roofline
 
-__all__ = ["FugakuCounterTransform", "JobCharacterizer"]
+__all__ = ["FugakuCounterTransform", "JobCharacterizer", "RECORD_COUNTERS"]
+
+#: The per-record fields :meth:`JobCharacterizer.labels_from_records` reads.
+RECORD_COUNTERS = ("perf2", "perf3", "perf4", "perf5", "duration", "nodes_alloc")
 
 
 class FugakuCounterTransform:
@@ -110,16 +113,13 @@ class JobCharacterizer:
         records = list(records)
         if not records:
             return np.empty(0, dtype=np.int64)
-        perf = {
-            k: np.array([r[k] for r in records], dtype=np.float64)
-            for k in ("perf2", "perf3", "perf4", "perf5")
+        cols = {
+            k: np.array([r[k] for r in records], dtype=np.float64) for k in RECORD_COUNTERS
         }
-        duration = np.array([r["duration"] for r in records], dtype=np.float64)
-        nodes = np.array([r["nodes_alloc"] for r in records], dtype=np.float64)
         flops, moved = self.counter_transform(
-            perf["perf2"], perf["perf3"], perf["perf4"], perf["perf5"]
+            cols["perf2"], cols["perf3"], cols["perf4"], cols["perf5"]
         )
-        return self.generate_labels(flops, duration, nodes, moved)
+        return self.generate_labels(flops, cols["duration"], cols["nodes_alloc"], moved)
 
     def labels_from_result(self, result) -> np.ndarray:
         """Vectorized labels straight off a columnar fetch batch.

@@ -12,13 +12,18 @@ the operations of the framework"; here the same API runs on
 - ``POST /characterize``    body ``{"start_time": t0, "end_time": t1}`` or
   ``{"jobs": [records with counters]}`` → ground-truth labels
 - ``GET  /models``          published model versions + latest
+
+Malformed input — a body that is not a JSON object, a non-numeric time
+or id, a job that is not an object or lacks a feature or counter — gets
+a 400; only a fault of the service itself is a 5xx.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from repro.core.framework import MCBound
+from repro.core.job_characterizer import RECORD_COUNTERS
 from repro.mlcore.base import NotFittedError
 from repro.roofline.characterize import LABEL_NAMES
 from repro.web.app import App, HTTPError
@@ -32,6 +37,39 @@ def _label_payload(job_ids, labels) -> dict:  # hotpath: response assembly for /
         "labels": [int(l) for l in labels],
         "label_names": [LABEL_NAMES[int(l)] for l in labels],
     }
+
+
+def _json_object(request) -> dict:
+    body = request.json()
+    if not isinstance(body, dict):
+        raise HTTPError(400, "body must be a JSON object")
+    return body
+
+
+def _finite(value, name: str) -> float:
+    """``value`` as a finite float, or a 400 naming the field."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise HTTPError(400, f"{name!r} must be a finite number")
+    return number
+
+
+def _window(body: dict) -> tuple[float, float]:
+    start = _finite(body["start_time"], "start_time")
+    end = _finite(body["end_time"], "end_time")
+    if end < start:
+        raise HTTPError(400, "'end_time' must be >= 'start_time'")
+    return start, end
+
+
+def _job_records(body: dict) -> list[dict]:
+    records = body["jobs"]
+    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+        raise HTTPError(400, "'jobs' must be a list of JSON objects")
+    return records
 
 
 def build_app(framework: MCBound) -> App:
@@ -52,12 +90,15 @@ def build_app(framework: MCBound) -> App:
 
     @app.route("/train", methods=("POST",))
     def train(request):
-        body = request.json()
+        body = _json_object(request)
         if "now" not in body:
             raise HTTPError(400, "body must contain 'now' (trace seconds)")
+        now = _finite(body["now"], "now")
         alpha = body.get("alpha_days")
+        if alpha is not None:
+            alpha = _finite(alpha, "alpha_days")
         try:
-            summary = framework.train(float(body["now"]), alpha_days=alpha)
+            summary = framework.train(now, alpha_days=alpha)
         except ValueError as exc:
             raise HTTPError(409, str(exc)) from exc
         summary = dict(summary)
@@ -66,21 +107,23 @@ def build_app(framework: MCBound) -> App:
 
     @app.route("/predict", methods=("POST",))
     def predict(request):
-        body = request.json()
+        body = _json_object(request)
         try:
             if "jobs" in body:
-                records = body["jobs"]
-                if not isinstance(records, list):
-                    raise HTTPError(400, "'jobs' must be a list of records")
-                labels = framework.predict_records(records)
+                records = _job_records(body)
+                try:
+                    labels = framework.predict_records(records)
+                except KeyError as exc:  # a record lacks a feature
+                    raise HTTPError(400, str(exc)) from exc
                 return _label_payload(range(len(records)), labels)
             if "job_id" in body:
-                label = framework.predict_job(int(body["job_id"]))
-                return _label_payload([body["job_id"]], [label])
+                try:
+                    job_id = int(body["job_id"])
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise HTTPError(400, "'job_id' must be an integer") from exc
+                return _label_payload([job_id], [framework.predict_job(job_id)])
             if "start_time" in body and "end_time" in body:
-                job_ids, labels = framework.predict_window(
-                    float(body["start_time"]), float(body["end_time"])
-                )
+                job_ids, labels = framework.predict_window(*_window(body))
                 return _label_payload(job_ids, labels)
         except NotFittedError as exc:
             raise HTTPError(503, str(exc)) from exc
@@ -90,15 +133,21 @@ def build_app(framework: MCBound) -> App:
 
     @app.route("/characterize", methods=("POST",))
     def characterize(request):
-        body = request.json()
+        body = _json_object(request)
         if "start_time" in body and "end_time" in body:
-            job_ids, labels = framework.characterize_window(
-                float(body["start_time"]), float(body["end_time"])
-            )
+            job_ids, labels = framework.characterize_window(*_window(body))
             return _label_payload(job_ids, labels)
         if "jobs" in body:
-            records = body["jobs"]
-            labels = framework.characterizer.labels_from_records(records)
+            records = _job_records(body)
+            for record in records:
+                for name in RECORD_COUNTERS:
+                    if name not in record:
+                        raise HTTPError(400, f"job record is missing counter {name!r}")
+                    _finite(record[name], name)
+            try:
+                labels = framework.characterizer.labels_from_records(records)
+            except ValueError as exc:  # e.g. a non-positive duration
+                raise HTTPError(400, str(exc)) from exc
             return _label_payload(range(len(records)), labels)
         raise HTTPError(400, "body must contain 'jobs' or a time window")
 

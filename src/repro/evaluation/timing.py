@@ -41,10 +41,11 @@ def peak_memory_bytes(fn: Callable, *args, **kwargs):
     """Call ``fn`` and return ``(result, peak_additional_bytes)``.
 
     Peak is tracemalloc's high-water mark of python allocations made
-    during the call — the number the capacity tier reasons about: for a
-    streaming pipeline it must be bounded by the batch size, independent
-    of how many rows flow through.  Tracing slows the call down, so use
-    this for assertions about memory, never for throughput numbers.
+    during the call.  For a streaming pipeline it must be bounded by the
+    batch size, independent of how many rows flow through — the property
+    ``tests/core/test_memory_bounds.py`` asserts.  Tracing slows the call
+    down, so use this for assertions about memory, never for throughput
+    numbers.
     """
     tracemalloc.start()
     try:

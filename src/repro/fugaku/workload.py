@@ -395,8 +395,6 @@ class WorkloadGenerator:
         return parts
 
     def generate_stream(self) -> Iterator[JobTrace]:
-        # streaming: one submit-sorted day of jobs per yield
-        # scale: -> batch
         """Yield the trace one submit-sorted day-batch at a time.
 
         Concatenating every yielded batch reproduces :meth:`generate`
@@ -436,7 +434,6 @@ class WorkloadGenerator:
             yield JobTrace(cols)
 
     def generate(self) -> JobTrace:
-        # scale: -> jobs
         """Generate the full trace, sorted by submission time.
 
         The materializing boundary over :meth:`generate_stream`; use the

@@ -2,19 +2,13 @@
 
 The guides this reproduction follows (mpi4py tutorial, Numba performance
 tips, Scientific-Python optimization notes) shape this package: vectorize
-first, then parallelize with explicit chunking and communicator-style
-collectives rather than ad-hoc thread soup.
+first, then parallelize with explicit chunking rather than ad-hoc thread
+soup.
 
 - :mod:`repro.parallel.chunking` — balanced partitioning of index ranges
   and arrays (the building block of every data-parallel loop here).
 - :mod:`repro.parallel.executor` — ordered parallel map over chunks with
   thread/process/serial backends and automatic fallback on a single core.
-- :mod:`repro.parallel.communicator` — an MPI-like local communicator
-  (bcast / scatter / gather / allreduce / barrier) over worker threads,
-  mirroring the mpi4py idioms for code that wants collective semantics.
-- :mod:`repro.parallel.sharedmem` — numpy arrays backed by
-  :mod:`multiprocessing.shared_memory` for zero-copy hand-off to process
-  pools.
 """
 
 from repro.parallel.chunking import chunk_bounds, chunk_indices, split_array
@@ -24,8 +18,6 @@ from repro.parallel.executor import (
     parallel_map_sharded,
     ExecutorConfig,
 )
-from repro.parallel.communicator import LocalCommunicator
-from repro.parallel.sharedmem import SharedArray
 
 __all__ = [
     "chunk_bounds",
@@ -35,6 +27,4 @@ __all__ = [
     "parallel_map",
     "parallel_map_sharded",
     "ExecutorConfig",
-    "LocalCommunicator",
-    "SharedArray",
 ]

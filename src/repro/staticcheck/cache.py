@@ -45,8 +45,11 @@ __all__ = ["AnalysisCache", "file_digest"]
 # 8 added the sysmodel tier (per-file sysmodel-work counters and the
 # summaries' ``sysmodel`` table — schema-7 entries lack the SystemModel
 # hierarchy and flagged-constant facts the contract/leak/dispatch rules
-# read, so they must not be served).
-CACHE_SCHEMA = 8
+# read, so they must not be served);
+# 9 removed the capacity and sysmodel tiers and the procs tier's
+# shared-memory segment facts — schema-8 entries carry summary tables and
+# work counters this engine no longer reads.
+CACHE_SCHEMA = 9
 
 
 def file_digest(data: bytes) -> str:

@@ -134,13 +134,6 @@ class CheckStats:
     perf_array_fixpoints: int = 0
     #: procs-tier effort, same cold-files-only accounting.
     procs_boundaries: int = 0
-    procs_segments: int = 0
-    #: capacity-tier effort, same cold-files-only accounting.
-    capacity_fixpoints: int = 0
-    capacity_streaming: int = 0
-    #: sysmodel-tier effort, same cold-files-only accounting.
-    sysmodel_classes: int = 0
-    sysmodel_specs: int = 0
 
 
 @dataclass
@@ -283,15 +276,13 @@ def _analyze_file(task: tuple[str, tuple[str, ...] | None]) -> dict:
     tuple pickles cheaply across process boundaries; ``None`` means the
     full registry.
     """
-    from repro.staticcheck import capacity, flow, perf, procs, sysmodel
+    from repro.staticcheck import flow, perf, procs
     from repro.staticcheck.project.summary import build_summary, module_name_for_path
 
     path_str, rule_ids = task
     flow_before = flow.snapshot_counters()
     perf_before = perf.snapshot_counters()
     procs_before = procs.snapshot_counters()
-    capacity_before = capacity.snapshot_counters()
-    sysmodel_before = sysmodel.snapshot_counters()
     path = Path(path_str)
     source = path.read_text(encoding="utf-8")
     if rule_ids is None:
@@ -326,8 +317,6 @@ def _analyze_file(task: tuple[str, tuple[str, ...] | None]) -> dict:
     flow_after = flow.snapshot_counters()
     perf_after = perf.snapshot_counters()
     procs_after = procs.snapshot_counters()
-    capacity_after = capacity.snapshot_counters()
-    sysmodel_after = sysmodel.snapshot_counters()
     entry.update(
         {
             "findings": [f.to_dict() for f in sorted(active)],
@@ -336,8 +325,6 @@ def _analyze_file(task: tuple[str, tuple[str, ...] | None]) -> dict:
             "flow": {k: flow_after[k] - flow_before[k] for k in flow_after},
             "perf": {k: perf_after[k] - perf_before[k] for k in perf_after},
             "procs": {k: procs_after[k] - procs_before[k] for k in procs_after},
-            "capacity": {k: capacity_after[k] - capacity_before[k] for k in capacity_after},
-            "sysmodel": {k: sysmodel_after[k] - sysmodel_before[k] for k in sysmodel_after},
         }
     )
     return entry
@@ -640,9 +627,7 @@ def check_paths(
 
     flow_totals = {"cfgs": 0, "blocks": 0, "iterations": 0}
     perf_totals = {"hot_functions": 0, "array_fixpoints": 0}
-    procs_totals = {"boundaries": 0, "segments": 0}
-    capacity_totals = {"scale_fixpoints": 0, "streaming_functions": 0}
-    sysmodel_totals = {"contract_classes": 0, "spec_declarations": 0}
+    procs_totals = {"boundaries": 0}
     for key in cold:
         for counter, value in entries[key].get("flow", {}).items():
             flow_totals[counter] = flow_totals.get(counter, 0) + value
@@ -650,10 +635,6 @@ def check_paths(
             perf_totals[counter] = perf_totals.get(counter, 0) + value
         for counter, value in entries[key].get("procs", {}).items():
             procs_totals[counter] = procs_totals.get(counter, 0) + value
-        for counter, value in entries[key].get("capacity", {}).items():
-            capacity_totals[counter] = capacity_totals.get(counter, 0) + value
-        for counter, value in entries[key].get("sysmodel", {}).items():
-            sysmodel_totals[counter] = sysmodel_totals.get(counter, 0) + value
 
     stats = CheckStats(
         files_checked=len(files),
@@ -668,11 +649,6 @@ def check_paths(
         perf_hot_functions=perf_totals["hot_functions"],
         perf_array_fixpoints=perf_totals["array_fixpoints"],
         procs_boundaries=procs_totals["boundaries"],
-        procs_segments=procs_totals["segments"],
-        capacity_fixpoints=capacity_totals["scale_fixpoints"],
-        capacity_streaming=capacity_totals["streaming_functions"],
-        sysmodel_classes=sysmodel_totals["contract_classes"],
-        sysmodel_specs=sysmodel_totals["spec_declarations"],
     )
     result = CheckResult(
         findings=sorted(findings),

@@ -1,8 +1,8 @@
 """Flow-sensitive dataflow tier: CFG construction + fixpoint engine.
 
 The flow-insensitive layers (single-file AST visitors, whole-program
-summaries) cannot see *order*: a ``SharedArray`` acquired and then leaked
-on an exception path, a variable that is GFlops/s on one branch and
+summaries) cannot see *order*: a socket acquired and then leaked on an
+exception path, a variable that is GFlops/s on one branch and
 GB/s on the other.  This package adds the missing tier:
 
 * :mod:`repro.staticcheck.flow.cfg` — a control-flow-graph builder over
@@ -18,8 +18,8 @@ GB/s on the other.  This package adds the missing tier:
   abstract interpretation of dimensioned arithmetic over the units
   lattice (the paper's Equations 1-5 are dimensioned formulas);
 * :mod:`repro.staticcheck.flow.resources` — the ``resource-leak`` /
-  ``double-release`` rules: a must-release path analysis for shared
-  memory segments, executor pools, files and bare lock acquisitions.
+  ``double-release`` rules: a must-release path analysis for executor
+  pools, files, sockets, connections and bare lock acquisitions.
 
 Both rule families are ordinary single-file rules, so they run under the
 incremental cache; a change to an annotated dependency re-analyzes its

@@ -1,10 +1,9 @@
 """``resource-leak`` / ``double-release``: must-release path analysis.
 
-The online deployment acquires long-lived resources — SharedArray
-segments backing the parallel characterizer, executor pools, files,
-storage connections, bare ``lock.acquire()`` calls — and a single
-exception path that skips the release turns the cron-style retrain/serve
-loop into a slow leak.  This analysis tracks each acquisition along the
+The online deployment acquires long-lived resources — executor pools,
+files, sockets, storage connections, bare ``lock.acquire()`` calls — and
+a single exception path that skips the release turns the cron-style
+retrain/serve loop into a slow leak.  This analysis tracks each acquisition along the
 CFG (including the exception edges the builder models) and reports:
 
 * ``resource-leak`` — an acquisition with *some* path to function exit
@@ -53,9 +52,6 @@ _EXACT_FACTORIES = {
     "socket.socket": ("socket", "close"),
 }
 _SUFFIX_FACTORIES = {
-    "SharedArray.create": ("SharedArray segment", "close"),
-    "SharedArray.from_array": ("SharedArray segment", "close"),
-    "SharedArray.attach": ("SharedArray segment", "close"),
     "ThreadPoolExecutor": ("executor pool", "shutdown"),
     "ProcessPoolExecutor": ("executor pool", "shutdown"),
 }
@@ -271,7 +267,7 @@ def _analyze_module(module) -> dict[str, list[Finding]]:
 class ResourceLeakRule(Rule):
     id = "resource-leak"
     description = (
-        "resource (SharedArray, pool, file, connection, lock) acquired with a "
+        "resource (pool, file, socket, connection, lock) acquired with a "
         "path to function exit on which it is never released"
     )
 

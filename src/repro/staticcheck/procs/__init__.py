@@ -1,28 +1,26 @@
-"""Process-boundary tier: fork-safety, shared-memory protocol, escapes.
+"""Process-boundary tier: fork-safety, escapes, worker-side effects.
 
-Every earlier tier (PR 2-5, PR 7) reasons within one process; this
-package reasons about what happens *across* the fork/spawn boundary that
-ROADMAP item 1's multi-worker serving path will introduce.  Three layers:
+Every other tier reasons within one process; this package reasons about
+what happens *across* the fork/spawn boundary — today the
+``parallel_map(backend="process")`` fan-out behind
+``repro.staticcheck --jobs``.  Three layers:
 
 * :mod:`repro.staticcheck.procs.facts` — a per-module AST pass that
   records process *spawn sites* (``multiprocessing.Process``,
   ``ProcessPoolExecutor`` submit/map, ``parallel_map`` on the literal
   ``backend="process"``), start-method pins (``set_start_method`` /
-  ``get_context``), non-lock handle creations (files, sockets, sqlite
-  connections) and the full :class:`~repro.parallel.sharedmem.SharedArray`
-  lifecycle (create/attach role, writes with guard context, close,
-  unlink, descriptor hand-off).  The facts are JSON-serializable and live
-  on :class:`~repro.staticcheck.project.summary.ModuleSummary` so the
+  ``get_context``) and non-lock handle creations (files, sockets, sqlite
+  connections).  The facts are JSON-serializable and live on
+  :class:`~repro.staticcheck.project.summary.ModuleSummary` so the
   incremental cache serves them without re-parsing.
 * :mod:`repro.staticcheck.procs.model` — the whole-program
   :class:`~repro.staticcheck.procs.model.ProcessModel`: spawn targets
   resolved through the PR 4 :class:`ConcurrencyModel` call graph, the
   worker-side closure of every boundary, effective start methods, and
-  project-wide tables of inheritable locks/handles and shared segments.
-* :mod:`repro.staticcheck.procs.rules` — the five project rules:
+  project-wide tables of inheritable locks and handles.
+* :mod:`repro.staticcheck.procs.rules` — the four project rules:
   ``fork-unsafe-inheritance``, ``boundary-escape``,
-  ``sharedmem-protocol``, ``child-global-divergence`` and
-  ``blocking-in-worker``.
+  ``child-global-divergence`` and ``blocking-in-worker``.
 
 Work counters: :data:`COUNTERS` accumulates fact-extraction effort for
 the CLI's ``--statistics`` (snapshot-and-diff around each file analysis,
@@ -35,9 +33,8 @@ from __future__ import annotations
 __all__ = ["COUNTERS", "snapshot_counters"]
 
 #: Process-wide effort counters, surfaced by ``--statistics``:
-#: ``boundaries`` counts recorded process spawn sites, ``segments``
-#: counts tracked SharedArray lifecycles.
-COUNTERS = {"boundaries": 0, "segments": 0}
+#: ``boundaries`` counts recorded process spawn sites.
+COUNTERS = {"boundaries": 0}
 
 
 def snapshot_counters() -> dict:

@@ -19,19 +19,12 @@ on :class:`~repro.staticcheck.project.summary.ModuleSummary`:
     targets (see DESIGN §12).
 ``handles``
     Non-lock OS handles created at module, class-attribute or function
-    scope: ``open(...)``, sockets, sqlite connections and SharedArray
-    segments.  Lock facts already live in the ``concurrency`` table.
-``segments`` / ``segment_ops``
-    The :class:`~repro.parallel.sharedmem.SharedArray` lifecycle per
-    function: which locals hold a segment (and whether this side *owns*
-    it or merely attached), and every ``close``/``unlink``/array
-    write/array read/``descriptor()`` hand-off on it, with the write
-    sites tagged by whether they ran inside a ``StateGuard.writing()``
-    block or under a held lock.
+    scope: ``open(...)``, sockets and sqlite connections.  Lock facts
+    already live in the ``concurrency`` table.
 
 Everything is name-based and flow-insensitive within a function, exactly
-like the concurrency walker the PR 4 rules are built on: ``with`` scopes
-nest, and a local name keeps its role for the rest of the scope.
+like the concurrency walker: a local name keeps its role for the rest of
+the scope.
 """
 
 from __future__ import annotations
@@ -41,12 +34,7 @@ import ast
 from repro.staticcheck.procs import COUNTERS
 from repro.staticcheck.project.summary import ModuleSummary, dotted_name
 
-__all__ = [
-    "HANDLE_FACTORIES",
-    "PROCESS_FANOUT_BASENAMES",
-    "SEGMENT_ROLES",
-    "collect_procs_facts",
-]
+__all__ = ["HANDLE_FACTORIES", "PROCESS_FANOUT_BASENAMES", "collect_procs_facts"]
 
 #: Dotted callees that return an OS handle the child must not inherit
 #: blindly (plus the ``open`` builtin, matched by bare name).
@@ -55,15 +43,6 @@ HANDLE_FACTORIES = {
     "socket.socket": "socket",
     "socket.create_connection": "socket",
     "sqlite3.connect": "sqlite connection",
-}
-
-#: ``SharedArray`` classmethod basename -> which side of the segment the
-#: caller becomes.  Owners must ``unlink``; attachers must not.
-SEGMENT_ROLES = {
-    "create": "owner",
-    "from_array": "owner",
-    "attach": "attacher",
-    "from_descriptor": "attacher",
 }
 
 #: repro.parallel fan-out entry points that cross a process boundary when
@@ -92,8 +71,6 @@ class _Scope:
         self.executors: set[str] = set()
         #: local name -> literal backend of an ExecutorConfig(...) value
         self.configs: dict[str, str] = {}
-        #: local names bound to a SharedArray in this scope
-        self.segments: set[str] = set()
         #: functions defined inside this (function) scope — closure-scoped,
         #: so they can never be pickled across a boundary
         self.nested_defs: set[str] = set()
@@ -106,24 +83,11 @@ class _ProcsWalker:
         self.summary = summary
         self.imports = summary.imports
         self.module = summary.module
-        self.facts: dict = {
-            "start_method": None,
-            "spawns": [],
-            "handles": {},
-            "segments": {},
-            "segment_ops": [],
-        }
-        #: module-level segment names (visible from every function scope)
-        self._module_segments: set[str] = set()
+        self.facts: dict = {"start_method": None, "spawns": [], "handles": {}}
 
     def walk(self, tree: ast.Module) -> None:
-        self._walk_body(tree.body, _Scope("", ""), writing=0, held=0)
-        if (
-            self.facts["spawns"]
-            or self.facts["handles"]
-            or self.facts["segments"]
-            or self.facts["start_method"]
-        ):
+        self._walk_body(tree.body, _Scope("", ""))
+        if self.facts["spawns"] or self.facts["handles"] or self.facts["start_method"]:
             self.summary.procs = self.facts
 
     # -- identity helpers --------------------------------------------------
@@ -133,30 +97,14 @@ class _ProcsWalker:
             return f"{self.module}.{scope.qual}.{name}"
         return f"{self.module}.{name}"
 
-    def _segment_scope_of(self, name: str, scope: _Scope) -> str | None:
-        """Owning scope qual of a segment name visible here, or None."""
-        if name in scope.segments:
-            return scope.qual
-        if name in self._module_segments:
-            return ""
-        return None
-
-    def _segment_op(self, scope_qual: str, name: str, op: str, line: int, guarded: bool) -> None:
-        self.facts["segment_ops"].append([scope_qual, name, op, line, guarded])
-
     # -- expression scan (load context) ------------------------------------
 
-    def _scan_expr(self, expr: ast.AST, scope: _Scope, guarded: bool) -> None:
+    def _scan_expr(self, expr: ast.AST, scope: _Scope) -> None:
         for node in ast.walk(expr):
             if isinstance(node, ast.Call):
-                self._record_call(node, scope, guarded)
-            elif isinstance(node, ast.Attribute) and node.attr == "array":
-                if isinstance(node.value, ast.Name):
-                    home = self._segment_scope_of(node.value.id, scope)
-                    if home is not None:
-                        self._segment_op(home, node.value.id, "read", node.lineno, guarded)
+                self._record_call(node, scope)
 
-    def _record_call(self, call: ast.Call, scope: _Scope, guarded: bool) -> None:
+    def _record_call(self, call: ast.Call, scope: _Scope) -> None:
         dotted = dotted_name(call.func, self.imports)
         if dotted is not None:
             base = _basename(dotted)
@@ -174,18 +122,10 @@ class _ProcsWalker:
         if (
             isinstance(call.func, ast.Attribute)
             and isinstance(call.func.value, ast.Name)
+            and call.func.attr in _POOL_SUBMITS
+            and call.func.value.id in scope.executors
         ):
-            receiver, attr = call.func.value.id, call.func.attr
-            if attr in _POOL_SUBMITS and receiver in scope.executors:
-                self._record_spawn(call, scope, kind="executor", method=None)
-            elif attr in ("close", "unlink"):
-                home = self._segment_scope_of(receiver, scope)
-                if home is not None:
-                    self._segment_op(home, receiver, attr, call.lineno, guarded)
-            elif attr == "descriptor":
-                home = self._segment_scope_of(receiver, scope)
-                if home is not None:
-                    self._segment_op(home, receiver, "pass", call.lineno, guarded)
+            self._record_spawn(call, scope, kind="executor", method=None)
 
     @staticmethod
     def _literal_str(node: ast.AST) -> str | None:
@@ -241,7 +181,6 @@ class _ProcsWalker:
             "target": target,
             "target_shape": shape,
             "args": [],
-            "descriptor_of": [],
             "method": method,
         }
         for arg in boundary_args:
@@ -251,14 +190,6 @@ class _ProcsWalker:
                 name = dotted_name(arg, self.imports)
                 if name is not None:
                     spawn["args"].append(name)
-            elif (
-                isinstance(arg, ast.Call)
-                and isinstance(arg.func, ast.Attribute)
-                and arg.func.attr == "descriptor"
-                and isinstance(arg.func.value, ast.Name)
-            ):
-                if self._segment_scope_of(arg.func.value.id, scope) is not None:
-                    spawn["descriptor_of"].append(arg.func.value.id)
         self.facts["spawns"].append(spawn)
         COUNTERS["boundaries"] += 1
 
@@ -288,7 +219,7 @@ class _ProcsWalker:
     # -- creations (assignment right-hand sides) ---------------------------
 
     def _record_creation(self, stmt: ast.stmt, scope: _Scope) -> bool:
-        """Handle/segment/context/config bindings; True when consumed."""
+        """Handle/context/config bindings; True when consumed."""
         if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             value = stmt.value
@@ -300,17 +231,6 @@ class _ProcsWalker:
         if name is None:
             return False
         base = _basename(name)
-        head = name.rsplit(".", 2)
-        segment_role = (
-            SEGMENT_ROLES.get(base)
-            if len(head) >= 2 and _basename(head[-2]) == "SharedArray"
-            else None
-        )
-        if segment_role is not None:
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    self._bind_segment(target.id, segment_role, stmt.lineno, scope)
-            return True
         if name in HANDLE_FACTORIES:
             kind = HANDLE_FACTORIES[name]
             for target in targets:
@@ -349,36 +269,9 @@ class _ProcsWalker:
                 return True
         return False
 
-    def _bind_segment(self, name: str, role: str, line: int, scope: _Scope) -> None:
-        per_scope = self.facts["segments"].setdefault(scope.qual, {})
-        per_scope.setdefault(name, [role, line])
-        if scope.qual:
-            scope.segments.add(name)
-        else:
-            self._module_segments.add(name)
-        self.facts["handles"].setdefault(
-            self._handle_id(name, scope), [f"SharedArray segment ({role})", line]
-        )
-        COUNTERS["segments"] += 1
-
-    # -- writes ------------------------------------------------------------
-
-    def _record_target_writes(self, target: ast.AST, line: int, scope: _Scope, guarded: bool) -> None:
-        for node in ast.walk(target):
-            if (
-                isinstance(node, ast.Subscript)
-                and isinstance(node.value, ast.Attribute)
-                and node.value.attr == "array"
-                and isinstance(node.value.value, ast.Name)
-            ):
-                receiver = node.value.value.id
-                home = self._segment_scope_of(receiver, scope)
-                if home is not None:
-                    self._segment_op(home, receiver, "write", line, guarded)
-
     # -- statements --------------------------------------------------------
 
-    def _walk_body(self, body: list[ast.stmt], scope: _Scope, writing: int, held: int) -> None:
+    def _walk_body(self, body: list[ast.stmt], scope: _Scope) -> None:
         for stmt in body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if scope.qual:
@@ -386,75 +279,56 @@ class _ProcsWalker:
                 inner_qual = f"{scope.qual}.{stmt.name}" if scope.qual else stmt.name
                 inner = _Scope(inner_qual, scope.cls)
                 for dec in stmt.decorator_list:
-                    self._scan_expr(dec, scope, guarded=bool(writing or held))
-                self._walk_body(stmt.body, inner, writing=0, held=0)
+                    self._scan_expr(dec, scope)
+                self._walk_body(stmt.body, inner)
             elif isinstance(stmt, ast.ClassDef):
                 inner_qual = f"{scope.qual}.{stmt.name}" if scope.qual else stmt.name
                 inner = _Scope(inner_qual, stmt.name)
                 for expr in stmt.bases + [kw.value for kw in stmt.keywords] + stmt.decorator_list:
-                    self._scan_expr(expr, scope, guarded=bool(writing or held))
-                self._walk_body(stmt.body, inner, writing, held)
+                    self._scan_expr(expr, scope)
+                self._walk_body(stmt.body, inner)
             elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                self._walk_with(stmt, scope, writing, held)
+                self._walk_with(stmt, scope)
             elif isinstance(stmt, (ast.If, ast.While)):
-                self._scan_expr(stmt.test, scope, guarded=bool(writing or held))
-                self._walk_body(stmt.body, scope, writing, held)
-                self._walk_body(stmt.orelse, scope, writing, held)
+                self._scan_expr(stmt.test, scope)
+                self._walk_body(stmt.body, scope)
+                self._walk_body(stmt.orelse, scope)
             elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self._scan_expr(stmt.iter, scope, guarded=bool(writing or held))
-                self._walk_body(stmt.body, scope, writing, held)
-                self._walk_body(stmt.orelse, scope, writing, held)
+                self._scan_expr(stmt.iter, scope)
+                self._walk_body(stmt.body, scope)
+                self._walk_body(stmt.orelse, scope)
             elif isinstance(stmt, ast.Try):
-                self._walk_body(stmt.body, scope, writing, held)
+                self._walk_body(stmt.body, scope)
                 for handler in stmt.handlers:
-                    self._walk_body(handler.body, scope, writing, held)
-                self._walk_body(stmt.orelse, scope, writing, held)
-                self._walk_body(stmt.finalbody, scope, writing, held)
+                    self._walk_body(handler.body, scope)
+                self._walk_body(stmt.orelse, scope)
+                self._walk_body(stmt.finalbody, scope)
             else:
-                self._walk_simple(stmt, scope, writing, held)
+                self._walk_simple(stmt, scope)
 
-    def _walk_with(self, stmt: ast.With | ast.AsyncWith, scope: _Scope, writing: int, held: int) -> None:
-        guarded = bool(writing or held)
+    def _walk_with(self, stmt: ast.With | ast.AsyncWith, scope: _Scope) -> None:
         for item in stmt.items:
-            self._scan_expr(item.context_expr, scope, guarded)
-            expr = item.context_expr
-            if (
-                isinstance(expr, ast.Call)
-                and isinstance(expr.func, ast.Attribute)
-                and expr.func.attr == "writing"
-            ):
-                writing += 1
-            elif isinstance(expr, (ast.Name, ast.Attribute)):
-                # ``with lock:`` — but ``with seg:`` on a tracked segment
-                # is lifecycle management, not mutual exclusion.
-                is_segment = (
-                    isinstance(expr, ast.Name)
-                    and self._segment_scope_of(expr.id, scope) is not None
-                )
-                if not is_segment:
-                    held += 1
+            self._scan_expr(item.context_expr, scope)
             if item.optional_vars is not None and isinstance(item.optional_vars, ast.Name):
-                # ``with SharedArray.create(...) as seg:`` / executor pools
-                synthetic = ast.Assign(targets=[item.optional_vars], value=expr)
+                # ``with ProcessPoolExecutor(...) as pool:`` / ``with open(...) as fh:``
+                synthetic = ast.Assign(targets=[item.optional_vars], value=item.context_expr)
                 ast.copy_location(synthetic, item.context_expr)
                 self._record_creation(synthetic, scope)
-        self._walk_body(stmt.body, scope, writing, held)
+        self._walk_body(stmt.body, scope)
 
-    def _walk_simple(self, stmt: ast.stmt, scope: _Scope, writing: int, held: int) -> None:
-        guarded = bool(writing or held)
+    def _walk_simple(self, stmt: ast.stmt, scope: _Scope) -> None:
         if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             if stmt.value is not None:
-                self._scan_expr(stmt.value, scope, guarded)
+                self._scan_expr(stmt.value, scope)
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             for target in targets:
-                self._record_target_writes(target, stmt.lineno, scope, guarded)
                 for node in ast.walk(target):
                     if isinstance(node, ast.Subscript):
-                        self._scan_expr(node.slice, scope, guarded)
+                        self._scan_expr(node.slice, scope)
             if not isinstance(stmt, ast.AugAssign):
                 self._record_creation(stmt, scope)
         else:
-            self._scan_expr(stmt, scope, guarded)
+            self._scan_expr(stmt, scope)
 
 
 def collect_procs_facts(summary: ModuleSummary, tree: ast.Module) -> None:

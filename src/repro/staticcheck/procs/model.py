@@ -1,6 +1,6 @@
 """Whole-program process model assembled from per-module procs facts.
 
-The :class:`ProcessModel` answers the questions the five procs rules ask:
+The :class:`ProcessModel` answers the questions the four procs rules ask:
 
 * where are the process boundaries, and what start method is in effect
   at each one (site ``get_context`` pin > module ``set_start_method`` >
@@ -11,15 +11,13 @@ The :class:`ProcessModel` answers the questions the five procs rules ask:
 * which locks and OS handles live at module/class scope — i.e. exist in
   the parent before the boundary and are silently duplicated into
   fork-children?
-* which SharedArray segments are visible across the boundary (attached
-  from elsewhere, or handed out through ``descriptor()``/raw argument)?
 
 Soundness caveats are deliberate and documented in DESIGN §12: a
 ``Process(target=...)`` whose target is not a statically resolvable name
 contributes no worker closure, and a ``parallel_map`` whose backend is
 not a string literal is not a boundary at all.  The model is memoized on
 the :class:`~repro.staticcheck.project.graph.ProjectContext` (like the
-concurrency model), so the five rules share one construction per run.
+concurrency model), so the four rules share one construction per run.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ class Spawn:
         self.target = doc["target"]
         self.target_shape = doc["target_shape"]
         self.args = list(doc["args"])
-        self.descriptor_of = list(doc["descriptor_of"])
         self.site_method = doc["method"]
         #: filled in by the model
         self.resolved_target: str | None = None
@@ -192,13 +189,6 @@ class ProcessModel:
             return False  # nested function scope
         sig = self.project.summaries[module].functions.get(head)
         return sig is not None and sig.kind == "class"
-
-    def segment_table(self, module: str) -> dict:
-        """``{qual: {name: [role, line]}}`` for one module (may be empty)."""
-        return (self.project.summaries[module].procs or {}).get("segments", {})
-
-    def segment_ops(self, module: str) -> list:
-        return (self.project.summaries[module].procs or {}).get("segment_ops", [])
 
 
 def process_model_for(project) -> ProcessModel:

@@ -1,8 +1,8 @@
 """Process-boundary rule family: what breaks when the code goes multi-process.
 
-Five project rules over the shared :class:`ProcessModel` (spawn sites,
+Four project rules over the shared :class:`ProcessModel` (spawn sites,
 worker-side call-graph closures, start methods, inheritable locks and
-handles, SharedArray lifecycles):
+handles):
 
 * ``fork-unsafe-inheritance`` — a lock or OS handle that exists in the
   parent before a fork-possible boundary is *used* by worker-side code;
@@ -11,10 +11,7 @@ handles, SharedArray lifecycles):
   undefined to share).
 * ``boundary-escape`` — a callable or argument crosses a boundary that
   pickling (or fork semantics) cannot carry safely: lambdas, nested
-  closures, bound methods, locks, handles and raw SharedArray objects.
-* ``sharedmem-protocol`` — a cross-process-visible SharedArray is
-  written outside the ``StateGuard.writing()``/state-lock swap protocol,
-  unlinked by a non-owning attacher, or used after ``unlink``.
+  closures, bound methods, locks and handles.
 * ``child-global-divergence`` — module-level state is written inside a
   worker-executed function; the write lands in the child's copy of the
   module and the parent never sees it.
@@ -44,7 +41,6 @@ __all__ = [
     "BoundaryEscapeRule",
     "ChildGlobalDivergenceRule",
     "ForkUnsafeInheritanceRule",
-    "SharedMemProtocolRule",
 ]
 
 
@@ -128,9 +124,6 @@ class ForkUnsafeInheritanceRule(ProjectRule):
         module, cls = model.cm.homes.get(full, ("", ""))
         used: list[str] = []
         for handle in sorted(model.handles):
-            kind = model.handles[handle][0]
-            if kind.startswith("SharedArray"):
-                continue  # designed to cross the boundary; sharedmem-protocol owns it
             if not model.is_inheritable(handle):
                 continue
             split = model._split_scope(handle)
@@ -157,7 +150,7 @@ class BoundaryEscapeRule(ProjectRule):
     description = (
         "a callable or argument crosses a process boundary that pickling "
         "or fork semantics cannot carry safely (closures, bound methods, "
-        "locks, handles, raw shared-memory objects)"
+        "locks, handles)"
     )
 
     def check(self, project) -> Iterator[Finding]:
@@ -216,128 +209,15 @@ class BoundaryEscapeRule(ProjectRule):
                     break
                 if candidate in model.handles:
                     kind, _path, _line = model.handles[candidate]
-                    if kind.startswith("SharedArray"):
-                        yield self.finding(
-                            spawn.path,
-                            spawn.line,
-                            f"SharedArray '{arg}' is passed raw across the "
-                            "process boundary (object path "
-                            f"'{arg}._shm'); the mapping does not survive "
-                            "pickling — pass seg.descriptor() and attach in "
-                            "the worker",
-                        )
-                    else:
-                        yield self.finding(
-                            spawn.path,
-                            spawn.line,
-                            f"{kind} '{_short(candidate)}' is passed as a "
-                            f"boundary argument (object path '{arg}'); OS "
-                            "handles cannot cross a process boundary by "
-                            "value — open the resource inside the worker",
-                        )
-                    break
-
-
-@register_project
-class SharedMemProtocolRule(ProjectRule):
-    id = "sharedmem-protocol"
-    description = (
-        "a cross-process SharedArray is written outside the "
-        "StateGuard/state-lock swap protocol, unlinked by a non-owner, or "
-        "used after unlink"
-    )
-
-    def check(self, project) -> Iterator[Finding]:
-        model = process_model_for(project)
-        for module in sorted(project.summaries):
-            path = project.summaries[module].path
-            table = model.segment_table(module)
-            if not table:
-                continue
-            ops = model.segment_ops(module)
-            crossing = self._crossing_segments(model, module, table)
-            for qual in sorted(table):
-                for name in sorted(table[qual]):
-                    role, _line = table[qual][name]
-                    seg_ops = sorted(
-                        (op for op in ops if op[0] == qual and op[1] == name),
-                        key=lambda op: op[3],
-                    )
-                    yield from self._check_segment(
-                        path, module, qual, name, role, seg_ops,
-                        visible=(qual, name) in crossing or role == "attacher",
-                        worker_side=self._is_worker_side(model, module, qual),
-                    )
-
-    @staticmethod
-    def _crossing_segments(model: ProcessModel, module: str, table: dict) -> set:
-        """Segments handed across some boundary (raw or via descriptor)."""
-        crossing: set[tuple[str, str]] = set()
-        for qual, names in table.items():
-            for op in model.segment_ops(module):
-                if op[0] == qual and op[2] == "pass" and op[1] in names:
-                    crossing.add((qual, op[1]))
-        for spawn in model.spawns:
-            if spawn.module != module:
-                continue
-            for arg in spawn.args + spawn.descriptor_of:
-                if arg in table.get(spawn.fn, {}):
-                    crossing.add((spawn.fn, arg))
-                elif arg in table.get("", {}):
-                    crossing.add(("", arg))
-        return crossing
-
-    @staticmethod
-    def _is_worker_side(model: ProcessModel, module: str, qual: str) -> bool:
-        return bool(qual) and f"{module}.{qual}" in model.worker_spawns
-
-    def _check_segment(
-        self,
-        path: str,
-        module: str,
-        qual: str,
-        name: str,
-        role: str,
-        seg_ops: list,
-        visible: bool,
-        worker_side: bool,
-    ) -> Iterator[Finding]:
-        where = f"'{qual}'" if qual else "module level"
-        unlink_line: int | None = None
-        for _qual, _name, op, line, guarded in seg_ops:
-            if op == "unlink" and unlink_line is None:
-                unlink_line = line
-                if role == "attacher":
                     yield self.finding(
-                        path,
-                        line,
-                        f"segment '{name}' was attached (not created) at "
-                        f"{where}, but this side unlinks it; unlink is the "
-                        "owner's responsibility — a sibling process may "
-                        "still map the segment, and its next access raises "
-                        "or reads freed memory",
+                        spawn.path,
+                        spawn.line,
+                        f"{kind} '{_short(candidate)}' is passed as a "
+                        f"boundary argument (object path '{arg}'); OS "
+                        "handles cannot cross a process boundary by "
+                        "value — open the resource inside the worker",
                     )
-                continue
-            if unlink_line is not None and op in ("read", "write", "pass") and line > unlink_line:
-                yield self.finding(
-                    path,
-                    line,
-                    f"segment '{name}' is used after unlink (unlinked at "
-                    f"{path}:{unlink_line}); the name is gone, so any "
-                    "process attaching from here races the kernel's "
-                    "teardown — unlink only after every user is done",
-                )
-                break  # one use-after-unlink per segment is enough signal
-            if op == "write" and not guarded and (visible or worker_side):
-                yield self.finding(
-                    path,
-                    line,
-                    f"cross-process segment '{name}' is written at {where} "
-                    "outside the StateGuard/state-lock swap protocol; "
-                    "readers in sibling processes can observe the torn "
-                    "intermediate state — wrap the write in "
-                    "guard.writing() under the shared state lock",
-                )
+                    break
 
 
 @register_project
@@ -369,8 +249,7 @@ class ChildGlobalDivergenceRule(ProjectRule):
                     f"'{full}', which runs in a worker process "
                     f"({spawn.describe()}); the write mutates the child's "
                     "copy of the module and the parent never observes it — "
-                    "return the value to the parent or publish it through "
-                    "shared memory",
+                    "return the value to the parent instead",
                 )
 
 

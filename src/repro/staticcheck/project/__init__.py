@@ -22,17 +22,13 @@ from repro.staticcheck.project.dead_exports import DeadExportRule
 from repro.staticcheck.project.graph import CallGraph, ImportGraph, ProjectContext
 from repro.staticcheck.project.summary import ModuleSummary, build_summary, module_name_for_path
 from repro.staticcheck.project.taint import TaintedPersistenceRule
-from repro.staticcheck.capacity.contract import StreamingContractRule
 from repro.staticcheck.perf.hotpath import HotPathGapRule
-from repro.staticcheck.sysmodel.contract import SysmodelContractRule
-from repro.staticcheck.sysmodel.leaks import SystemConstantLeakRule, SystemDispatchRule
 from repro.staticcheck.procs.model import ProcessModel
 from repro.staticcheck.procs.rules import (
     BlockingInWorkerRule,
     BoundaryEscapeRule,
     ChildGlobalDivergenceRule,
     ForkUnsafeInheritanceRule,
-    SharedMemProtocolRule,
 )
 
 __all__ = [
@@ -52,11 +48,6 @@ __all__ = [
     "ModuleSummary",
     "ProcessModel",
     "ProjectContext",
-    "SharedMemProtocolRule",
-    "StreamingContractRule",
-    "SysmodelContractRule",
-    "SystemConstantLeakRule",
-    "SystemDispatchRule",
     "TaintedPersistenceRule",
     "UnguardedSharedWriteRule",
     "build_summary",

@@ -15,7 +15,7 @@ facts (:class:`~repro.staticcheck.project.summary.ModuleSummary`
   from two or more distinct thread-boundary entry points (HTTP handlers,
   ``threading.Thread`` targets, scheduler-registered callbacks) with no
   lock common to every write site.
-* ``blocking-under-lock`` — I/O, ``parallel_map``/``run_spmd`` fan-out,
+* ``blocking-under-lock`` — I/O, ``parallel_map`` fan-out,
   or model (re)training invoked while a lock is held, stalling every
   competing thread for the duration.
 
@@ -62,7 +62,7 @@ BLOCKING_CALLS = frozenset(
 _BLOCKING_SUFFIXES = (".read_text", ".write_text", ".read_bytes", ".write_bytes")
 
 #: Fan-out primitives: holding a lock across them serializes the fan-out.
-_FANOUT_BASENAMES = frozenset({"parallel_map", "run_spmd"})
+_FANOUT_BASENAMES = frozenset({"parallel_map"})
 
 #: Project callees that are model (re)training when resolved in-package.
 _RETRAIN_BASENAMES = frozenset({"train", "training", "fit", "partial_fit", "partial_fit_idf"})

@@ -229,18 +229,9 @@ class ModuleSummary:
     #: function qualname -> ``# hotpath:`` annotation text, for the perf
     #: tier's cross-module hot-path-gap rule.
     hotpaths: dict = field(default_factory=dict)
-    #: process-boundary facts (spawn sites, start-method pins, handles,
-    #: SharedArray lifecycles) for the procs tier — see
-    #: :mod:`repro.staticcheck.procs.facts`.
+    #: process-boundary facts (spawn sites, start-method pins, handles)
+    #: for the procs tier — see :mod:`repro.staticcheck.procs.facts`.
     procs: dict = field(default_factory=dict)
-    #: capacity facts (streaming annotations, return scales,
-    #: materializing returns) for the streaming-contract rule — see
-    #: :mod:`repro.staticcheck.capacity.facts`.
-    capacity: dict = field(default_factory=dict)
-    #: system-model facts (SystemModel class hierarchy, flagged Fugaku
-    #: constants) for the sysmodel contract rules — see
-    #: :mod:`repro.staticcheck.sysmodel.facts`.
-    sysmodel: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -260,8 +251,6 @@ class ModuleSummary:
             "concurrency": self.concurrency,
             "hotpaths": self.hotpaths,
             "procs": self.procs,
-            "capacity": self.capacity,
-            "sysmodel": self.sysmodel,
         }
 
     @classmethod
@@ -285,8 +274,6 @@ class ModuleSummary:
             concurrency=doc.get("concurrency", {}),
             hotpaths=doc.get("hotpaths", {}),
             procs=doc.get("procs", {}),
-            capacity=doc.get("capacity", {}),
-            sysmodel=doc.get("sysmodel", {}),
         )
 
 
@@ -930,15 +917,11 @@ def build_summary(path: str, source: str, tree: ast.Module, module_name: str | N
     # Deferred imports: perf.hotpath and procs.rules register project
     # rules on import, and pulling them in at module scope would tangle
     # package init order.
-    from repro.staticcheck.capacity.facts import collect_capacity_facts
     from repro.staticcheck.perf.hotpath import annotated_quals
     from repro.staticcheck.procs.facts import collect_procs_facts
-    from repro.staticcheck.sysmodel.facts import collect_sysmodel_facts
 
     summary.hotpaths = annotated_quals(tree, source)
     collect_procs_facts(summary, tree)
-    collect_capacity_facts(summary, tree, source)
-    collect_sysmodel_facts(summary, tree, source)
     summary.directives = [
         {"line": d.line, "rules": sorted(d.rule_ids), "covers": list(d.covers)}
         for d in parse_directives(source)

@@ -48,11 +48,6 @@ def render_statistics(stats: CheckStats) -> str:
         f"  perf hot funcs:   {stats.perf_hot_functions}",
         f"  perf fixpoints:   {stats.perf_array_fixpoints}",
         f"  procs boundaries: {stats.procs_boundaries}",
-        f"  procs segments:   {stats.procs_segments}",
-        f"  scale fixpoints:  {stats.capacity_fixpoints}",
-        f"  streaming defs:   {stats.capacity_streaming}",
-        f"  sysmodel classes: {stats.sysmodel_classes}",
-        f"  sysmodel specs:   {stats.sysmodel_specs}",
     ]
     if stats.findings_per_rule:
         lines.append("  findings by rule:")

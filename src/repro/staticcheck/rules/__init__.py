@@ -1,11 +1,5 @@
 """Built-in MCBound rules; importing this package registers all of them."""
 
-from repro.staticcheck.capacity.dataflow import (
-    FullMaterializationRule,
-    RowwiseLoopRule,
-    ScaleAmplificationRule,
-    UnboundedAccumulationRule,
-)
 from repro.staticcheck.flow.resources import DoubleReleaseRule, ResourceLeakRule
 from repro.staticcheck.flow.units import UnitMismatchRule
 from repro.staticcheck.perf.dataflow import (
@@ -28,7 +22,6 @@ from repro.staticcheck.rules.ordering import UnorderedIterationRule
 from repro.staticcheck.rules.picklability import UnpicklableTaskRule
 from repro.staticcheck.rules.randomness import UnseededRngRule
 from repro.staticcheck.rules.timing import WallclockTimingRule
-from repro.staticcheck.sysmodel.dimension import SysmodelDimensionRule
 
 __all__ = [
     "BroadcastMismatchRule",
@@ -37,19 +30,14 @@ __all__ = [
     "DtypeUpcastRule",
     "ExportDriftRule",
     "FloatEqualityRule",
-    "FullMaterializationRule",
     "HiddenCopyRule",
     "LoopAllocRule",
     "MutableDefaultRule",
     "PerItemCallRule",
     "QuadraticGrowthRule",
     "ResourceLeakRule",
-    "RowwiseLoopRule",
     "ScalarLoopRule",
-    "ScaleAmplificationRule",
     "SilentExceptRule",
-    "SysmodelDimensionRule",
-    "UnboundedAccumulationRule",
     "UnitMismatchRule",
     "UnorderedIterationRule",
     "UnpicklableTaskRule",

@@ -56,8 +56,6 @@ class ResultSet:
         return self._cols[name]
 
     def iter_rows(self) -> Iterator[dict]:
-        # streaming: one row dict per yield, constant memory
-        # scale: -> bounded
         """Yield per-row dicts one at a time.
 
         This is the internal row-iteration API: peak memory is one row,
@@ -70,7 +68,6 @@ class ResultSet:
             yield {n: _to_python(c[i]) for n, c in zip(names, cols)}
 
     def rows(self) -> list[dict]:
-        # scale: -> jobs
         """Materialize every row as a dict — storage-boundary API only.
 
         The list is as large as the result set; internal callers iterate
@@ -136,7 +133,6 @@ class Table:
         self._capacity = cap
 
     def insert_rows(self, columns: Sequence[str], rows: Iterable[Sequence]) -> int:
-        # streaming: consumes its input in _INSERT_CHUNK-row chunks
         """Insert rows given as tuples ordered like ``columns``; returns count.
 
         ``rows`` may be any iterable — including a generator — and is
@@ -224,8 +220,6 @@ class Table:
         batch_rows: int = SCAN_BATCH_ROWS,
         columns: Sequence[str] | None = None,
     ) -> Iterator[ResultSet]:
-        # streaming: columnar range scan, one ~batch_rows ResultSet per yield
-        # scale: -> batch
         """Yield rows with ``low <= column < high`` as bounded columnar batches.
 
         Peak memory is O(``batch_rows``), never O(table).  When ``column``

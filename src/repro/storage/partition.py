@@ -79,8 +79,6 @@ class SegmentedTable:
         batch_rows: int = SCAN_BATCH_ROWS,
         columns: Sequence[str] | None = None,
     ) -> Iterator[ResultSet]:
-        # streaming: chains per-segment chunked scans in partition order
-        # scale: -> batch
         """Yield rows with ``low <= key < high`` as bounded columnar batches.
 
         Segments whose key interval falls outside ``[low, high)`` are

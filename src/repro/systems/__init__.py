@@ -5,9 +5,8 @@ counter→flops/bytes formulas, peak ceilings, frequency ladder, and a
 synthetic workload mix — behind a registry, so the same online α/β/θ
 pipeline runs on Fugaku and on non-Fugaku machines, and cross-system
 transfer can be measured.  Dispatch goes through :func:`get_system`;
-the ``repro.staticcheck.sysmodel`` lint tier enforces the contract
-(interface conformance, unit-annotated formulas, no Fugaku-constant
-leaks, no registry bypasses).
+``tests/systems`` holds every registered system to the contract
+(members, signatures, ``# unit:`` annotations).
 
 Importing this package registers the built-in systems.
 """

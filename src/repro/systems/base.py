@@ -12,16 +12,15 @@ carries the same ``# unit:`` def annotation its implementations must
 repeat, so the flow tier's flops/bytes/seconds fixpoint resolves method
 units by bare name **through the abstraction boundary** — a consumer
 holding any ``SystemModel`` still gets ``flops`` out of
-``flops_from_counters``.  The ``sysmodel-contract`` lint rule enforces
-that every concrete system implements the full contract with matching
-signatures and matching ``-> unit`` return conventions, which is what
-keeps the harvest sound.
+``flops_from_counters``.  The contract tests in ``tests/systems`` check
+that every registered system implements the full contract with matching
+signatures and matching ``# unit:`` annotations, which is what keeps the
+harvest sound.
 
 Concrete systems register themselves with
 :func:`repro.systems.registry.register_system`; every construction site
 outside a system's home module goes through
-:func:`repro.systems.registry.get_system` (the ``system-dispatch`` rule
-flags anything that names a concrete class directly).
+:func:`repro.systems.registry.get_system`.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ class SystemModel(abc.ABC):
     #: registry key; every concrete system declares a unique lowercase name
     name: str = ""
 
-    # -- the abstract contract (checked by ``sysmodel-contract``) -------------
+    # -- the abstract contract (checked by tests/systems) ---------------------
 
     @property
     @abc.abstractmethod

@@ -2,10 +2,9 @@
 
 This is a *port*, not a move: the machine constants and the Eq. 4/5
 counter formulas stay in :mod:`repro.fugaku.system` and
-:mod:`repro.fugaku.counters` — those two modules (plus this adapter)
-are the ``system-constant-leak`` rule's allowlist — and this class only
-delegates, so every Fugaku number continues to flow from a single
-definition site and the pre-refactor results stay bit-identical.
+:mod:`repro.fugaku.counters`, and this class only delegates, so every
+Fugaku number continues to flow from a single definition site and the
+pre-refactor results stay bit-identical.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
 """Registry of concrete :class:`SystemModel` plugins.
 
 All dispatch goes through :func:`get_system`; nothing outside a
-system's home module constructs a concrete system class directly (the
-``system-dispatch`` lint rule flags violations).  Instances are
-singletons — system models are immutable descriptions, so one shared
-instance per name is safe and keeps derived objects (rooflines,
-transforms) cheap to re-request.
+system's home module constructs a concrete system class directly.
+Instances are singletons — system models are immutable descriptions, so
+one shared instance per name is safe and keeps derived objects
+(rooflines, transforms) cheap to re-request.
 """
 
 from __future__ import annotations

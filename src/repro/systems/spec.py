@@ -9,11 +9,11 @@ constants: the vector-width multiplier behind the Eq. 4 scale factor,
 the cache-line size behind Eq. 5, and the per-core replication of the
 memory-group-wide bus counters.
 
-The constructor validates the roofline invariants the
-``sysmodel-dimension`` lint rule checks statically on declared literals:
-positive peaks, ascending frequency ladder, and per-frequency peaks
-monotone in frequency (which makes every multi-ceiling knee
-``peak(f)/bw`` monotone in frequency too).
+The constructor validates the roofline invariants: positive peaks,
+ascending frequency ladder, and per-frequency peaks monotone in
+frequency (which makes every multi-ceiling knee ``peak(f)/bw`` monotone
+in frequency too).  Built-in specs are module constants, so a bad one
+fails when :mod:`repro.systems` is imported.
 """
 
 from __future__ import annotations

@@ -16,9 +16,9 @@ Both machines keep the project-wide four-counter trace schema
 (``perf2..perf5``): the generic Eq. 4/5 formulas are parameterized by
 each machine's vector multiplier, cache-line size and counter
 replication, so the same characterizer pipeline runs unchanged.  The
-knee ladders (``frequency_peaks``) are distinct and validated monotone —
-the ``sysmodel-dimension`` rule checks the declared literals and
-:class:`repro.systems.spec.MachineSpec` re-checks them at runtime.
+knee ladders (``frequency_peaks``) are distinct and validated monotone:
+:class:`repro.systems.spec.MachineSpec` checks them when this module is
+imported.
 """
 
 from __future__ import annotations

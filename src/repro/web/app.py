@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import logging
 import re
-import traceback
 from dataclasses import dataclass, field
 from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
 __all__ = ["Request", "Response", "HTTPError", "App"]
+
+_log = logging.getLogger(__name__)
 
 _STATUS_TEXT = {
     200: "OK",
@@ -19,6 +21,7 @@ _STATUS_TEXT = {
     404: "Not Found",
     405: "Method Not Allowed",
     409: "Conflict",
+    413: "Content Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -40,7 +43,7 @@ class Request:
             raise HTTPError(400, "expected a JSON body")
         try:
             return json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise HTTPError(400, f"invalid JSON body: {exc}") from exc
 
     def arg(self, name: str, default: str | None = None) -> str | None:
@@ -161,9 +164,12 @@ class App:
             return self._dispatch(request)
         except HTTPError as exc:
             return self._render_error(exc.status, exc.message, request)
-        except Exception:  # noqa: BLE001 - boundary: never crash the server
-            detail = traceback.format_exc(limit=5)
-            return self._render_error(500, f"internal error:\n{detail}", request)
+        except Exception as exc:  # noqa: BLE001 - boundary: never crash the server
+            # the traceback goes to the server log; the client gets type and
+            # message only, since frames would leak file paths
+            _log.exception("unhandled error in %s %s", request.method, request.path)
+            detail = f"{type(exc).__name__}: {exc}"
+            return self._render_error(500, f"internal error: {detail}", request)
 
     def _dispatch(self, request: Request) -> Response:
         path_matched = False

@@ -4,6 +4,10 @@ Runs an :class:`repro.web.App` behind
 :class:`http.server.ThreadingHTTPServer`.  :func:`serve` returns a
 :class:`ServerHandle` running on a daemon thread, so tests and the deploy
 script can start, probe and stop a real socket server.
+
+A request whose ``Content-Length`` is not a non-negative integer gets a
+400, and one declaring more than :data:`MAX_BODY_BYTES` gets a 413; in
+both cases the body is never read and the connection is closed.
 """
 
 from __future__ import annotations
@@ -11,9 +15,29 @@ from __future__ import annotations
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.web.app import App
+from repro.web.app import App, HTTPError
 
-__all__ = ["serve", "ServerHandle"]
+__all__ = ["MAX_BODY_BYTES", "serve", "ServerHandle"]
+
+#: Largest request body the server reads.  The busiest day of the
+#: synthetic trace at full scale, sent as one ``/predict`` of feature-only
+#: records, is about 4 MiB of JSON.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
+
+def _body_length(header: str | None) -> int:
+    """The declared body length; HTTPError 400/413 when it is unusable."""
+    if not header:
+        return 0
+    try:
+        length = int(header)
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise HTTPError(400, "Content-Length must be a non-negative integer")
+    if length > MAX_BODY_BYTES:
+        raise HTTPError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+    return length
 
 
 def _make_handler(app: App):
@@ -23,15 +47,20 @@ def _make_handler(app: App):
             pass
 
         def _run(self) -> None:
-            length = int(self.headers.get("Content-Length") or 0)
-            body = self.rfile.read(length) if length else b""
             request = App.build_request(
                 self.command,
                 self.path,
                 headers={k: v for k, v in self.headers.items()},
-                body=body,
             )
-            response = app.handle(request)
+            try:
+                length = _body_length(self.headers.get("Content-Length"))
+            except HTTPError as exc:
+                # the unread body would corrupt the next request on this connection
+                self.close_connection = True
+                response = app._render_error(exc.status, exc.message, request)
+            else:
+                request.body = self.rfile.read(length) if length else b""
+                response = app.handle(request)
             self.send_response(response.status)
             payload = response.body
             headers = dict(response.headers)

@@ -176,7 +176,7 @@ class TestPredictMemo:
 
 
 class TestStreamingTrain:
-    """train() folds batches into a bounded reservoir (# streaming:)."""
+    """train() folds batches into a bounded reservoir."""
 
     def test_small_window_matches_materialized_fit(self, tiny_trace, now):
         """Windows under the reservoir use every row in submit order, so

@@ -1,0 +1,82 @@
+"""Peak memory of the streaming paths is bounded by the batch, not the window.
+
+A 28-day window holds about four times the jobs of a 7-day one.  Draining
+either window through ``characterize_window_batches`` or ``train`` must
+peak within ``PEAK_RATIO_BOUND`` of the other, because both consume the
+window one ``BATCH_ROWS`` batch at a time.  Materializing the scan, the
+fetched batches or row dicts anywhere on either path makes the long
+window's peak grow with its job count, and these tests fail.
+
+One untimed pass over the long window runs first.  It fills the label
+cache and the embedder cache, which grow by one entry per job (or
+string) never seen before; that growth is by design and is not what
+these tests bound.
+"""
+
+import functools
+
+import pytest
+
+from repro.core.config import MCBoundConfig
+from repro.core.data_fetcher import load_trace_into_db
+from repro.core.framework import MCBound
+from repro.evaluation.timing import peak_memory_bytes
+from repro.fugaku.workload import generate_trace
+
+DAY_SECONDS = 86_400.0
+BATCH_ROWS = 1_000
+SHORT_DAYS, LONG_DAYS = 7, 28
+#: the long window may peak at most this much above the short one
+PEAK_RATIO_BOUND = 1.25
+
+
+@pytest.fixture(scope="module")
+def warm():
+    """A framework over a scale-0.05 trace, its caches filled; returns
+    ``(framework, start)`` with ``start`` the first submit time."""
+    trace = generate_trace(scale=0.05)
+    # KNN: fitting 500 rows is instant, so the windows dominate the time
+    config = MCBoundConfig(algorithm="KNN", train_reservoir=500)
+    fw = MCBound(config, load_trace_into_db(trace))
+    # train() fetches with the default batch size; cut it to BATCH_ROWS
+    fw.fetcher.fetch_batches = functools.partial(
+        fw.fetcher.fetch_batches, batch_rows=BATCH_ROWS
+    )
+    start = float(trace["submit_time"].min())
+    _drain_characterize(fw, start, LONG_DAYS)
+    _train(fw, start, LONG_DAYS)
+    return fw, start
+
+
+def _drain_characterize(fw, start, days):
+    n_jobs = 0
+    end = start + days * DAY_SECONDS
+    for job_ids, _labels in fw.characterize_window_batches(start, end, batch_rows=BATCH_ROWS):
+        n_jobs += len(job_ids)
+    return n_jobs
+
+
+def _train(fw, start, days):
+    return fw.train(start + days * DAY_SECONDS, alpha_days=days)["n_jobs"]
+
+
+def _peaks(fn, fw, start):
+    """``{days: (n_jobs, peak_bytes)}`` for the short and the long window."""
+    return {days: peak_memory_bytes(fn, fw, start, days) for days in (SHORT_DAYS, LONG_DAYS)}
+
+
+def _assert_window_independent(peaks):
+    (n_short, short), (n_long, long) = peaks[SHORT_DAYS], peaks[LONG_DAYS]
+    assert n_long >= 3 * n_short, "the long window must hold several times the jobs"
+    assert long <= PEAK_RATIO_BOUND * short, (
+        f"{n_long} jobs peaked at {long / 1e6:.3f} MB vs {short / 1e6:.3f} MB "
+        f"for {n_short} jobs ({long / short:.2f}x > {PEAK_RATIO_BOUND}x)"
+    )
+
+
+def test_characterize_window_batches_peak_is_window_independent(warm):
+    _assert_window_independent(_peaks(_drain_characterize, *warm))
+
+
+def test_train_peak_is_window_independent(warm):
+    _assert_window_independent(_peaks(_train, *warm))

@@ -1,10 +1,10 @@
 """Flow-sensitive rules: unit-mismatch, resource-leak, double-release.
 
 The two *seeded-bug* fixtures mirror the acceptance criteria: a
-roofline-like function that adds Flops to Bytes, and a SharedArray
-segment leaked on an exception path.  Each must produce exactly one
-finding at the right line — in the findings list, in the JSON render
-and in the SARIF render.
+roofline-like function that adds Flops to Bytes, and a socket leaked
+on an exception path.  Each must produce exactly one finding at the
+right line — in the findings list, in the JSON render and in the SARIF
+render.
 """
 
 import json
@@ -39,17 +39,17 @@ def operational_intensity(flops, moved_bytes):  # unit: flops=flops, moved_bytes
     return total / moved_bytes
 """
 
-#: Acceptance fixture 2 — SharedArray segment leaked on the exception
-#: path: ``fill`` may raise after ``create`` (line 5) but before
-#: ``close``, and nothing releases the segment on that path.
+#: Acceptance fixture 2 — socket leaked on the exception path:
+#: ``send_all`` may raise after ``socket.socket()`` (line 5) but before
+#: ``close``, and nothing releases the socket on that path.
 LEAK_BUG = """\
-import SharedArray
+import socket
 
 
-def broadcast(name, values):
-    seg = SharedArray.create(name, len(values))
-    fill(seg, values)
-    seg.close()
+def broadcast(address, payload):
+    conn = socket.socket()
+    send_all(conn, address, payload)
+    conn.close()
 """
 
 
@@ -78,7 +78,7 @@ class TestSeededResourceLeak:
     def test_exactly_one_finding_at_the_acquisition(self):
         result = run(LEAK_BUG)
         assert [(f.rule_id, f.line) for f in result.findings] == [("resource-leak", 5)]
-        assert "SharedArray segment" in result.findings[0].message
+        assert "socket" in result.findings[0].message
         assert "close()" in result.findings[0].message
 
     def test_json_render_carries_the_same_single_finding(self):
@@ -185,14 +185,14 @@ class TestResourceLifecycle:
 
     def test_try_finally_release_is_clean(self):
         src = """
-        import SharedArray
+        import socket
 
-        def broadcast(name, values):
-            seg = SharedArray.create(name, len(values))
+        def broadcast(address, payload):
+            conn = socket.socket()
             try:
-                fill(seg, values)
+                send_all(conn, address, payload)
             finally:
-                seg.close()
+                conn.close()
         """
         assert findings_of(src) == []
 

@@ -1,38 +1,25 @@
-"""Procs-tier rules: fork-safety, boundary escapes, shared-memory protocol.
+"""Procs-tier rules: fork-safety, boundary escapes, worker-side effects.
 
-Each of the five process-boundary rules has a *seeded trigger* fixture
+Each of the four process-boundary rules has a *seeded trigger* fixture
 (exactly one finding, at the right line, in the findings list and in both
 the JSON and SARIF renders) and a *clean sibling* that differs only in
 the property the rule checks — most importantly the start-method pair:
 the identical inherited-lock module is flagged under (possible) fork and
 clean once ``set_start_method("spawn")`` pins the boundary.
-
-The lifecycle test at the bottom is the acceptance cross-check: the same
-seeded use-after-unlink bug is flagged statically by
-``sharedmem-protocol`` and dynamically by the fork-aware sanitizer (the
-fork child's ``sharedmem-use-after-unlink`` event, flushed to the
-per-pid JSONL log).
 """
 
 import json
-import multiprocessing
-import os
 import textwrap
 
 import pytest
 
 from repro.staticcheck import check_paths, render_json, render_sarif
-from repro.staticcheck.procs.facts import (
-    HANDLE_FACTORIES,
-    PROCESS_FANOUT_BASENAMES,
-    SEGMENT_ROLES,
-)
+from repro.staticcheck.procs.facts import HANDLE_FACTORIES, PROCESS_FANOUT_BASENAMES
 from repro.staticcheck.procs.rules import (
     BlockingInWorkerRule,
     BoundaryEscapeRule,
     ChildGlobalDivergenceRule,
     ForkUnsafeInheritanceRule,
-    SharedMemProtocolRule,
 )
 from repro.staticcheck.registry import all_project_rules
 
@@ -41,7 +28,6 @@ PROCS_RULE_IDS = [
     "boundary-escape",
     "child-global-divergence",
     "fork-unsafe-inheritance",
-    "sharedmem-protocol",
 ]
 
 
@@ -51,7 +37,6 @@ def procs_rules():
         BoundaryEscapeRule(),
         ChildGlobalDivergenceRule(),
         ForkUnsafeInheritanceRule(),
-        SharedMemProtocolRule(),
     ]
 
 
@@ -120,35 +105,6 @@ def fanout(items):
     return parallel_map(add_one, items, config=config)
 """
 
-#: Trigger — a cross-process-visible segment (its descriptor is handed
-#: out) written outside the StateGuard/state-lock swap protocol.
-SHAREDMEM_BUG = """\
-from repro.parallel.sharedmem import SharedArray
-
-
-def publish(stats):
-    seg = SharedArray.from_array(stats)
-    handle = seg.descriptor()
-    seg.array[0] = 1.0
-    return handle
-"""
-
-#: Clean sibling — the same write wrapped in ``guard.writing()``.
-SHAREDMEM_GUARDED = """\
-from repro.parallel.sharedmem import SharedArray
-from repro.sanitizers import StateGuard
-
-_guard = StateGuard("pkg.mod.stats")
-
-
-def publish(stats):
-    seg = SharedArray.from_array(stats)
-    handle = seg.descriptor()
-    with _guard.writing():
-        seg.array[0] = 1.0
-    return handle
-"""
-
 #: Trigger — the worker target mutates a module-level dict; the update
 #: lands in the child process and the parent never sees it.
 DIVERGENCE_BUG = """\
@@ -204,20 +160,17 @@ BLOCKING_COLD = BLOCKING_BUG.replace("predict", "transform")
 RULE_FIXTURES = {
     "fork-unsafe-inheritance": (FORK_UNSAFE_BUG, FORK_UNSAFE_PINNED, 14),
     "boundary-escape": (ESCAPE_BUG, ESCAPE_CLEAN, 6),
-    "sharedmem-protocol": (SHAREDMEM_BUG, SHAREDMEM_GUARDED, 7),
     "child-global-divergence": (DIVERGENCE_BUG, DIVERGENCE_CLEAN, 7),
     "blocking-in-worker": (BLOCKING_BUG, BLOCKING_COLD, 7),
 }
 
 
 class TestRegistry:
-    def test_all_five_rules_are_registered(self):
+    def test_every_procs_rule_is_registered(self):
         assert set(PROCS_RULE_IDS) <= set(all_project_rules())
 
     def test_fact_registries_are_sane(self):
         assert HANDLE_FACTORIES["open"] == "open file handle"
-        assert SEGMENT_ROLES["create"] == "owner"
-        assert SEGMENT_ROLES["attach"] == "attacher"
         assert "parallel_map" in PROCESS_FANOUT_BASENAMES
 
 
@@ -320,117 +273,13 @@ class TestBoundaryEscapeVariants:
         assert "fanout.<locals>.task" in result.findings[0].message
 
 
-class TestSharedMemProtocolVariants:
-    def test_attacher_unlink_is_flagged(self, tmp_path):
-        source = """\
-        from repro.parallel.sharedmem import SharedArray
-
-
-        def consume(desc):
-            seg = SharedArray.from_descriptor(desc)
-            total = float(seg.array[0])
-            seg.close()
-            seg.unlink()
-            return total
-        """
-        result = check_pkg(tmp_path, source)
-        assert rows(result) == [("sharedmem-protocol", 8)]
-        assert "owner's responsibility" in result.findings[0].message
-
-    def test_use_after_unlink_is_flagged(self, tmp_path):
-        result = check_pkg(tmp_path, LIFECYCLE_BUG)
-        assert rows(result) == [("sharedmem-protocol", 8)]
-        assert "used after unlink" in result.findings[0].message
-
-    def test_private_segment_write_is_not_flagged(self, tmp_path):
-        # the segment never crosses a boundary (no descriptor hand-off,
-        # no spawn argument), so in-process writes are the owner's business
-        source = """\
-        from repro.parallel.sharedmem import SharedArray
-
-
-        def scratch(stats):
-            seg = SharedArray.from_array(stats)
-            seg.array[0] = 1.0
-            total = float(seg.array[0])
-            seg.close()
-            seg.unlink()
-            return total
-        """
-        assert rows(check_pkg(tmp_path, source)) == []
-
-
 class TestSuppression:
     def test_inline_ignore_is_honoured(self, tmp_path):
-        suppressed = SHAREDMEM_BUG.replace(
-            "    seg.array[0] = 1.0",
-            "    seg.array[0] = 1.0  # staticcheck: ignore[sharedmem-protocol] - single-writer bootstrap",
+        suppressed = ESCAPE_BUG.replace(
+            "    return parallel_map(lambda x: x + 1, items, config=config)",
+            "    return parallel_map(lambda x: x + 1, items, config=config)"
+            "  # staticcheck: ignore[boundary-escape] - thread backend in tests",
         )
         result = check_pkg(tmp_path, suppressed)
         assert result.findings == []
-        assert [f.rule_id for f in result.suppressed] == ["sharedmem-protocol"]
-
-
-#: The seeded lifecycle bug for the static/dynamic cross-check: the owner
-#: unlinks the segment and then keeps using it (line 8) while the
-#: descriptor is already out.
-LIFECYCLE_BUG = """\
-from repro.parallel.sharedmem import SharedArray
-
-
-def refresh(stats):
-    seg = SharedArray.from_array(stats)
-    desc = seg.descriptor()
-    seg.unlink()
-    return seg.array[0], desc
-"""
-
-
-def _attach_after_unlink(desc):
-    """Fork-child target: attach to a segment the parent already unlinked."""
-    from repro.parallel.sharedmem import SharedArray
-
-    try:
-        SharedArray.from_descriptor(desc)
-    except FileNotFoundError:
-        pass
-
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="fork start method unavailable on this platform",
-)
-class TestLifecycleStaticAndDynamicAgree:
-    """Acceptance: one seeded bug, flagged by the rule AND the sanitizer."""
-
-    def test_static_rule_flags_the_seeded_bug(self, tmp_path):
-        assert rows(check_pkg(tmp_path, LIFECYCLE_BUG)) == [("sharedmem-protocol", 8)]
-
-    def test_fork_aware_sanitizer_flags_the_same_bug_at_runtime(
-        self, tmp_path, monkeypatch
-    ):
-        np = pytest.importorskip("numpy")
-        from repro.parallel.sharedmem import SharedArray
-
-        log = tmp_path / "sanitize.jsonl"
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        monkeypatch.setenv("REPRO_SANITIZE_LOG", str(log))
-
-        seg = SharedArray.from_array(np.zeros(4))
-        desc = seg.descriptor()
-        seg.close()
-        seg.unlink()  # the seeded bug: unlinked while the descriptor is out
-
-        child = multiprocessing.get_context("fork").Process(
-            target=_attach_after_unlink, args=(desc,)
-        )
-        child.start()
-        child.join(timeout=30)
-        assert child.exitcode == 0
-
-        child_logs = sorted(tmp_path.glob("sanitize.jsonl.*"))
-        assert child_logs, "fork child flushed no per-pid sanitizer log"
-        events = [json.loads(line) for line in child_logs[0].read_text().splitlines()]
-        assert [e["kind"] for e in events] == ["sharedmem-use-after-unlink"]
-        assert events[0]["pid"] == child.pid
-        assert events[0]["pid"] != os.getpid()
+        assert [f.rule_id for f in result.suppressed] == ["boundary-escape"]

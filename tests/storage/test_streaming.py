@@ -1,9 +1,9 @@
 """Streaming discipline of the storage layer.
 
-What the capacity tier promises statically, these tests check
-dynamically: generator ingest, chunked scans and the partitioned table
-all peak at O(batch), never O(table) — including a tracemalloc bound at
-10^5 rows that is independent of table size.
+Generator ingest, chunked scans and the partitioned table all peak at
+O(batch), never O(table) — including a tracemalloc bound at 10^5 rows
+that is independent of table size.  ``tests/core/test_memory_bounds.py``
+holds the same bound for the framework paths above the store.
 """
 
 import numpy as np

@@ -8,6 +8,8 @@ trace, same characterization labels, same Table II contingency — and
 (d) that the synthetic systems have genuinely distinct knees and specs.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -68,8 +70,18 @@ class TestRegistry:
             register_system(object)
 
 
+def _unit_annotation(function):
+    """The ``# unit:`` comment on a method's ``def`` line, or None."""
+    lines = inspect.getsourcelines(function)[0]
+    def_line = next(line for line in lines if line.lstrip().startswith("def "))
+    _code, marker, annotation = def_line.partition("# unit:")
+    return annotation.strip() if marker else None
+
+
 class TestContract:
-    @pytest.mark.parametrize("name", ["fugaku", "supercloud", "in2p3"])
+    """Every *registered* system honours the contract, not a fixed list."""
+
+    @pytest.mark.parametrize("name", available_systems())
     def test_plugin_implements_contract(self, name):
         system = get_system(name)
         assert isinstance(system, SystemModel)
@@ -81,7 +93,23 @@ class TestContract:
         for method in CONTRACT_METHODS:
             assert callable(getattr(system, method)), method
 
-    @pytest.mark.parametrize("name", ["fugaku", "supercloud", "in2p3"])
+    @pytest.mark.parametrize("name", available_systems())
+    def test_members_match_contract_signatures(self, name):
+        """Same parameter names and kinds, property-ness and ``# unit:``
+        convention as the abstract member — the ABC only checks that an
+        override exists, and the flow tier harvests units by bare name."""
+        cls = type(get_system(name))
+        for member in sorted(SystemModel.__abstractmethods__):
+            contract, impl = getattr(SystemModel, member), getattr(cls, member)
+            if isinstance(contract, property):
+                assert isinstance(impl, property), member
+                continue
+            want = [(p.name, p.kind) for p in inspect.signature(contract).parameters.values()]
+            got = [(p.name, p.kind) for p in inspect.signature(impl).parameters.values()]
+            assert got == want, member
+            assert _unit_annotation(impl) == _unit_annotation(contract), member
+
+    @pytest.mark.parametrize("name", available_systems())
     def test_counter_round_trip(self, name):
         """counters_from_flops_bytes inverts the counter->flops/bytes map."""
         system = get_system(name)
@@ -93,7 +121,7 @@ class TestContract:
         np.testing.assert_allclose(back_f, flops, rtol=1e-9)
         np.testing.assert_allclose(back_m, moved, rtol=1e-9)
 
-    @pytest.mark.parametrize("name", ["fugaku", "supercloud", "in2p3"])
+    @pytest.mark.parametrize("name", available_systems())
     def test_roofline_objects(self, name):
         system = get_system(name)
         roofline = system.roofline()
@@ -102,7 +130,7 @@ class TestContract:
         assert len(multi.ceilings) == len(system.ceilings())
         assert multi.peak_gflops == system.peak_gflops_node
 
-    @pytest.mark.parametrize("name", ["fugaku", "supercloud", "in2p3"])
+    @pytest.mark.parametrize("name", available_systems())
     def test_peak_gflops_at_is_monotone(self, name):
         system = get_system(name)
         freqs = system.frequencies_ghz

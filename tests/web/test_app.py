@@ -103,6 +103,8 @@ class TestRequestResponse:
     def test_json_parse_error_400(self, app):
         r = run(app, "POST", "/items", body=b"{not json")
         assert r.status == 400
+        # nested deeper than the decoder's recursion limit
+        assert run(app, "POST", "/items", body=b"[" * 100_000).status == 400
 
     def test_empty_body_400(self, app):
         r = run(app, "POST", "/items")

@@ -1,11 +1,13 @@
 """Tests for the in-process test client and the real HTTP server."""
 
 import json
+import socket
 import urllib.request
 
 import pytest
 
 from repro.web import App, HTTPError, TestClient, serve
+from repro.web.server import MAX_BODY_BYTES
 
 
 @pytest.fixture()
@@ -80,3 +82,38 @@ class TestRealServer:
         # after stop the port is closed
         with pytest.raises(Exception):
             urllib.request.urlopen(f"{handle.url}/ping", timeout=1)
+
+
+def _raw_exchange(handle, head: bytes, body: bytes = b"") -> tuple[int, dict]:
+    """Send raw bytes, read until the server closes; (status, JSON body)."""
+    with socket.create_connection((handle.host, handle.port), timeout=10) as sock:
+        sock.sendall(head + body)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    reply = b"".join(chunks)
+    status_line, _, rest = reply.partition(b"\r\n")
+    return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
+
+
+def _post_head(length: str) -> bytes:
+    return (
+        "POST /double HTTP/1.1\r\nHost: localhost\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {length}\r\n\r\n"
+    ).encode()
+
+
+class TestContentLength:
+    """The socket adapter validates Content-Length before reading a byte."""
+
+    @pytest.mark.parametrize("length", ["abc", "-1", "1.5"])
+    def test_bad_length_is_400(self, app, length):
+        with serve(app) as handle:
+            status, body = _raw_exchange(handle, _post_head(length), b'{"x": 1}')
+        assert status == 400 and "Content-Length" in body["error"]
+
+    def test_oversize_length_is_413_without_reading_the_body(self, app):
+        with serve(app) as handle:
+            # no body follows: a server that tried to read it would hang
+            status, body = _raw_exchange(handle, _post_head(str(MAX_BODY_BYTES + 1)))
+        assert status == 413 and body["status"] == 413

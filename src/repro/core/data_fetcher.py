@@ -129,11 +129,3 @@ class DataFetcher:
             float(end_time),
             batch_rows=batch_rows,
         )
-
-    def fetch_count(self, start_time: float, end_time: float) -> int:
-        """Number of jobs in a window (cheap existence probe)."""
-        sql = (
-            f"SELECT job_id FROM {self.table} "
-            "WHERE submit_time >= ? AND submit_time < ?"
-        )
-        return len(self.db.execute(sql, [float(start_time), float(end_time)]))

@@ -105,8 +105,3 @@ class FeatureEncoder:
         if not strings:
             return np.empty((0, self.dim), dtype=np.float32)
         return self.embedder.encode(strings)
-
-    def partial_fit_idf(self, records: Iterable[Mapping]) -> "FeatureEncoder":
-        """Update the embedder's online IDF table from a training batch."""
-        self.embedder.partial_fit_idf([self.feature_string(r) for r in records])
-        return self

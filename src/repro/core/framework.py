@@ -28,6 +28,11 @@ from repro.systems import get_system
 __all__ = ["MCBound"]
 
 
+def _concat(arrays) -> np.ndarray:
+    """Concatenate int64 arrays; an empty sequence gives an empty array."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *arrays])
+
+
 class MCBound:
     """Online memory/compute-bound classification framework.
 
@@ -89,21 +94,21 @@ class MCBound:
     def characterize_window(self, start_time: float, end_time: float):
         """Label all jobs of a window; returns (job_ids, labels).
 
-        Results land in :attr:`label_cache` so retraining windows that
-        overlap previous ones do not recompute (§V-A).
+        The concatenation of :meth:`characterize_window_batches`, so the
+        labels land in :attr:`label_cache` for the later triggers whose
+        windows overlap this one (§V-A).
         """
-        records = self.fetcher.fetch(start_time=start_time, end_time=end_time)
-        return self._characterize_records(records)
+        parts = list(self.characterize_window_batches(start_time, end_time))
+        return _concat(ids for ids, _ in parts), _concat(labels for _, labels in parts)
 
     def characterize_window_batches(
         self, start_time: float, end_time: float, *, batch_rows: int = SCAN_BATCH_ROWS
     ):
         """Label a window one bounded columnar batch at a time.
 
-        The streaming counterpart of :meth:`characterize_window`: the
-        same jobs get the same labels, but each batch is fetched and
-        characterized straight off the column store — no row dicts — so
-        the working set of a month-scale window is O(``batch_rows``).
+        Each batch is fetched and characterized straight off the column
+        store — no row dicts — so the working set of a month-scale window
+        is O(``batch_rows``); :meth:`characterize_window` concatenates them.
         Labels land in :attr:`label_cache` batch by batch (recomputing a
         cached job is cheaper vectorized than checking), and that cache
         keeps one entry per job it has not seen before: on a scale-0.05
@@ -122,25 +127,6 @@ class MCBound:
         updates = dict(zip(job_ids.tolist(), (int(v) for v in labels)))
         with self._state_lock, self._state_guard.writing():
             self.label_cache.update(updates)
-        return job_ids, labels
-
-    def _characterize_records(self, records: list[dict]):
-        job_ids = np.array([r["job_id"] for r in records], dtype=np.int64)
-        labels = np.empty(len(records), dtype=np.int64)
-        with self._state_lock:
-            cached = dict(self.label_cache)
-        fresh = [i for i, jid in enumerate(job_ids.tolist()) if jid not in cached]
-        for i, jid in enumerate(job_ids.tolist()):
-            if jid in cached:
-                labels[i] = cached[jid]
-        if fresh:
-            new_labels = self.characterizer.labels_from_records(records[i] for i in fresh)
-            updates = {}
-            for k, i in enumerate(fresh):
-                labels[i] = new_labels[k]
-                updates[int(job_ids[i])] = int(new_labels[k])
-            with self._state_lock, self._state_guard.writing():
-                self.label_cache.update(updates)
         return job_ids, labels
 
     # -- training -----------------------------------------------------------------------
@@ -224,20 +210,26 @@ class MCBound:
         }
 
     def _require_model(self) -> ClassificationModel:
+        """The live model, else the store's latest with the embedder
+        (IDF state included) published beside it."""
         with self._state_lock, self._state_guard.reading():
             model = self.model
-        if model is None:
-            if self.store is not None and self.store.latest_version is not None:
-                loaded, _ = self.store.load()  # disk I/O stays outside the lock
-                with self._state_lock, self._state_guard.writing():
-                    if self.model is None:
-                        self.model = loaded
-                    model = self.model
-            else:
-                raise NotFittedError(
-                    "MCBound has no trained model; run the Training Workflow first"
-                )
-        return model
+        if model is not None:
+            return model
+        version = self.store.latest_version if self.store is not None else None
+        if version is None:
+            raise NotFittedError(
+                "MCBound has no trained model; run the Training Workflow first"
+            )
+        # disk I/O stays outside the lock
+        loaded, _ = self.store.load(version)
+        embedder = self.store.load_embedder(version)
+        with self._state_lock, self._state_guard.writing():
+            if self.model is None:
+                self.model = loaded
+                if embedder is not None:
+                    self.encoder.embedder = embedder
+            return self.model
 
     # -- inference ------------------------------------------------------------------------
 
@@ -247,14 +239,21 @@ class MCBound:
         Keyed on the raw submission string: users submit batches of
         identical jobs (§V-C.c), so repeats — within one call and across
         calls — are served from a bounded LRU memo and only distinct
-        misses ever reach the encoder and the model.  Predictions are
-        per-row independent, so the answers are identical to the unmemo
-        path; the memo empties whenever a new model is published.
+        misses of a call reach the encoder and the model, together.  The
+        memo empties whenever a new model is published.  It is not
+        bit-identical to unmemoized serving for every model: KNN brute
+        force computes ‖q‖² + ‖x‖² − 2q·x, whose rounding depends on the
+        number of query rows, so a job near a distance tie can get
+        another label when it is predicted in a differently sized batch.
         """
         model = self._require_model()
-        if not records:
-            return np.empty(0, dtype=np.int64)
         strings = [self.encoder.feature_string(r) for r in records]
+        return self._predict_strings(model, strings)
+
+    def _predict_strings(self, model, strings: list[str]) -> np.ndarray:
+        """The memoized core behind every prediction path."""
+        if not strings:
+            return np.empty(0, dtype=np.int64)
         cap = self.config.predict_memo
         if cap == 0:
             X = self.encoder.embedder.encode(strings)
@@ -289,10 +288,17 @@ class MCBound:
         )
 
     def predict_window(self, start_time: float, end_time: float):
-        """Predict every job submitted in a window; returns (job_ids, labels)."""
-        records = self.fetcher.fetch(start_time=start_time, end_time=end_time)
-        job_ids = np.array([r["job_id"] for r in records], dtype=np.int64)
-        return job_ids, self.predict_records(records)
+        """Predict every job submitted in a window; returns (job_ids, labels).
+
+        The window streams in as columnar batches, as in :meth:`train`;
+        its feature strings then go through the memo in one call.
+        """
+        model = self._require_model()
+        ids, strings = [], []
+        for batch in self.fetcher.fetch_batches(start_time, end_time):
+            ids.append(batch.column("job_id").astype(np.int64, copy=False))
+            strings += self.encoder.feature_strings_from_result(batch)
+        return _concat(ids), self._predict_strings(model, strings)
 
     def predict_job(self, job_id: int) -> int:
         """Predict a single newly submitted job by id."""

@@ -1,12 +1,16 @@
 """Experiment harness for the paper's §V evaluation.
 
-- :mod:`repro.evaluation.online` — the day-by-day online prediction loop:
-  retrain on the last α days every β days, predict each day's submissions
-  with the current model, score macro-F1 over the whole test period.
+- :mod:`repro.evaluation.online` — the one day-by-day online loop, over
+  labels and encodings from one pass of the ``MCBound`` batch path: a
+  retrain policy (every β days, drift-adaptive or never) and a model
+  factory (classifier or lookup baseline) predict each day's submissions;
+  macro-F1 is scored over the whole test period.
 - :mod:`repro.evaluation.experiments` — the three experiments of §V-B/C:
   the α×β sweep (Fig. 6 + Figs. 7-8 timings), the α+ growing-window
   comparison, and the θ subsampling study (Figs. 9-10), plus the lookup
   baseline comparison.
+- :mod:`repro.evaluation.drift` / :mod:`~repro.evaluation.crosssystem` —
+  adaptive retraining; per-system runs and the cross-system transfer.
 - :mod:`repro.evaluation.timing` — wall-clock measurement helpers.
 - :mod:`repro.evaluation.reporting` — text tables, ASCII series plots and
   CSV dumps for the benchmark harness.

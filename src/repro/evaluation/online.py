@@ -1,33 +1,43 @@
 """The online prediction algorithm evaluation loop (§V-B).
 
 Models are trained on sliding windows of the recent past and tested
-day-by-day on the following month: on each test day ``d``
+day-by-day on the following month, by one day loop: on each test day ``d``
 
-- if ``(d - test_start) % beta == 0`` the model is retrained on the jobs
-  submitted in the last α days (optionally a θ-subsample of them, sampled
-  at random or by most recent completion — the §V-C.c experiment);
+- a retrain policy picks the training rows, if any: the last α days'
+  jobs every β days (optionally a θ-subsample, at random or by most
+  recent completion — §V-C.c), the same window when an
+  :class:`~repro.evaluation.drift.AdaptiveRetrainingPolicy` fires, or
+  never (the cross-system transfer's model is fitted elsewhere);
+- a model factory fits a fresh model on them: a ``ClassificationModel``
+  on the encodings, or the §V-C.a lookup baseline on ``(job_name,
+  cores_req)`` keys;
 - the jobs submitted on day ``d`` are predicted with the current model.
 
 Macro-F1 is computed once, at the end of the test period, over all
 predictions — matching the paper's ``evaluate`` script.
 
-Characterizations and feature encodings are computed once for the whole
-trace up front and reused by every retraining trigger; the paper's Fugaku
-implementation does exactly this caching across workflow triggers (§V-A),
-which is also why encoding time is excluded from training time but
-included in inference time (its §V-B accounting — we follow it).
+Labels and encodings come from one pass over the trace through an
+:class:`~repro.core.MCBound` facade, with the batch calls its ``train``
+makes (``fetch_batches`` → ``labels_from_result`` →
+``feature_strings_from_result`` → ``embedder.encode``), and every trigger
+reuses them, as the paper's Fugaku implementation caches them across
+workflow triggers (§V-A) — which is also why encoding time is excluded
+from training time but included in inference time (its §V-B accounting).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.classification_model import ClassificationModel
-from repro.core.feature_encoder import FeatureEncoder
-from repro.core.job_characterizer import JobCharacterizer
+from repro.core.config import MCBoundConfig
+from repro.core.data_fetcher import load_trace_into_db
+from repro.core.framework import MCBound
+from repro.evaluation.drift import EmbeddingDriftDetector
 from repro.fugaku.trace import JobTrace
 from repro.fugaku.workload import DAY_SECONDS, FEB_1, MAR_1
 from repro.mlcore.baseline import LookupTableBaseline
@@ -69,15 +79,104 @@ class OnlineRunResult:
         return predict + self.encode_time_per_job
 
 
+# -- retrain policies: which rows, if any, to retrain on today ------------------
+
+
+class _EveryBeta:
+    """Every β days, the α-window (θ-subsampled when ``theta`` is set)."""
+
+    def __init__(self, evaluator, alpha, beta, theta, sampling, seed) -> None:
+        if beta < 1:
+            raise ValueError("beta must be >= 1 day (the paper avoids beta=0)")
+        self.ev, self.alpha, self.beta = evaluator, alpha, beta
+        self.theta, self.sampling, self.rng = theta, sampling, np.random.default_rng(seed)
+
+    def window(self, day: int, test_idx: np.ndarray) -> np.ndarray | None:
+        if (day - self.ev.test_start_day) % self.beta:
+            return None
+        idx = self.ev._training_indices(day, self.alpha)
+        return self.ev._subsample(idx, self.theta, self.sampling, self.rng)
+
+    def fitted(self, idx: np.ndarray) -> None:
+        pass
+
+
+class _OnDrift:
+    """The α-window whenever the drift policy fires; each day's jobs are
+    scored against the last training window first (``scores``, NaN while
+    there is no window or no job)."""
+
+    def __init__(self, evaluator, alpha, policy) -> None:
+        self.ev, self.alpha, self.policy = evaluator, alpha, policy
+        self.detector: EmbeddingDriftDetector | None = None
+        self.days_since = math.inf  # as of today; inf before the first fit
+        self.scores: list[float] = []
+
+    def window(self, day: int, test_idx: np.ndarray) -> np.ndarray | None:
+        self.days_since += 1.0
+        score = None
+        if self.detector is not None and test_idx.size:
+            score = self.detector.score(self.ev.X[test_idx])
+        self.scores.append(math.nan if score is None else score)
+        if self.policy.should_retrain(score, self.days_since, int(test_idx.size)):
+            return self.ev._training_indices(day, self.alpha)
+        return None
+
+    def fitted(self, idx: np.ndarray) -> None:
+        self.detector = EmbeddingDriftDetector(self.ev.X[idx])
+        self.days_since = 0.0
+
+
+# -- model factories: how a model is built, fitted and applied to trace rows -------
+
+
+class _Classifier:
+    """A ClassificationModel on the job encodings (fits two classes)."""
+
+    min_classes = 2
+
+    def __init__(self, X: np.ndarray, algorithm: str, params: dict | None) -> None:
+        self.X, self.algorithm, self.params = X, algorithm, dict(params or {})
+
+    def new(self) -> ClassificationModel:
+        return ClassificationModel(self.algorithm, **self.params)
+
+    def fit(self, model, idx: np.ndarray, y: np.ndarray) -> None:
+        model.training(self.X[idx], y)
+
+    def predict(self, model, idx: np.ndarray) -> np.ndarray:
+        return model.inference(self.X[idx])
+
+
+class _LookupTable:
+    """The §V-C.a baseline on ``(job_name, cores_req)`` keys (fits one row)."""
+
+    min_classes = 1
+
+    def __init__(self, trace: JobTrace) -> None:
+        self.keys = list(zip(trace["job_name"].tolist(), trace["cores_req"].tolist()))
+
+    def new(self) -> LookupTableBaseline:
+        return LookupTableBaseline()
+
+    def fit(self, model, idx: np.ndarray, y: np.ndarray) -> None:
+        model.fit([self.keys[i] for i in idx.tolist()], y)
+
+    def predict(self, model, idx: np.ndarray) -> np.ndarray:
+        return model.predict([self.keys[i] for i in idx.tolist()])
+
+
 class OnlineEvaluator:
-    """Precomputed trace state + the day-by-day evaluation loop.
+    """Facade-labelled trace state + the day-by-day evaluation loop.
 
     Parameters
     ----------
     trace:
-        The full job trace (training history + test period).
-    encoder / characterizer:
-        Pipeline components; defaults construct the paper's configuration.
+        The full job trace (training history + test period), sorted by
+        submit time.
+    config:
+        Framework configuration whose encoder and characterizer label and
+        encode the trace; defaults to the paper's (Fugaku) configuration.
     test_start_day / test_end_day:
         Test window in day indices; defaults to February 2024 (days 62-91
         of the trace), the paper's test month.
@@ -87,35 +186,43 @@ class OnlineEvaluator:
         self,
         trace: JobTrace,
         *,
-        encoder: FeatureEncoder | None = None,
-        characterizer: JobCharacterizer | None = None,
+        config: MCBoundConfig | None = None,
         test_start_day: int = FEB_1,
         test_end_day: int = MAR_1,
     ) -> None:
         if test_end_day <= test_start_day:
             raise ValueError("empty test window")
         self.trace = trace
-        self.encoder = encoder or FeatureEncoder()
-        self.characterizer = characterizer or JobCharacterizer()
         self.test_start_day = int(test_start_day)
         self.test_end_day = int(test_end_day)
-
         self.submit_day = trace["submit_time"] / DAY_SECONDS
         self.end_time = trace["end_time"]
-        self.y = self.characterizer.labels_from_trace(trace)
-
-        strings = self.encoder.feature_strings_from_trace(trace)
-        t0 = time.perf_counter()
-        self.X = self.encoder.encode_trace(trace)
-        encode_wall = time.perf_counter() - t0
-        #: mean per-job encoding cost over the whole trace (cache included),
-        #: the component dominating Fig. 8's inference time.
-        self.encode_time_per_job = encode_wall / max(1, len(trace))
-        self._strings = strings
-
         order = np.argsort(self.submit_day, kind="stable")
         if not np.array_equal(order, np.arange(len(trace))):
             raise ValueError("trace must be sorted by submit_time")
+
+        # one pass of the facade's batch path labels and encodes every job
+        framework = MCBound(config or MCBoundConfig(), load_trace_into_db(trace))
+        self.characterizer = framework.characterizer
+        encoder = framework.encoder
+        self.X = np.empty((len(trace), encoder.dim), dtype=np.float32)
+        self.y = np.empty(len(trace), dtype=np.int64)
+        encode_wall, n = 0.0, 0
+        for batch in framework.fetcher.fetch_batches(-math.inf, math.inf):
+            rows = slice(n, n + len(batch))
+            if not np.array_equal(batch.column("job_id"), trace["job_id"][rows]):
+                raise RuntimeError(f"facade batch at row {n} leaves the trace's job order")
+            self.y[rows] = self.characterizer.labels_from_result(batch)
+            t0 = time.perf_counter()
+            strings = encoder.feature_strings_from_result(batch)
+            self.X[rows] = encoder.embedder.encode(strings)
+            encode_wall += time.perf_counter() - t0
+            n = rows.stop
+        if n != len(trace):
+            raise RuntimeError(f"facade batches cover {n} of {len(trace)} trace jobs")
+        #: mean per-job encoding cost over the whole trace (cache included),
+        #: the component dominating Fig. 8's inference time.
+        self.encode_time_per_job = encode_wall / max(1, len(trace))
 
         # per-test-day index slices
         self._day_indices: dict[int, np.ndarray] = {}
@@ -149,6 +256,53 @@ class OnlineEvaluator:
 
     # -- the loop -------------------------------------------------------------------
 
+    def _replay(self, factory, policy, *, model=None, **fields) -> OnlineRunResult:
+        """The day loop of the module docstring; a ``None`` policy keeps
+        ``model``, and ``fields`` describe the run in its result."""
+        train_times: list[float] = []
+        train_sizes: list[int] = []
+        predict_times: list[float] = []
+        preds: list[np.ndarray] = []
+        trues: list[np.ndarray] = []
+        per_day_f1: list[float] = []
+
+        for day in range(self.test_start_day, self.test_end_day):
+            test_idx = self._day_indices[day]
+            idx = policy.window(day, test_idx) if policy else None
+            if idx is not None and np.unique(self.y[idx]).size >= factory.min_classes:
+                candidate = factory.new()
+                t0 = time.perf_counter()
+                factory.fit(candidate, idx, self.y[idx])
+                train_times.append(time.perf_counter() - t0)
+                train_sizes.append(int(idx.size))
+                model = candidate
+                policy.fitted(idx)
+            if test_idx.size == 0 or model is None:
+                continue
+            t0 = time.perf_counter()
+            p = factory.predict(model, test_idx)
+            predict_times.append(time.perf_counter() - t0)
+            preds.append(p)
+            trues.append(self.y[test_idx])
+            if np.unique(self.y[test_idx]).size >= 2:
+                per_day_f1.append(f1_macro(self.y[test_idx], p))
+
+        if not preds:
+            raise RuntimeError("no predictions were produced (empty test period?)")
+        y_pred = np.concatenate(preds)
+        y_true = np.concatenate(trues)
+        return OnlineRunResult(
+            **{"encode_time_per_job": self.encode_time_per_job, **fields},
+            f1=f1_macro(y_true, y_pred),
+            accuracy=accuracy_score(y_true, y_pred),
+            n_test_jobs=int(y_true.size),
+            n_retrainings=len(train_times),
+            train_times=tuple(train_times),
+            predict_times=tuple(predict_times),
+            train_sizes=tuple(train_sizes),
+            per_day_f1=tuple(per_day_f1),
+        )
+
     def evaluate(
         self,
         algorithm: str,
@@ -167,63 +321,12 @@ class OnlineEvaluator:
         for the growing window of §V-C.b.  ``theta`` caps the training set
         size by subsampling (§V-C.c).
         """
-        if beta < 1:
-            raise ValueError("beta must be >= 1 day (the paper avoids beta=0)")
-        model_params = dict(model_params or {})
-        rng = np.random.default_rng(seed)
-        model: ClassificationModel | None = None
-        train_times: list[float] = []
-        train_sizes: list[int] = []
-        predict_times: list[float] = []
-        preds: list[np.ndarray] = []
-        trues: list[np.ndarray] = []
-        per_day_f1: list[float] = []
-
-        for day in range(self.test_start_day, self.test_end_day):
-            if (day - self.test_start_day) % beta == 0:
-                idx = self._training_indices(day, alpha)
-                idx = self._subsample(idx, theta, sampling, rng)
-                if idx.size >= 2 and np.unique(self.y[idx]).size >= 2:
-                    candidate = ClassificationModel(algorithm, **model_params)
-                    t0 = time.perf_counter()
-                    candidate.training(self.X[idx], self.y[idx])
-                    train_times.append(time.perf_counter() - t0)
-                    train_sizes.append(int(idx.size))
-                    model = candidate
-            test_idx = self._day_indices[day]
-            if test_idx.size == 0 or model is None:
-                continue
-            t0 = time.perf_counter()
-            p = model.inference(self.X[test_idx])
-            predict_times.append(time.perf_counter() - t0)
-            preds.append(np.asarray(p))
-            trues.append(self.y[test_idx])
-            if np.unique(self.y[test_idx]).size >= 2:
-                per_day_f1.append(f1_macro(self.y[test_idx], p))
-
-        if not preds:
-            raise RuntimeError("no predictions were produced (empty test period?)")
-        y_pred = np.concatenate(preds)
-        y_true = np.concatenate(trues)
-        return OnlineRunResult(
-            model_name=model_name or algorithm,
-            alpha=alpha,
-            beta=beta,
-            theta=theta,
-            sampling=sampling,
-            seed=seed,
-            f1=f1_macro(y_true, y_pred),
-            accuracy=accuracy_score(y_true, y_pred),
-            n_test_jobs=int(y_true.size),
-            n_retrainings=len(train_times),
-            train_times=tuple(train_times),
-            predict_times=tuple(predict_times),
-            encode_time_per_job=self.encode_time_per_job,
-            train_sizes=tuple(train_sizes),
-            per_day_f1=tuple(per_day_f1),
+        return self._replay(
+            _Classifier(self.X, algorithm, model_params),
+            _EveryBeta(self, alpha, beta, theta, sampling, seed),
+            model_name=model_name or algorithm, alpha=alpha, beta=beta,
+            theta=theta, sampling=sampling, seed=seed,
         )
-
-    # -- drift-triggered retraining (adaptive beta) ---------------------------------
 
     def evaluate_adaptive(
         self,
@@ -245,123 +348,22 @@ class OnlineEvaluator:
         Returns ``(OnlineRunResult, per_day_drift_scores)``; the result's
         ``sampling`` field is ``"adaptive"`` and ``beta`` is NaN.
         """
-        from repro.evaluation.drift import EmbeddingDriftDetector
-
-        model_params = dict(model_params or {})
-        model: ClassificationModel | None = None
-        detector: EmbeddingDriftDetector | None = None
-        days_since = float("inf")
-        train_times: list[float] = []
-        train_sizes: list[int] = []
-        predict_times: list[float] = []
-        drift_scores: list[float] = []
-        preds: list[np.ndarray] = []
-        trues: list[np.ndarray] = []
-
-        for day in range(self.test_start_day, self.test_end_day):
-            test_idx = self._day_indices[day]
-            score = None
-            if detector is not None and test_idx.size:
-                score = detector.score(self.X[test_idx])
-            drift_scores.append(score if score is not None else float("nan"))
-
-            if policy.should_retrain(score, days_since, int(test_idx.size)):
-                idx = self._training_indices(day, alpha)
-                if idx.size >= 2 and np.unique(self.y[idx]).size >= 2:
-                    candidate = ClassificationModel(algorithm, **model_params)
-                    t0 = time.perf_counter()
-                    candidate.training(self.X[idx], self.y[idx])
-                    train_times.append(time.perf_counter() - t0)
-                    train_sizes.append(int(idx.size))
-                    model = candidate
-                    detector = EmbeddingDriftDetector(self.X[idx])
-                    days_since = 0.0
-
-            if test_idx.size == 0 or model is None:
-                days_since += 1.0
-                continue
-            t0 = time.perf_counter()
-            p = model.inference(self.X[test_idx])
-            predict_times.append(time.perf_counter() - t0)
-            preds.append(np.asarray(p))
-            trues.append(self.y[test_idx])
-            days_since += 1.0
-
-        if not preds:
-            raise RuntimeError("adaptive loop produced no predictions")
-        y_pred = np.concatenate(preds)
-        y_true = np.concatenate(trues)
-        result = OnlineRunResult(
-            model_name=model_name or algorithm,
-            alpha=alpha,
-            beta=float("nan"),
-            theta=None,
-            sampling="adaptive",
-            seed=None,
-            f1=f1_macro(y_true, y_pred),
-            accuracy=accuracy_score(y_true, y_pred),
-            n_test_jobs=int(y_true.size),
-            n_retrainings=len(train_times),
-            train_times=tuple(train_times),
-            predict_times=tuple(predict_times),
-            encode_time_per_job=self.encode_time_per_job,
-            train_sizes=tuple(train_sizes),
+        schedule = _OnDrift(self, alpha, policy)
+        result = self._replay(
+            _Classifier(self.X, algorithm, model_params),
+            schedule,
+            model_name=model_name or algorithm, alpha=alpha, beta=math.nan,
+            theta=None, sampling="adaptive", seed=None,
         )
-        return result, drift_scores
-
-    # -- the §V-C.a lookup baseline ------------------------------------------------------
+        return result, schedule.scores
 
     def evaluate_baseline(
-        self,
-        *,
-        alpha: float = 30.0,
-        beta: float = 1.0,
-        key_columns: tuple[str, str] = ("job_name", "cores_req"),
+        self, *, alpha: float = 30.0, beta: float = 1.0
     ) -> OnlineRunResult:
         """Online loop for the (job name, #cores) lookup baseline."""
-        keys = list(zip(*(self.trace[c].tolist() for c in key_columns)))
-        model: LookupTableBaseline | None = None
-        train_times: list[float] = []
-        train_sizes: list[int] = []
-        predict_times: list[float] = []
-        preds: list[np.ndarray] = []
-        trues: list[np.ndarray] = []
-
-        for day in range(self.test_start_day, self.test_end_day):
-            if (day - self.test_start_day) % beta == 0:
-                idx = self._training_indices(day, alpha)
-                if idx.size >= 1:
-                    candidate = LookupTableBaseline()
-                    t0 = time.perf_counter()
-                    candidate.fit([keys[i] for i in idx.tolist()], self.y[idx])
-                    train_times.append(time.perf_counter() - t0)
-                    train_sizes.append(int(idx.size))
-                    model = candidate
-            test_idx = self._day_indices[day]
-            if test_idx.size == 0 or model is None:
-                continue
-            t0 = time.perf_counter()
-            p = model.predict([keys[i] for i in test_idx.tolist()])
-            predict_times.append(time.perf_counter() - t0)
-            preds.append(p)
-            trues.append(self.y[test_idx])
-
-        y_pred = np.concatenate(preds)
-        y_true = np.concatenate(trues)
-        return OnlineRunResult(
-            model_name="baseline",
-            alpha=alpha,
-            beta=beta,
-            theta=None,
-            sampling="none",
-            seed=None,
-            f1=f1_macro(y_true, y_pred),
-            accuracy=accuracy_score(y_true, y_pred),
-            n_test_jobs=int(y_true.size),
-            n_retrainings=len(train_times),
-            train_times=tuple(train_times),
-            predict_times=tuple(predict_times),
-            encode_time_per_job=0.0,
-            train_sizes=tuple(train_sizes),
+        return self._replay(
+            _LookupTable(self.trace),
+            _EveryBeta(self, alpha, beta, None, "none", None),
+            model_name="baseline", alpha=alpha, beta=beta,
+            theta=None, sampling="none", seed=None, encode_time_per_job=0.0,
         )
-

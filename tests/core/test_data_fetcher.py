@@ -62,10 +62,6 @@ class TestFetchByWindow:
     def test_empty_window(self, fetcher):
         assert fetcher.fetch(start_time=1e12, end_time=2e12) == []
 
-    def test_count(self, fetcher, tiny_trace):
-        n = fetcher.fetch_count(0.0, 200 * DAY_SECONDS)
-        assert n == len(tiny_trace)
-
 
 class TestArgumentValidation:
     def test_both_modes_rejected(self, fetcher):

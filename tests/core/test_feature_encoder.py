@@ -99,6 +99,7 @@ class TestIDFIntegration:
     def test_partial_fit_changes_encodings(self):
         enc = FeatureEncoder(embedder=SentenceEmbedder(dim=64, use_idf=True))
         before = enc.encode([RECORD]).copy()
-        enc.partial_fit_idf([RECORD] * 30 + [{**RECORD, "job_name": "rare.sh"}])
+        batch = [RECORD] * 30 + [{**RECORD, "job_name": "rare.sh"}]
+        enc.embedder.partial_fit_idf([enc.feature_string(r) for r in batch])
         after = enc.encode([RECORD])
         assert not np.allclose(before, after)

@@ -104,6 +104,31 @@ class TestInference:
         assert fw2.model is not None
 
 
+class TestRestart:
+    """A fresh framework on the same store serves what the old one did."""
+
+    @pytest.mark.parametrize("use_idf", [False, True])
+    def test_restart_reproduces_encodings_and_labels(
+        self, tiny_trace, now, tmp_path, use_idf
+    ):
+        cfg = dict(algorithm="KNN", model_params={"n_neighbors": 5}, use_idf=use_idf)
+        fw = make_framework(tiny_trace, tmp_path, **cfg)
+        fw.train(now, alpha_days=20)
+        records = fw.fetcher.fetch(start_time=now, end_time=now + 3 * DAY_SECONDS)
+        assert len(records) == 64
+
+        def served(framework):
+            labels = framework.predict_records(records)
+            strings = [framework.encoder.feature_string(r) for r in records]
+            return framework.encoder.embedder.encode(strings), labels
+
+        X_before, labels_before = served(fw)
+        restarted = make_framework(tiny_trace, tmp_path, **cfg)
+        X_after, labels_after = served(restarted)
+        assert X_after.tobytes() == X_before.tobytes()
+        assert np.array_equal(labels_after, labels_before)
+
+
 class TestCharacterization:
     def test_characterize_window(self, tiny_trace, characterizer):
         fw = make_framework(tiny_trace)

@@ -53,18 +53,23 @@ class TestFetchBatches:
 class TestCharacterizeWindowBatches:
     def test_labels_match_the_materializing_path(self, trace, db):
         lo, hi = window(trace)
-        config = MCBoundConfig()
-        ref = MCBound(config, db)
-        ref_ids, ref_labels = ref.characterize_window(lo, hi)
+        streamed = MCBound(MCBoundConfig(), db)
+        records = streamed.fetcher.fetch(start_time=lo, end_time=hi)
+        ref_ids = np.array([r["job_id"] for r in records], dtype=np.int64)
+        ref_labels = streamed.characterizer.labels_from_records(records)
 
-        streamed = MCBound(config, db)
         got_ids, got_labels = [], []
         for ids, labels in streamed.characterize_window_batches(lo, hi, batch_rows=512):
             got_ids.append(ids)
             got_labels.append(labels)
         assert np.array_equal(np.concatenate(got_ids), ref_ids)
         assert np.array_equal(np.concatenate(got_labels), ref_labels)
-        assert streamed.label_cache == ref.label_cache
+        assert streamed.label_cache == dict(
+            zip(ref_ids.tolist(), ref_labels.tolist())
+        )
+        whole_ids, whole_labels = streamed.characterize_window(lo, hi)
+        assert np.array_equal(whole_ids, ref_ids)
+        assert np.array_equal(whole_labels, ref_labels)
 
     def test_labels_from_result_matches_records(self, trace, db):
         from repro.core.job_characterizer import JobCharacterizer

@@ -16,12 +16,18 @@ more than 30% relative to the committed baseline.  The hard floors are
 the load-bearing gate; the relative band is wide because even same-machine
 speedup ratios wobble ~20-25% run to run (the scalar and vectorized sides
 respond differently to background load), and CI runners differ again.
+
+``knn_publish`` times ``save_model`` of a KNN against
+``np.savez_compressed`` of its whole training matrix, once with rows that
+repeat a small distinct set in reservoir (shuffled) order and once with
+every row distinct; the ratchet requires >= 5x and >= 0.85x.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +37,7 @@ from benchmarks._perf import best_time, throughput
 from repro.mlcore.forest import RandomForestClassifier
 from repro.mlcore.kdtree import KDTree
 from repro.mlcore.knn import KNeighborsClassifier
+from repro.mlcore.persistence import save_model
 from repro.mlcore.reference import (
     forest_predict_proba_scalar,
     kdtree_query_scalar,
@@ -48,9 +55,14 @@ FOREST_TRAIN, FOREST_DIM = 3000, 24
 #: online scoring batch — the serve loop classifies jobs in micro-batches
 FOREST_PREDICT_BATCH = 256
 EMBED_STRINGS, EMBED_DISTINCT = 2000, 100
+#: (training rows, distinct rows) per publish case, at the embedding width
+PUBLISH_CASES = {"repeated": (4000, 100), "distinct": (2000, 2000)}
+PUBLISH_DIM = 384
 
 #: ISSUE acceptance floors: measured speedup over the pre-PR scalar paths
 HARD_FLOORS = {"forest_predict": 2.0, "embedder_cold": 2.0}
+#: save_model vs compressing the whole training matrix, per publish case
+PUBLISH_FLOORS = {"repeated": 5.0, "distinct": 0.85}
 #: ratcheted speedups may regress at most 30% vs the committed baseline —
 #: wide enough to absorb run-to-run ratio noise, tight enough that losing a
 #: vectorized path (speedup -> ~1x) still fails loudly above the hard floors
@@ -79,6 +91,13 @@ def results():
             "embedder": {
                 "n_strings": EMBED_STRINGS,
                 "n_distinct": EMBED_DISTINCT,
+            },
+            "knn_publish": {
+                "dim": PUBLISH_DIM,
+                "cases": {
+                    name: {"n_train": n, "n_distinct": d}
+                    for name, (n, d) in PUBLISH_CASES.items()
+                },
             },
         }
     }
@@ -201,13 +220,33 @@ def test_embedder_throughput(results):
     }
 
 
+def test_knn_publish_throughput(results):
+    rng = np.random.default_rng(SEED)
+    section = {}
+    for name, (n_train, n_distinct) in PUBLISH_CASES.items():
+        distinct = rng.normal(size=(n_distinct, PUBLISH_DIM))
+        X = distinct[rng.permutation(np.arange(n_train) % n_distinct)]
+        knn = KNeighborsClassifier(KNN_K, algorithm="brute").fit(X, (X[:, 0] > 0).astype(int))
+        with tempfile.TemporaryDirectory() as tmp:
+            save_s = best_time(lambda: save_model(knn, Path(tmp) / "model"), repeats=3)
+            full_s = best_time(
+                lambda: np.savez_compressed(Path(tmp) / "full.npz", X=knn._X), repeats=3
+            )
+        section[name] = {
+            "save_model_s": save_s,
+            "full_compress_s": full_s,
+            "speedup_vs_full_compress": full_s / save_s,
+        }
+    results["knn_publish"] = section
+
+
 def test_write_bench_json(results):
     """Write the trajectory file; ratchet speedups when asked to.
 
     Runs last (pytest executes this module top to bottom), after every
     section above has filled in its measurements.
     """
-    for section in ("knn_kdtree", "knn_brute", "forest", "embedder"):
+    for section in ("knn_kdtree", "knn_brute", "forest", "embedder", "knn_publish"):
         assert section in results, f"bench section {section!r} did not run"
 
     speedups = {
@@ -228,6 +267,10 @@ def test_write_bench_json(results):
     for name, floor in HARD_FLOORS.items():
         if speedups[name] < floor:
             failures.append(f"{name} speedup {speedups[name]:.2f}x < floor {floor}x")
+    for name, floor in PUBLISH_FLOORS.items():
+        ratio = results["knn_publish"][name]["speedup_vs_full_compress"]
+        if ratio < floor:
+            failures.append(f"knn_publish {name} {ratio:.2f}x < floor {floor}x")
     if baseline and "speedups_vs_scalar" in baseline:
         for name, new in speedups.items():
             old = baseline["speedups_vs_scalar"].get(name)

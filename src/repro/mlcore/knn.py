@@ -79,6 +79,33 @@ def _lexicographic_argselect(d: np.ndarray, k: int) -> np.ndarray:  # hotpath: t
     return out
 
 
+def _pack_rows(X: np.ndarray) -> dict[str, np.ndarray]:
+    """The persisted form of a training matrix: its distinct rows plus a
+    per-sample row index, with ``rows[row_index]`` byte-identical to ``X``.
+
+    Users submit batches of identical jobs (§V-C.c), so a KNN window holds
+    a few hundred distinct encodings among thousands of rows.  Rows are
+    matched on their exact bytes (``0.0`` and ``-0.0`` stay apart, as the
+    exact rebuild needs), one row at a time: ``np.unique(X, axis=0)`` and
+    the void-view ``np.unique`` both sort a full copy of the matrix.
+    """
+    ids: dict[bytes, int] = {}
+    index = np.fromiter(
+        (ids.setdefault(row.tobytes(), len(ids)) for row in X), np.int64, len(X)
+    )
+    _, first = np.unique(index, return_index=True)
+    # with no repeats the rows are X itself: a copy would only add memory
+    return {"rows": X[first] if first.size < len(X) else X, "row_index": index}
+
+
+def _unpack_rows(arrays: dict) -> np.ndarray:
+    """The training matrix saved by :func:`_pack_rows`, or the whole ``X``
+    of an archive written before that layout."""
+    if "rows" not in arrays:
+        return np.asarray(arrays["X"])
+    return np.asarray(arrays["rows"])[np.asarray(arrays["row_index"], dtype=np.int64)]
+
+
 class _NeighborsBase:
     """Shared neighbour-search machinery for k-NN estimators."""
 
@@ -242,7 +269,7 @@ class KNeighborsClassifier(_NeighborsBase):
                 "leaf_size": self.leaf_size,
                 "chunk_size": self.chunk_size,
             },
-            "arrays": {"classes": self.classes_, "X": self._X, "y": self._y},
+            "arrays": {"classes": self.classes_, "y": self._y, **_pack_rows(self._X)},
         }
 
     @classmethod
@@ -257,7 +284,7 @@ class KNeighborsClassifier(_NeighborsBase):
         )
         arrays = state["arrays"]
         classes = np.asarray(arrays["classes"])
-        knn.fit(np.asarray(arrays["X"]), classes[np.asarray(arrays["y"], dtype=np.int64)])
+        knn.fit(_unpack_rows(arrays), classes[np.asarray(arrays["y"], dtype=np.int64)])
         return knn
 
 
@@ -342,7 +369,7 @@ class KNeighborsRegressor(_NeighborsBase):
                 "chunk_size": self.chunk_size,
                 "weights": self.weights,
             },
-            "arrays": {"X": self._X, "targets": self._targets},
+            "arrays": {"targets": self._targets, **_pack_rows(self._X)},
         }
 
     @classmethod
@@ -357,5 +384,5 @@ class KNeighborsRegressor(_NeighborsBase):
             weights=meta["weights"],
         )
         arrays = state["arrays"]
-        reg.fit(np.asarray(arrays["X"]), np.asarray(arrays["targets"]))
+        reg.fit(_unpack_rows(arrays), np.asarray(arrays["targets"]))
         return reg

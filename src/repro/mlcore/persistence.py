@@ -13,9 +13,12 @@ A model participates by implementing ``get_state() -> dict`` with keys
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import re
 import shutil
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -113,9 +116,14 @@ class ModelRegistry:
     """Versioned store of trained models under one root directory.
 
     Every :meth:`publish` writes a new ``v<number>`` directory and updates
-    ``LATEST``; :meth:`load_latest` reads the most recent version.  This is
-    how the Training Workflow hands a freshly retrained model to the
-    Inference Workflow (paper Fig. 1).
+    ``LATEST``; :meth:`load_latest` reads the version ``LATEST`` names.
+    This is how the Training Workflow hands a freshly retrained model to
+    the Inference Workflow (paper Fig. 1).
+
+    A version is written into a private directory and renamed into place
+    whole, so a process killed mid-publish leaves no ``v*`` directory
+    behind (only a ``.publish-*`` one, which nothing reads), and
+    concurrent publishers each get their own version number.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -132,18 +140,47 @@ class ModelRegistry:
 
     @property
     def latest_version(self) -> int | None:
-        versions = self._versions()
-        return versions[-1] if versions else None
+        try:
+            return int((self.root / "LATEST").read_text())
+        except FileNotFoundError:
+            return None
 
     def publish(self, model, *, metadata: dict | None = None) -> int:
         """Save ``model`` as the next version; returns the version number."""
-        version = (self.latest_version or 0) + 1
-        vdir = self.root / f"v{version:08d}"
-        save_model(model, vdir)
-        if metadata is not None:
-            (vdir / "metadata.json").write_text(json.dumps(metadata))
-        (self.root / "LATEST").write_text(str(version))
+        tmp = self.root / f".publish-{uuid.uuid4().hex}"
+        try:
+            save_model(model, tmp)
+            if metadata is not None:
+                (tmp / "metadata.json").write_text(json.dumps(metadata))
+            version = max(self._versions(), default=0) + 1
+            while True:
+                try:
+                    os.replace(tmp, self.root / f"v{version:08d}")
+                    break
+                except OSError as exc:  # another publisher took this number
+                    if exc.errno not in (errno.EEXIST, errno.ENOTEMPTY):
+                        raise
+                    version += 1
+        except BaseException:
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise
+        self._point_latest_at_newest()
         return version
+
+    def _point_latest_at_newest(self) -> None:
+        """Atomically point ``LATEST`` at the newest version directory.
+
+        Every ``v*`` directory is complete, because it appears by rename.
+        Checking again after each write makes concurrent publishers settle
+        on the newest one, rather than on whichever of them wrote last.
+        """
+        while True:
+            newest = self._versions()[-1]
+            tmp = self.root / f".LATEST-{uuid.uuid4().hex}"
+            tmp.write_text(str(newest))
+            os.replace(tmp, self.root / "LATEST")
+            if self._versions()[-1] == newest:
+                return
 
     def load(self, version: int):
         """Load a specific version."""

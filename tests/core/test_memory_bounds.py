@@ -11,6 +11,9 @@ One untimed pass over the long window runs first.  It fills the label
 cache and the embedder cache, which grow by one entry per job (or
 string) never seen before; that growth is by design and is not what
 these tests bound.
+
+Publishing a KNN model is bounded by a fraction of its training matrix:
+the archive holds the distinct rows only, found one row at a time.
 """
 
 import functools
@@ -20,6 +23,7 @@ import pytest
 from repro.core.config import MCBoundConfig
 from repro.core.data_fetcher import load_trace_into_db
 from repro.core.framework import MCBound
+from repro.core.registry import ModelStore
 from repro.evaluation.timing import peak_memory_bytes
 from repro.fugaku.workload import generate_trace
 
@@ -28,6 +32,9 @@ BATCH_ROWS = 1_000
 SHORT_DAYS, LONG_DAYS = 7, 28
 #: the long window may peak at most this much above the short one
 PEAK_RATIO_BOUND = 1.25
+#: publish may peak at most this fraction of the KNN training matrix
+#: (compressing the whole matrix peaks at 0.7-1.1x, sorting a copy at ~2x)
+PUBLISH_PEAK_FRACTION = 0.25
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +87,22 @@ def test_characterize_window_batches_peak_is_window_independent(warm):
 
 def test_train_peak_is_window_independent(warm):
     _assert_window_independent(_peaks(_train, *warm))
+
+
+def test_knn_publish_peak_is_a_fraction_of_the_training_matrix(tmp_path):
+    # a whole alpha=30 window: its rows repeat as users' identical
+    # batches make them repeat
+    trace = generate_trace(scale=0.01)
+    config = MCBoundConfig(
+        algorithm="KNN", model_params={"n_neighbors": 5, "algorithm": "brute"},
+        alpha_days=30.0,
+    )
+    fw = MCBound(config, load_trace_into_db(trace))
+    fw.train(float(trace["submit_time"].min()) + 61 * DAY_SECONDS)
+    X = fw.model.model._X
+    assert len({row.tobytes() for row in X}) < X.shape[0] // 10
+    _, peak = peak_memory_bytes(ModelStore(tmp_path).publish, fw.model)
+    assert peak <= PUBLISH_PEAK_FRACTION * X.nbytes, (
+        f"publishing a {X.shape[0]}-row KNN peaked at {peak / 1e6:.2f} MB, "
+        f"{peak / X.nbytes:.2f}x its {X.nbytes / 1e6:.2f} MB training matrix"
+    )

@@ -1,10 +1,18 @@
 """Failure-injection tests: the system degrades loudly, not silently."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import (
     MCBound,
     MCBoundConfig,
@@ -114,6 +122,115 @@ class TestModelStoreCorruption:
 
         with pytest.raises(NotFittedError):
             fw.predict_job(1)
+
+
+def _knn_model(seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(40, 4))
+    return ClassificationModel("KNN", n_neighbors=3).training(X, (X[:, 0] > 0).astype(int)), X
+
+
+def _version_dirs(store):
+    return sorted(p.name for p in store.registry.root.iterdir() if p.name.startswith("v"))
+
+
+#: publishes a model into the store at argv[1] and is SIGKILLed while the
+#: archive is half written
+_KILLED_PUBLISHER = textwrap.dedent(
+    """
+    import os, signal, sys
+    import numpy as np
+    from repro.core import ModelStore
+    from repro.core.classification_model import ClassificationModel
+
+    def killed(file, **arrays):
+        with open(file, "wb") as f:
+            f.write(b"PK\\x03\\x04 torn archive")
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    X = np.random.default_rng(1).normal(size=(40, 4))
+    model = ClassificationModel("KNN", n_neighbors=3).training(X, (X[:, 0] > 0).astype(int))
+    np.savez_compressed = killed
+    ModelStore(sys.argv[1]).publish(model)
+    """
+)
+
+
+class TestPublishCrashAndRace:
+    """A publish that dies half-way leaves the previous version serving,
+    and concurrent publishers never share a version number."""
+
+    def _assert_previous_version_serves(self, store, model, X):
+        assert store.latest_version == 1
+        loaded, _ = store.load()
+        assert np.array_equal(loaded.inference(X), model.inference(X))
+        assert _version_dirs(store) == ["v00000001"]
+
+    def test_exception_inside_save_model(self, tmp_path, monkeypatch):
+        store = ModelStore(tmp_path / "store")
+        model, X = _knn_model(0)
+        store.publish(model)
+
+        def torn(file, **arrays):
+            with open(file, "wb") as f:
+                f.write(b"PK\x03\x04 torn archive")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "savez_compressed", torn)
+        with pytest.raises(OSError, match="no space"):
+            store.publish(_knn_model(1)[0])
+        self._assert_previous_version_serves(store, model, X)
+        monkeypatch.undo()
+        assert store.publish(_knn_model(1)[0]) == 2
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+    def test_process_killed_inside_save_model(self, tmp_path):
+        store = ModelStore(tmp_path / "store")
+        model, X = _knn_model(0)
+        store.publish(model)
+        proc = subprocess.run(
+            [sys.executable, "-c", _KILLED_PUBLISHER, str(store.registry.root)],
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+            capture_output=True, timeout=120,
+        )
+        assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
+        self._assert_previous_version_serves(store, model, X)
+        assert store.publish(_knn_model(1)[0]) == 2
+
+    def test_concurrent_publishers_get_distinct_versions(self, tmp_path):
+        n = 8
+        store = ModelStore(tmp_path / "store")
+        models = [_knn_model(seed) for seed in range(n)]
+        start = threading.Barrier(n)
+        versions: list = [None] * n
+        errors: list = []
+
+        def publish(i):
+            try:
+                start.wait(timeout=30)
+                versions[i] = store.publish(models[i][0], extra={"publisher": i})
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=publish, args=(i,)) for i in range(n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert sorted(versions) == list(range(1, n + 1))
+        for i, version in enumerate(versions):
+            loaded, metadata = store.load(version)
+            assert metadata["extra"] == {"publisher": i}
+            model, X = models[i]
+            assert np.array_equal(loaded.inference(X), model.inference(X))
+        assert store.latest_version == n
 
 
 class TestEvaluationEdges:

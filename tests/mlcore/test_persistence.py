@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.mlcore.forest import RandomForestClassifier
-from repro.mlcore.knn import KNeighborsClassifier
+from repro.mlcore.knn import KNeighborsClassifier, KNeighborsRegressor
 from repro.mlcore.persistence import (
     ModelRegistry,
     load_model,
@@ -77,6 +77,112 @@ class TestSaveLoad:
         f2 = load_model(tmp_path / "f")
         assert len(f2.estimators_) == 4
         assert np.allclose(f.predict_proba(X), f2.predict_proba(X))
+
+
+def repeated_rows():
+    """A training set shaped like a KNN window: a few distinct rows, each
+    repeated, on an integer lattice (so neighbour distances tie exactly),
+    plus a row that differs from another only by the sign of a zero."""
+    rng = np.random.default_rng(11)
+    distinct = rng.integers(-2, 3, size=(10, 4)).astype(np.float64)
+    distinct[1] = distinct[0]
+    distinct[0, 2] = 0.0
+    distinct[1, 2] = -0.0  # equal to row 0 as numbers, not as bytes
+    X = distinct[rng.permutation(np.arange(90) % 10)]
+    Q = np.vstack([distinct, rng.integers(-2, 3, size=(30, 4)).astype(np.float64)])
+    return X, Q
+
+
+def _distinct_byte_rows(X):
+    return len({row.tobytes() for row in X})
+
+
+class TestKNNRoundTrip:
+    """A KNN archive holds the training matrix as its distinct rows plus a
+    row index, and the reload is byte-identical."""
+
+    @pytest.fixture(params=["brute", "kd_tree"])
+    def algorithm(self, request):
+        return request.param
+
+    @pytest.fixture(params=["classifier", "regressor"])
+    def fitted(self, request, algorithm):
+        X, Q = repeated_rows()
+        if request.param == "classifier":
+            y = (X.sum(axis=1) > 0).astype(int)
+            return KNeighborsClassifier(5, algorithm=algorithm).fit(X, y), Q
+        y = X @ np.array([0.5, -1.0, 2.0, 0.25])
+        return KNeighborsRegressor(5, algorithm=algorithm).fit(X, y), Q
+
+    def test_data_has_repeats_ties_and_signed_zeros(self):
+        X, _ = repeated_rows()
+        zeros = X[:, 2] == 0.0
+        assert np.signbit(X[zeros, 2]).any() and not np.signbit(X[zeros, 2]).all()
+        assert _distinct_byte_rows(X) == 10 < len(X)
+
+    def test_training_matrix_survives_byte_for_byte(self, fitted, tmp_path):
+        model, _ = fitted
+        loaded = load_model(save_model(model, tmp_path / "m"))
+        assert loaded._X.dtype == model._X.dtype
+        assert loaded._X.shape == model._X.shape
+        assert loaded._X.tobytes() == model._X.tobytes()
+
+    def test_neighbours_and_predictions_are_equal(self, fitted, tmp_path):
+        model, Q = fitted
+        loaded = load_model(save_model(model, tmp_path / "m"))
+        dist, idx = model.kneighbors(Q)
+        dist2, idx2 = loaded.kneighbors(Q)
+        assert np.array_equal(idx, idx2) and np.array_equal(dist, dist2)
+        assert np.array_equal(model.predict(Q), loaded.predict(Q))
+
+    def test_archive_stores_one_row_per_distinct_byte_pattern(self, fitted, tmp_path):
+        model, _ = fitted
+        save_model(model, tmp_path / "m")
+        with np.load(tmp_path / "m" / "arrays.npz", allow_pickle=False) as z:
+            assert "X" not in z.files
+            assert z["rows"].shape == (_distinct_byte_rows(model._X), model._X.shape[1])
+            assert z["row_index"].shape == (model._X.shape[0],)
+
+
+class TestKNNArchiveWrittenBeforeDistinctRows:
+    """A store published before the distinct-rows layout has the whole
+    training matrix as ``X``; a restarted process must keep loading it."""
+
+    META = {"n_neighbors": 5, "p": 2.0, "algorithm": "brute", "leaf_size": 32, "chunk_size": 512}
+
+    def _write(self, path, cls_name, meta, arrays):
+        path.mkdir()
+        manifest = {
+            "model_class": cls_name,
+            "format_version": 1,
+            "meta": meta,
+            "arrays": list(arrays),
+            "children": {},
+        }
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        np.savez_compressed(path / "arrays.npz", **arrays)
+
+    def test_classifier(self, tmp_path):
+        X, Q = repeated_rows()
+        knn = KNeighborsClassifier(5, algorithm="brute").fit(X, (X[:, 0] > 0).astype(int))
+        self._write(
+            tmp_path / "m", "KNeighborsClassifier", self.META,
+            {"classes": knn.classes_, "X": knn._X, "y": knn._y},
+        )
+        loaded = load_model(tmp_path / "m")
+        assert loaded._X.tobytes() == knn._X.tobytes()
+        assert np.array_equal(loaded.predict(Q), knn.predict(Q))
+
+    def test_regressor(self, tmp_path):
+        X, Q = repeated_rows()
+        reg = KNeighborsRegressor(5, algorithm="brute").fit(X, X[:, 0] * 2.0)
+        self._write(
+            tmp_path / "m", "KNeighborsRegressor", {**self.META, "weights": "uniform"},
+            {"X": reg._X, "targets": reg._targets},
+        )
+        loaded = load_model(tmp_path / "m")
+        assert loaded._X.tobytes() == reg._X.tobytes()
+        assert np.array_equal(loaded.predict(Q), reg.predict(Q))
 
 
 class TestModelRegistry:

@@ -21,6 +21,13 @@ respond differently to background load), and CI runners differ again.
 ``np.savez_compressed`` of its whole training matrix, once with rows that
 repeat a small distinct set in reservoir (shuffled) order and once with
 every row distinct; the ratchet requires >= 5x and >= 0.85x.
+
+``knn_query`` times a 16-row brute ``kneighbors`` (the serve loop's
+``/predict`` batch) at the embedding width against an inline full-matrix
+BLAS search (distances to every training row, then top-k), on the same
+two shapes of training matrix; the ratchet requires >= 5x with repeated
+rows and >= 0.8x with every row distinct.  It records fit seconds too,
+since fit is where the distinct rows are found.
 """
 
 from __future__ import annotations
@@ -58,11 +65,16 @@ EMBED_STRINGS, EMBED_DISTINCT = 2000, 100
 #: (training rows, distinct rows) per publish case, at the embedding width
 PUBLISH_CASES = {"repeated": (4000, 100), "distinct": (2000, 2000)}
 PUBLISH_DIM = 384
+#: (training rows, distinct rows) per query case, at the embedding width
+QUERY_CASES = {"repeated": (9000, 120), "distinct": (9000, 9000)}
+QUERY_BATCH = 16
 
 #: ISSUE acceptance floors: measured speedup over the pre-PR scalar paths
 HARD_FLOORS = {"forest_predict": 2.0, "embedder_cold": 2.0}
 #: save_model vs compressing the whole training matrix, per publish case
 PUBLISH_FLOORS = {"repeated": 5.0, "distinct": 0.85}
+#: kneighbors vs a full-matrix BLAS search, per query case
+QUERY_FLOORS = {"repeated": 5.0, "distinct": 0.8}
 #: ratcheted speedups may regress at most 30% vs the committed baseline —
 #: wide enough to absorb run-to-run ratio noise, tight enough that losing a
 #: vectorized path (speedup -> ~1x) still fails loudly above the hard floors
@@ -97,6 +109,15 @@ def results():
                 "cases": {
                     name: {"n_train": n, "n_distinct": d}
                     for name, (n, d) in PUBLISH_CASES.items()
+                },
+            },
+            "knn_query": {
+                "dim": PUBLISH_DIM,
+                "k": KNN_K,
+                "batch": QUERY_BATCH,
+                "cases": {
+                    name: {"n_train": n, "n_distinct": d}
+                    for name, (n, d) in QUERY_CASES.items()
                 },
             },
         }
@@ -230,7 +251,7 @@ def test_knn_publish_throughput(results):
         with tempfile.TemporaryDirectory() as tmp:
             save_s = best_time(lambda: save_model(knn, Path(tmp) / "model"), repeats=3)
             full_s = best_time(
-                lambda: np.savez_compressed(Path(tmp) / "full.npz", X=knn._X), repeats=3
+                lambda: np.savez_compressed(Path(tmp) / "full.npz", X=X), repeats=3
             )
         section[name] = {
             "save_model_s": save_s,
@@ -240,13 +261,54 @@ def test_knn_publish_throughput(results):
     results["knn_publish"] = section
 
 
+def _unit_rows(rng, n):
+    rows = rng.normal(size=(n, PUBLISH_DIM))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def _full_matrix_kneighbors(X, sq_norms, Q, k):
+    """The full-matrix baseline: BLAS distances from every query to every
+    training row, then the k smallest per query."""
+    d = np.einsum("ij,ij->i", Q, Q)[:, None] + sq_norms[None, :] - 2.0 * (Q @ X.T)
+    np.maximum(d, 0.0, out=d)
+    part = np.argpartition(d, k - 1, axis=1)[:, :k]
+    dk = np.take_along_axis(d, part, axis=1)
+    order = np.argsort(dk, axis=1, kind="stable")
+    return np.sqrt(np.take_along_axis(dk, order, axis=1)), np.take_along_axis(part, order, axis=1)
+
+
+def test_knn_query_throughput(results):
+    rng = np.random.default_rng(SEED)
+    section = {}
+    for name, (n_train, n_distinct) in QUERY_CASES.items():
+        X = _unit_rows(rng, n_distinct)[rng.permutation(np.arange(n_train) % n_distinct)]
+        y = (X[:, 0] > 0).astype(int)
+        Q = _unit_rows(rng, QUERY_BATCH)
+        fit_s = best_time(
+            lambda: KNeighborsClassifier(KNN_K, algorithm="brute").fit(X, y), repeats=3
+        )
+        knn = KNeighborsClassifier(KNN_K, algorithm="brute").fit(X, y)
+        query_s = best_time(lambda: knn.kneighbors(Q), repeats=20)
+        sq_norms = np.einsum("ij,ij->i", X, X)
+        full_s = best_time(lambda: _full_matrix_kneighbors(X, sq_norms, Q, KNN_K), repeats=20)
+        section[name] = {
+            "fit_s": fit_s,
+            "query_s": query_s,
+            "full_matrix_query_s": full_s,
+            "speedup_vs_full_matrix": full_s / query_s,
+        }
+    results["knn_query"] = section
+
+
 def test_write_bench_json(results):
     """Write the trajectory file; ratchet speedups when asked to.
 
     Runs last (pytest executes this module top to bottom), after every
     section above has filled in its measurements.
     """
-    for section in ("knn_kdtree", "knn_brute", "forest", "embedder", "knn_publish"):
+    for section in (
+        "knn_kdtree", "knn_brute", "forest", "embedder", "knn_publish", "knn_query"
+    ):
         assert section in results, f"bench section {section!r} did not run"
 
     speedups = {
@@ -271,6 +333,10 @@ def test_write_bench_json(results):
         ratio = results["knn_publish"][name]["speedup_vs_full_compress"]
         if ratio < floor:
             failures.append(f"knn_publish {name} {ratio:.2f}x < floor {floor}x")
+    for name, floor in QUERY_FLOORS.items():
+        ratio = results["knn_query"][name]["speedup_vs_full_matrix"]
+        if ratio < floor:
+            failures.append(f"knn_query {name} {ratio:.2f}x < floor {floor}x")
     if baseline and "speedups_vs_scalar" in baseline:
         for name, new in speedups.items():
             old = baseline["speedups_vs_scalar"].get(name)

@@ -240,11 +240,11 @@ class MCBound:
         identical jobs (§V-C.c), so repeats — within one call and across
         calls — are served from a bounded LRU memo and only distinct
         misses of a call reach the encoder and the model, together.  The
-        memo empties whenever a new model is published.  It is not
-        bit-identical to unmemoized serving for every model: KNN brute
-        force computes ‖q‖² + ‖x‖² − 2q·x, whose rounding depends on the
-        number of query rows, so a job near a distance tie can get
-        another label when it is predicted in a differently sized batch.
+        memo empties whenever a new model is published.  It is
+        bit-identical to unmemoized serving: a model labels a job the
+        same alone, in any batch and in a whole day's call (KNN rescores
+        its distances exactly per pair, so the rounding of a batched
+        BLAS product never reaches a label).
         """
         model = self._require_model()
         strings = [self.encoder.feature_string(r) for r in records]

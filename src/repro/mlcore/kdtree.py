@@ -36,7 +36,7 @@ __all__ = ["KDTree"]
 _LEAF = -1
 
 
-def reduced_minkowski(diff: np.ndarray, p: float) -> np.ndarray:
+def reduced_minkowski(diff: np.ndarray, p: float) -> np.ndarray:  # hotpath: distance kernel of every neighbour search
     """Reduced (root-free) Minkowski distance over the last axis of ``|diff|``.
 
     ``p`` is a user parameter, not a computed float, so the exact
@@ -177,6 +177,11 @@ class KDTree:
         neighbours ordered nearest first (ties index-ascending).  ``p`` is
         the Minkowski order (p >= 1, finite).
         """
+        rd, idx = self.query_reduced(X, k, p)
+        return rd ** (1.0 / p), idx
+
+    def query_reduced(self, X, k: int = 1, p: float = 2.0):  # hotpath: KNN kd_tree backend
+        """:meth:`query` with reduced (root-free) Minkowski distances."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.data.shape[1]:
             raise ValueError("query dimensionality mismatch")
@@ -188,9 +193,7 @@ class KDTree:
         dists = np.empty((nq, k), dtype=np.float64)
         idxs = np.empty((nq, k), dtype=np.int64)
         for lo, hi in chunk_indices(nq, self.query_chunk_size):
-            rd, jj = self._query_chunk(X[lo:hi], k, p)
-            dists[lo:hi] = rd ** (1.0 / p)
-            idxs[lo:hi] = jj
+            dists[lo:hi], idxs[lo:hi] = self._query_chunk(X[lo:hi], k, p)
         return dists, idxs
 
     def _leaf_scan(self, Q: np.ndarray, node: int, p: float):  # hotpath: leaf distance kernel behind query()

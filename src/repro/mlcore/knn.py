@@ -6,12 +6,27 @@ Minkowski distance with p=2 (Euclidean), uniform-weight majority voting.
 Fig. 7 is near zero and its inference time grows with the window in
 Fig. 8).
 
+Users submit batches of identical jobs (§V-C.c), so a window holds a few
+hundred distinct encodings among thousands of rows.  A fitted model keeps
+the distinct rows (first-seen order), one row index per training sample
+and each distinct row's training indices, never the n x d matrix, and
+every backend searches the distinct rows only: the k nearest points are
+the k smallest ``(distance, training index)`` pairs among the copies of
+the k nearest distinct rows.
+
 Backends:
 
-- ``"brute"`` — chunked distance computation.  For p=2 the squared
-  distances come from the BLAS identity ``|q-x|² = |q|² + |x|² - 2 q·x``,
-  which turns the hot loop into one matrix multiply per query chunk.
-- ``"kd_tree"`` — the from-scratch :class:`repro.mlcore.kdtree.KDTree`.
+- ``"brute"`` — chunked distance computation over the distinct rows.  For
+  p=2 a BLAS screen ``|x|² - 2 q·x`` (``|q - x|²`` less the query's own
+  ``|q|²``) keeps every row within a rigorous rounding bound of the k-th
+  screened value, and only those are rescored exactly as
+  ``Σ (q - x)²``, the arithmetic of
+  :func:`repro.mlcore.reference.brute_kneighbors_scalar`, so a query's
+  neighbours and distances do not depend on the batch it arrives in
+  (DESIGN §10 derives the bound).  Other p compute the reduced Minkowski
+  distance directly.
+- ``"kd_tree"`` — the from-scratch :class:`repro.mlcore.kdtree.KDTree`,
+  built on the distinct rows.
 - ``"auto"`` — kd-tree in low dimension where it wins, brute otherwise.
 """
 
@@ -20,90 +35,49 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mlcore.base import check_is_fitted, check_X_y, check_array, encode_labels
-from repro.mlcore.kdtree import KDTree
+from repro.mlcore.kdtree import KDTree, reduced_minkowski
 
 __all__ = ["KNeighborsClassifier", "KNeighborsRegressor"]
 
 _AUTO_KDTREE_MAX_DIM = 15
+#: elements per block of the exact p=2 rescoring's (pairs, d) differences
+_RESCORE_BLOCK_ELEMS = 2**20
 
 
-def _lexicographic_argselect(d: np.ndarray, k: int) -> np.ndarray:  # hotpath: top-k kernel of every brute query
-    """Column indices of the k smallest ``(distance, index)`` pairs per row.
-
-    ``np.argpartition`` alone picks an *arbitrary* subset of the columns
-    tied at the k-th distance; every neighbour backend instead resolves
-    such boundary ties toward the smaller training index (the canonical
-    rule shared with :class:`repro.mlcore.kdtree.KDTree`).  Returned
-    columns are index-ascending, not distance-sorted.
-    """
-    nq, n = d.shape
-    if k >= n:
-        return np.broadcast_to(np.arange(n, dtype=np.int64), (nq, n)).copy()
-    part = np.argpartition(d, (k - 1, k), axis=1)
-    kth = np.take_along_axis(d, part[:, k - 1 : k], axis=1)
-    # rows whose k-th and (k+1)-th order statistics differ have a *unique*
-    # k-smallest set, so argpartition's arbitrary pick is already the
-    # canonical set — sorting its columns ascending finishes the job.
-    # (exact comparison of values copied out of the same array: this
-    # detects genuine ties at the selection boundary, not "close" floats)
-    out = np.sort(part[:, :k], axis=1).astype(np.int64)
-    ambiguous = np.flatnonzero(
-        (kth == np.take_along_axis(d, part[:, k : k + 1], axis=1)).ravel()
-    )
-    if ambiguous.size == 0:
-        return out  # no boundary ties anywhere in the batch
-    # Tie-admission for the ambiguous rows only.  The partition already
-    # hands us every strictly-below-threshold column inside its first k
-    # slots, so a (na, k) gather replaces the old full-width < scan; the
-    # one unavoidable full-width pass finds the columns tied *at* the
-    # threshold, of which the smallest-index `need` per row are admitted.
-    na = ambiguous.size
-    kth_a = kth[ambiguous]  # (na, 1)
-    sel = out[ambiguous]  # (na, k) arbitrary pick, ascending columns
-    below = d[ambiguous[:, None], sel] < kth_a  # (na, k)
-    need = k - below.sum(axis=1)  # ties to admit per row, >= 1
-    at_rows, at_cols = np.nonzero(d[ambiguous] == kth_a)  # cols ascend per row
-    tie_counts = np.bincount(at_rows, minlength=na)
-    row_starts = np.concatenate(([0], np.cumsum(tie_counts[:-1])))
-    rank = np.arange(at_rows.size) - row_starts[at_rows]
-    admit = rank < need[at_rows]
-    # assemble: below-threshold columns fill slots [0, k - need), admitted
-    # ties the rest; a final per-row sort restores ascending column order
-    res = np.empty((na, k), dtype=np.int64)
-    b_rows, b_idx = np.nonzero(below)
-    b_slot = np.cumsum(below, axis=1) - 1
-    res[b_rows, b_slot[b_rows, b_idx]] = sel[b_rows, b_idx]
-    a_rows = at_rows[admit]
-    res[a_rows, (k - need)[a_rows] + rank[admit]] = at_cols[admit]
-    out[ambiguous] = np.sort(res, axis=1)
-    return out
+def _gamma(n: int) -> float:
+    """Higham's ``γ_n = n·u / (1 - n·u)``, u the float64 unit roundoff:
+    the relative error bound of n chained roundings."""
+    nu = n * np.finfo(np.float64).eps / 2
+    return nu / (1.0 - nu)
 
 
-def _pack_rows(X: np.ndarray) -> dict[str, np.ndarray]:
-    """The persisted form of a training matrix: its distinct rows plus a
-    per-sample row index, with ``rows[row_index]`` byte-identical to ``X``.
+def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, row_index)``: the distinct rows of ``X`` in first-seen
+    order and one int64 per sample, with ``rows[row_index]``
+    byte-identical to ``X``.
 
-    Users submit batches of identical jobs (§V-C.c), so a KNN window holds
-    a few hundred distinct encodings among thousands of rows.  Rows are
-    matched on their exact bytes (``0.0`` and ``-0.0`` stay apart, as the
-    exact rebuild needs), one row at a time: ``np.unique(X, axis=0)`` and
-    the void-view ``np.unique`` both sort a full copy of the matrix.
+    Rows are matched on their exact bytes (``0.0`` and ``-0.0`` stay
+    apart, so the rebuild is exact), one row at a time:
+    ``np.unique(X, axis=0)`` and the void-view ``np.unique`` both sort a
+    full copy of the matrix.
     """
     ids: dict[bytes, int] = {}
-    index = np.fromiter(
+    row_index = np.fromiter(
         (ids.setdefault(row.tobytes(), len(ids)) for row in X), np.int64, len(X)
     )
-    _, first = np.unique(index, return_index=True)
+    _, first = np.unique(row_index, return_index=True)
     # with no repeats the rows are X itself: a copy would only add memory
-    return {"rows": X[first] if first.size < len(X) else X, "row_index": index}
+    return (X[first] if first.size < len(X) else X), row_index
 
 
-def _unpack_rows(arrays: dict) -> np.ndarray:
-    """The training matrix saved by :func:`_pack_rows`, or the whole ``X``
-    of an archive written before that layout."""
-    if "rows" not in arrays:
-        return np.asarray(arrays["X"])
-    return np.asarray(arrays["rows"])[np.asarray(arrays["row_index"], dtype=np.int64)]
+def _flat_topk(qrow, key, val, n_queries: int, k: int):
+    """Per query, the k smallest ``(key, val)`` pairs of flat entries
+    tagged with their query ``qrow``, as ``(n_queries, k)`` arrays sorted
+    by key, then val.  Every query needs at least k entries."""
+    order = np.lexsort((val, key, qrow))
+    counts = np.bincount(qrow, minlength=n_queries)
+    pick = order[((np.cumsum(counts) - counts)[:, None] + np.arange(k)).ravel()]
+    return key[pick].reshape(n_queries, k), val[pick].reshape(n_queries, k)
 
 
 class _NeighborsBase:
@@ -136,78 +110,149 @@ class _NeighborsBase:
     # -- fit -------------------------------------------------------------------
 
     def _fit_features(self, X: np.ndarray) -> None:
-        """Store the feature matrix and build the selected backend."""
-        if self.n_neighbors > X.shape[0]:
-            raise ValueError(
-                f"n_neighbors={self.n_neighbors} > n_samples={X.shape[0]}"
-            )
-        self._X = np.ascontiguousarray(X)
+        """Keep the distinct rows of the feature matrix and build the
+        selected backend over them."""
+        self._fit_rows(*_distinct_rows(np.ascontiguousarray(X)))
+
+    def _fit_rows(self, rows: np.ndarray, row_index: np.ndarray) -> None:
+        """Build the search over distinct ``rows`` in first-seen order;
+        training sample ``i`` is ``rows[row_index[i]]``."""
+        n = row_index.shape[0]
+        if self.n_neighbors > n:
+            raise ValueError(f"n_neighbors={self.n_neighbors} > n_samples={n}")
+        self._rows = np.ascontiguousarray(rows)
+        self._row_index = row_index
+        # distinct row j's training indices, ascending:
+        # _members[_starts[j] : _starts[j] + _counts[j]]
+        self._members = np.argsort(row_index, kind="stable")
+        self._counts = np.bincount(row_index, minlength=rows.shape[0])
+        self._starts = np.cumsum(self._counts) - self._counts
+        d = rows.shape[1]
         self._backend = self.algorithm
         if self._backend == "auto":
-            self._backend = (
-                "kd_tree" if X.shape[1] <= _AUTO_KDTREE_MAX_DIM else "brute"
-            )
-        self._tree = KDTree(self._X, self.leaf_size) if self._backend == "kd_tree" else None
+            self._backend = "kd_tree" if d <= _AUTO_KDTREE_MAX_DIM else "brute"
+        self._tree = KDTree(self._rows, self.leaf_size) if self._backend == "kd_tree" else None
+        self._slack = None  # set when p=2 brute force screens with BLAS
         if self._backend == "brute" and self.p == 2.0:  # staticcheck: ignore[float-equality] - dispatch on exact Minkowski parameter value
-            self._sq_norms = np.einsum("ij,ij->i", self._X, self._X)
+            self._sq_norms = np.einsum("ij,ij->i", self._rows, self._rows)
+            self._max_norm = float(np.sqrt(self._sq_norms.max()))
+            # DESIGN §10: screened and exact distances both lie within
+            # γ_{d+2}·(|q| + |x|)² of the true one, so no row that ranks
+            # exactly lies above the kd-th screened distance by more than
+            # 4γ_{d+2}·(|q| + max|x|)²; γ_{d+4} also covers rounding the
+            # threshold, and the absolute term gradual underflow
+            self._slack = (
+                4.0 * _gamma(d + 4),
+                8.0 * d * float(np.finfo(np.float64).smallest_subnormal),
+            )
+
+    def _load_rows(self, arrays: dict) -> None:
+        """Rebuild from an archive: its distinct rows as they are, or the
+        whole ``X`` of an archive written before that layout."""
+        if "rows" not in arrays:
+            self._fit_features(np.asarray(arrays["X"], dtype=np.float64))
+            return
+        self._fit_rows(
+            np.asarray(arrays["rows"], dtype=np.float64),
+            np.asarray(arrays["row_index"], dtype=np.int64),
+        )
 
     # -- neighbour search ---------------------------------------------------------
 
     def kneighbors(self, X, n_neighbors: int | None = None):
         """Distances and indices of the k nearest training points.
 
-        Returns ``(dist, idx)`` of shape ``(n_queries, k)``, nearest first.
+        Returns ``(dist, idx)`` of shape ``(n_queries, k)``, nearest first;
+        equidistant points rank by training index.
         """
-        check_is_fitted(self, "_X")
+        check_is_fitted(self, "_rows")
+        n = self._row_index.shape[0]
         k = self.n_neighbors if n_neighbors is None else int(n_neighbors)
-        if not 1 <= k <= self._X.shape[0]:
-            raise ValueError(f"n_neighbors must be in [1, {self._X.shape[0]}]")
+        if not 1 <= k <= n:
+            raise ValueError(f"n_neighbors must be in [1, {n}]")
         X = check_array(X, dtype=np.float64)
-        if X.shape[1] != self._X.shape[1]:
+        if X.shape[1] != self._rows.shape[1]:
             raise ValueError("query dimensionality mismatch")
-        if self._backend == "kd_tree":
-            return self._tree.query(X, k=k, p=self.p)
-        return self._brute_kneighbors(X, k)
-
-    def _brute_kneighbors(self, X, k):  # hotpath: chunked distance sweep behind kneighbors()
-        n_train = self._X.shape[0]
         nq = X.shape[0]
         dist = np.empty((nq, k), dtype=np.float64)
         idx = np.empty((nq, k), dtype=np.int64)
         for lo in range(0, nq, self.chunk_size):
             hi = min(lo + self.chunk_size, nq)
-            q = X[lo:hi]
-            if self.p == 2.0:  # staticcheck: ignore[float-equality] - dispatch on exact Minkowski parameter value
-                d = (
-                    np.einsum("ij,ij->i", q, q)[:, None]
-                    + self._sq_norms[None, :]
-                    - 2.0 * (q @ self._X.T)
-                )
-                np.maximum(d, 0.0, out=d)
-            else:
-                d = self._minkowski_reduced(q)
-            sel_idx = _lexicographic_argselect(d, k)
-            dsel = np.take_along_axis(d, sel_idx, axis=1)
-            order = np.argsort(dsel, axis=1, kind="stable")
-            idx[lo:hi] = np.take_along_axis(sel_idx, order, axis=1)
-            dsorted = np.take_along_axis(dsel, order, axis=1)
-            # staticcheck: ignore[float-equality] - dispatch on exact Minkowski parameter value
-            dist[lo:hi] = dsorted ** (0.5 if self.p == 2.0 else 1.0 / self.p)
+            rd, idx[lo:hi] = self._search(X[lo:hi], k)
+            dist[lo:hi] = rd ** (1.0 / self.p)
         return dist, idx
 
+    def _search(self, q: np.ndarray, k: int):  # hotpath: per-chunk search behind kneighbors()
+        """Reduced distances and training indices of the k nearest points
+        to each query row, nearest first.
+
+        Distinct row j's first copy precedes the first copy of every row
+        after it, so ranking rows by ``(distance, j)`` ranks them by their
+        smallest ``(distance, training index)`` pair: the k nearest points
+        are copies of the ``min(k, m)`` nearest rows, and each row
+        contributes at most its first k copies.
+        """
+        kd = min(k, self._rows.shape[0])
+        if self._tree is not None:
+            rd, cols = self._tree.query_reduced(q, kd, self.p)
+        else:
+            rd, cols = self._brute_rows(q, kd)
+        take = np.minimum(self._counts[cols], k).ravel()
+        qrow = np.repeat(np.arange(q.shape[0]), kd)
+        offset = np.arange(take.sum()) - np.repeat(np.cumsum(take) - take, take)
+        members = self._members[np.repeat(self._starts[cols].ravel(), take) + offset]
+        return _flat_topk(
+            np.repeat(qrow, take), np.repeat(rd.ravel(), take), members, q.shape[0], k
+        )
+
+    def _brute_rows(self, q: np.ndarray, kd: int):
+        """The kd nearest distinct rows by exact reduced distance, ranked
+        by ``(distance, row)``.
+
+        For p=2 the BLAS screen only bounds which rows can rank: every
+        row within the DESIGN §10 slack of the kd-th screened distance is
+        rescored exactly, and the ranking uses the exact distances alone.
+        """
+        if self._slack is None:
+            screen = self._minkowski_reduced(q)
+            slack = 0.0
+        else:
+            # |q|² is the same for every row of a query, so the screen
+            # |x|² - 2 q·x leaves it out
+            screen = q @ self._rows.T
+            screen *= -2.0
+            screen += self._sq_norms
+            rel, floor = self._slack
+            norms = np.sqrt(np.einsum("ij,ij->i", q, q))
+            slack = rel * (norms + self._max_norm) ** 2 + floor
+        kth = np.partition(screen, kd - 1, axis=1)[:, kd - 1]
+        near = np.flatnonzero(screen <= (kth + slack)[:, None])
+        qrow, cols = np.divmod(near, screen.shape[1])
+        rd = screen[qrow, cols] if self._slack is None else self._rescore(q, qrow, cols)
+        return _flat_topk(qrow, rd, cols, q.shape[0], kd)
+
+    def _rescore(self, q: np.ndarray, qrow: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Exact reduced p=2 distances of (query, row) pairs, per pair as
+        :func:`repro.mlcore.reference.brute_kneighbors_scalar` computes
+        them (its ``|q - x|`` squares to the same bits), blocked to bound
+        the (pairs, d) differences."""
+        out = np.empty(qrow.size, dtype=np.float64)
+        block = max(1, _RESCORE_BLOCK_ELEMS // q.shape[1])
+        for lo in range(0, qrow.size, block):
+            hi = lo + block
+            out[lo:hi] = reduced_minkowski(q[qrow[lo:hi]] - self._rows[cols[lo:hi]], 2.0)
+        return out
+
     def _minkowski_reduced(self, q: np.ndarray) -> np.ndarray:
-        """Reduced (root-free) Minkowski distances of a query chunk, blocked
-        over training rows to bound the |q|x|x|x d intermediate."""
-        n_train = self._X.shape[0]
-        out = np.empty((q.shape[0], n_train), dtype=np.float64)
-        block = max(1, int(2**22 // max(1, q.shape[0] * self._X.shape[1])))
-        for lo in range(0, n_train, block):
-            hi = min(lo + block, n_train)
-            diff = np.abs(q[:, None, :] - self._X[None, lo:hi, :])
-            if self.p == 1.0:  # staticcheck: ignore[float-equality] - dispatch on exact Minkowski parameter value
-                out[:, lo:hi] = diff.sum(axis=2)
-            else:
-                out[:, lo:hi] = (diff**self.p).sum(axis=2)
+        """Reduced (root-free) Minkowski distances of a query chunk to every
+        distinct row, blocked over rows to bound the |q| x |x| x d
+        intermediate."""
+        rows = self._rows
+        out = np.empty((q.shape[0], rows.shape[0]), dtype=np.float64)
+        block = max(1, int(2**22 // max(1, q.shape[0] * rows.shape[1])))
+        for lo in range(0, rows.shape[0], block):
+            diff = np.abs(q[:, None, :] - rows[None, lo : lo + block, :])
+            out[:, lo : lo + block] = reduced_minkowski(diff, self.p)
         return out
 
 
@@ -269,7 +314,12 @@ class KNeighborsClassifier(_NeighborsBase):
                 "leaf_size": self.leaf_size,
                 "chunk_size": self.chunk_size,
             },
-            "arrays": {"classes": self.classes_, "y": self._y, **_pack_rows(self._X)},
+            "arrays": {
+                "classes": self.classes_,
+                "y": self._y,
+                "rows": self._rows,
+                "row_index": self._row_index,
+            },
         }
 
     @classmethod
@@ -283,8 +333,9 @@ class KNeighborsClassifier(_NeighborsBase):
             chunk_size=meta["chunk_size"],
         )
         arrays = state["arrays"]
-        classes = np.asarray(arrays["classes"])
-        knn.fit(_unpack_rows(arrays), classes[np.asarray(arrays["y"], dtype=np.int64)])
+        knn.classes_ = np.asarray(arrays["classes"])
+        knn._y = np.asarray(arrays["y"], dtype=np.int64)
+        knn._load_rows(arrays)
         return knn
 
 
@@ -369,7 +420,11 @@ class KNeighborsRegressor(_NeighborsBase):
                 "chunk_size": self.chunk_size,
                 "weights": self.weights,
             },
-            "arrays": {"targets": self._targets, **_pack_rows(self._X)},
+            "arrays": {
+                "targets": self._targets,
+                "rows": self._rows,
+                "row_index": self._row_index,
+            },
         }
 
     @classmethod
@@ -384,5 +439,6 @@ class KNeighborsRegressor(_NeighborsBase):
             weights=meta["weights"],
         )
         arrays = state["arrays"]
-        reg.fit(_unpack_rows(arrays), np.asarray(arrays["targets"]))
+        reg._targets = np.asarray(arrays["targets"], dtype=np.float64)
+        reg._load_rows(arrays)
         return reg

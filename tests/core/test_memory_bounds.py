@@ -12,12 +12,14 @@ cache and the embedder cache, which grow by one entry per job (or
 string) never seen before; that growth is by design and is not what
 these tests bound.
 
-Publishing a KNN model is bounded by a fraction of its training matrix:
-the archive holds the distinct rows only, found one row at a time.
+A fitted KNN, and publishing it, are bounded by a fraction of its
+training matrix: the model keeps the distinct rows only, found one row
+at a time, and publish writes them as they are.
 """
 
 import functools
 
+import numpy as np
 import pytest
 
 from repro.core.config import MCBoundConfig
@@ -35,6 +37,9 @@ PEAK_RATIO_BOUND = 1.25
 #: publish may peak at most this fraction of the KNN training matrix
 #: (compressing the whole matrix peaks at 0.7-1.1x, sorting a copy at ~2x)
 PUBLISH_PEAK_FRACTION = 0.25
+#: a fitted KNN's arrays may total at most this fraction of the n x d
+#: training matrix (it keeps distinct rows, not the matrix)
+MODEL_FRACTION = 0.1
 
 
 @pytest.fixture(scope="module")
@@ -89,9 +94,10 @@ def test_train_peak_is_window_independent(warm):
     _assert_window_independent(_peaks(_train, *warm))
 
 
-def test_knn_publish_peak_is_a_fraction_of_the_training_matrix(tmp_path):
-    # a whole alpha=30 window: its rows repeat as users' identical
-    # batches make them repeat
+@pytest.fixture(scope="module")
+def knn_window():
+    """The KNN of a whole alpha=30 window: its rows repeat as users'
+    identical batches make them repeat."""
     trace = generate_trace(scale=0.01)
     config = MCBoundConfig(
         algorithm="KNN", model_params={"n_neighbors": 5, "algorithm": "brute"},
@@ -99,10 +105,26 @@ def test_knn_publish_peak_is_a_fraction_of_the_training_matrix(tmp_path):
     )
     fw = MCBound(config, load_trace_into_db(trace))
     fw.train(float(trace["submit_time"].min()) + 61 * DAY_SECONDS)
-    X = fw.model.model._X
+    knn = fw.model.model
+    return fw, knn._rows[knn._row_index]
+
+
+def test_knn_publish_peak_is_a_fraction_of_the_training_matrix(knn_window, tmp_path):
+    fw, X = knn_window
     assert len({row.tobytes() for row in X}) < X.shape[0] // 10
     _, peak = peak_memory_bytes(ModelStore(tmp_path).publish, fw.model)
     assert peak <= PUBLISH_PEAK_FRACTION * X.nbytes, (
         f"publishing a {X.shape[0]}-row KNN peaked at {peak / 1e6:.2f} MB, "
         f"{peak / X.nbytes:.2f}x its {X.nbytes / 1e6:.2f} MB training matrix"
+    )
+
+
+def test_fitted_knn_holds_a_fraction_of_the_training_matrix(knn_window):
+    fw, X = knn_window
+    held = sum(
+        v.nbytes for v in vars(fw.model.model).values() if isinstance(v, np.ndarray)
+    )
+    assert held < MODEL_FRACTION * X.nbytes, (
+        f"a {X.shape[0]}-row KNN holds {held / 1e6:.2f} MB of arrays, "
+        f"{held / X.nbytes:.2f}x its {X.nbytes / 1e6:.2f} MB training matrix"
     )

@@ -7,6 +7,8 @@ shared, and across arithmetic families on integer-lattice inputs where
 every distance is exact in float64.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,37 @@ def lattice(rng, n, d, span=5):
     # exact integer, so equidistant points are bit-identical ties under any
     # summation order — exact tie-breaking is testable across backends
     return rng.integers(0, span, size=(n, d)).astype(np.float64)
+
+
+@functools.lru_cache(maxsize=None)
+def duplicate_heavy(data):
+    """``(X, Q)``: training rows that repeat a small distinct set in
+    shuffled order, and queries.
+
+    ``"lattice"``: 3-d integer points, so distances tie exactly.
+    ``"embeddings"``: 100 distinct unit-norm 384-d rows, as the sentence
+    embedder writes them, two of which differ only in the sign of a zero
+    (so they tie at every query).  The queries are distinct rows, whose
+    copies tie exactly, then fresh rows.
+    """
+    rng = np.random.default_rng(23)
+    if data == "lattice":
+        return lattice(rng, 400, 3, span=3), lattice(rng, 90, 3, span=3)
+    distinct = rng.normal(size=(100, 384))
+    distinct /= np.linalg.norm(distinct, axis=1, keepdims=True)
+    distinct[1] = distinct[0]
+    distinct[0, 5] = 0.0
+    distinct[1, 5] = -0.0
+    X = distinct[rng.permutation(np.arange(400) % 100)]
+    fresh = rng.normal(size=(15, 384))
+    fresh /= np.linalg.norm(fresh, axis=1, keepdims=True)
+    return X, np.vstack([distinct[:40], fresh])
+
+
+@functools.lru_cache(maxsize=None)
+def duplicate_heavy_reference(data, k, p):
+    X, Q = duplicate_heavy(data)
+    return brute_kneighbors_scalar(X, Q, k, p=p)
 
 
 class TestNeighborEquivalence:
@@ -70,23 +103,30 @@ class TestNeighborEquivalence:
         assert np.array_equal(d_b, d_ref)
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
-    @pytest.mark.parametrize("k", [1, 5, 17])
-    def test_brute_duplicate_heavy_matches_scalar_reference(self, k, p):
-        # duplicate-heavy lattice batches drive nearly every query row
-        # through the tie-admission path; the no-duplicates fast path and
-        # the partition-based admission rewrite must stay exact on both
-        rng = np.random.default_rng(23)
-        X = lattice(rng, 400, 3, span=3)
-        Q = lattice(rng, 90, 3, span=3)
-        d_ref, i_ref = brute_kneighbors_scalar(X, Q, k, p=p)
-        knn = KNeighborsClassifier(k, p=p, algorithm="brute", chunk_size=29)
+    @pytest.mark.parametrize("k", [1, 5, 17, "above_distinct", "n"])
+    @pytest.mark.parametrize("chunk_size", [1, 7, 512])
+    @pytest.mark.parametrize("algorithm", ["brute", "kd_tree"])
+    @pytest.mark.parametrize("data", ["lattice", "embeddings"])
+    def test_brute_duplicate_heavy_matches_scalar_reference(
+        self, data, algorithm, chunk_size, k, p
+    ):
+        # both backends search the distinct rows and expand their copies;
+        # neighbours and distances must equal the brute-force scalar
+        # reference over every row, whatever the chunking, for k up to n
+        X, Q = duplicate_heavy(data)
+        n_distinct = len({row.tobytes() for row in X})
+        assert n_distinct < len(X) // 3
+        k = {"above_distinct": n_distinct + 3, "n": len(X)}.get(k, k)
+        d_ref, i_ref = duplicate_heavy_reference(data, k, p)
+        knn = KNeighborsClassifier(k, p=p, algorithm=algorithm, chunk_size=chunk_size)
         knn.fit(X, np.arange(X.shape[0]) % 2)
         d_b, i_b = knn.kneighbors(Q)
         assert np.array_equal(i_b, i_ref)
         assert np.array_equal(d_b, d_ref)
 
     def test_brute_tie_free_batch_matches_scalar_reference(self):
-        # continuous data: the batch-level no-ties early return is taken
+        # continuous data: the BLAS screen only picks the rows to rescore,
+        # so distances equal the reference bit for bit, not just to rounding
         rng = np.random.default_rng(29)
         X = rng.normal(size=(300, 4))
         Q = rng.normal(size=(70, 4))
@@ -96,9 +136,26 @@ class TestNeighborEquivalence:
         )
         d_b, i_b = knn.kneighbors(Q)
         assert np.array_equal(i_b, i_ref)
-        # continuous data: the BLAS-identity distances agree to rounding,
-        # not bit-for-bit (that guarantee is lattice-only)
-        np.testing.assert_allclose(d_b, d_ref, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(d_b, d_ref)
+
+    def test_brute_rescores_rows_the_screen_misorders(self):
+        # one coordinate, so every dot product is a single rounded multiply
+        # and the screen's values are the same on any BLAS: B lies 23 ulps
+        # below the query and A 33 above, yet |q|² + |x|² - 2q·x ranks A
+        # first by 2.2e-16; without the rescore, or with its bound cut
+        # ~30-fold, the search returns A
+        q = np.array([[0.5108139188848742]])
+        ulp = np.spacing(q[0, 0])
+        X = np.array([[q[0, 0] + 33 * ulp], [q[0, 0] - 23 * ulp], [0.0]])
+        screen = (q * q)[0] + (X * X)[:, 0] - 2.0 * (q @ X.T)[0]
+        exact = ((q - X) ** 2)[:, 0]
+        assert screen[0] < screen[1] and exact[1] < exact[0]
+        knn = KNeighborsClassifier(1, algorithm="brute").fit(X, [0, 1, 0])
+        d_b, i_b = knn.kneighbors(q)
+        d_ref, i_ref = brute_kneighbors_scalar(X, q, 1)
+        assert i_b[0, 0] == i_ref[0, 0] == 1
+        assert np.array_equal(d_b, d_ref)
+        assert knn.predict(q)[0] == 1
 
     def test_brute_and_kdtree_classifiers_agree_continuous(self):
         rng = np.random.default_rng(11)

@@ -53,7 +53,7 @@ class TestKneighbors:
         X, y = blobs(50)
         knn = KNeighborsClassifier(3, algorithm="brute").fit(X, y)
         dist, idx = knn.kneighbors(X)
-        assert np.allclose(dist[:, 0], 0.0, atol=1e-6)  # BLAS-identity rounding
+        assert np.array_equal(dist[:, 0], np.zeros(50))  # rescored exactly
         assert np.array_equal(idx[:, 0], np.arange(50))
 
     def test_distances_sorted(self):

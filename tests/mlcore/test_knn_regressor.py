@@ -46,6 +46,18 @@ class TestFitPredict:
         reg = KNeighborsRegressor(3, weights="distance").fit(X, y)
         assert reg.predict(np.array([[0.0]]))[0] == pytest.approx(7.0)
 
+    def test_distance_weights_self_query_is_an_exact_match(self):
+        # embedding-like rows: a query equal to a training row must be at
+        # distance 0, not at the ~1e-8 a |q|² + |x|² - 2q·x identity leaves
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(500, 384))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        y = rng.uniform(0.0, 100.0, size=500)
+        reg = KNeighborsRegressor(5, weights="distance").fit(X, y)
+        assert np.array_equal(reg.predict(X[:50]), y[:50])
+        dist, _ = reg.kneighbors(X[:50])
+        assert np.array_equal(dist[:, 0], np.zeros(50))
+
     def test_not_fitted(self):
         with pytest.raises(NotFittedError):
             KNeighborsRegressor().predict(np.zeros((1, 2)))

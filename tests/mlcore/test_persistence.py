@@ -97,6 +97,11 @@ def _distinct_byte_rows(X):
     return len({row.tobytes() for row in X})
 
 
+def _training_matrix(model):
+    """The matrix a fitted KNN searches, rebuilt from its distinct rows."""
+    return model._rows[model._row_index]
+
+
 class TestKNNRoundTrip:
     """A KNN archive holds the training matrix as its distinct rows plus a
     row index, and the reload is byte-identical."""
@@ -122,10 +127,11 @@ class TestKNNRoundTrip:
 
     def test_training_matrix_survives_byte_for_byte(self, fitted, tmp_path):
         model, _ = fitted
-        loaded = load_model(save_model(model, tmp_path / "m"))
-        assert loaded._X.dtype == model._X.dtype
-        assert loaded._X.shape == model._X.shape
-        assert loaded._X.tobytes() == model._X.tobytes()
+        X, _ = repeated_rows()
+        rebuilt = _training_matrix(load_model(save_model(model, tmp_path / "m")))
+        assert rebuilt.dtype == X.dtype
+        assert rebuilt.shape == X.shape
+        assert rebuilt.tobytes() == X.tobytes()
 
     def test_neighbours_and_predictions_are_equal(self, fitted, tmp_path):
         model, Q = fitted
@@ -137,11 +143,12 @@ class TestKNNRoundTrip:
 
     def test_archive_stores_one_row_per_distinct_byte_pattern(self, fitted, tmp_path):
         model, _ = fitted
+        X, _ = repeated_rows()
         save_model(model, tmp_path / "m")
         with np.load(tmp_path / "m" / "arrays.npz", allow_pickle=False) as z:
             assert "X" not in z.files
-            assert z["rows"].shape == (_distinct_byte_rows(model._X), model._X.shape[1])
-            assert z["row_index"].shape == (model._X.shape[0],)
+            assert z["rows"].shape == (_distinct_byte_rows(X), X.shape[1])
+            assert z["row_index"].shape == (X.shape[0],)
 
 
 class TestKNNArchiveWrittenBeforeDistinctRows:
@@ -167,10 +174,10 @@ class TestKNNArchiveWrittenBeforeDistinctRows:
         knn = KNeighborsClassifier(5, algorithm="brute").fit(X, (X[:, 0] > 0).astype(int))
         self._write(
             tmp_path / "m", "KNeighborsClassifier", self.META,
-            {"classes": knn.classes_, "X": knn._X, "y": knn._y},
+            {"classes": knn.classes_, "X": X, "y": knn._y},
         )
         loaded = load_model(tmp_path / "m")
-        assert loaded._X.tobytes() == knn._X.tobytes()
+        assert _training_matrix(loaded).tobytes() == X.tobytes()
         assert np.array_equal(loaded.predict(Q), knn.predict(Q))
 
     def test_regressor(self, tmp_path):
@@ -178,10 +185,10 @@ class TestKNNArchiveWrittenBeforeDistinctRows:
         reg = KNeighborsRegressor(5, algorithm="brute").fit(X, X[:, 0] * 2.0)
         self._write(
             tmp_path / "m", "KNeighborsRegressor", {**self.META, "weights": "uniform"},
-            {"X": reg._X, "targets": reg._targets},
+            {"X": X, "targets": reg._targets},
         )
         loaded = load_model(tmp_path / "m")
-        assert loaded._X.tobytes() == reg._X.tobytes()
+        assert _training_matrix(loaded).tobytes() == X.tobytes()
         assert np.array_equal(loaded.predict(Q), reg.predict(Q))
 
 

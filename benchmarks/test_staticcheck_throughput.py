@@ -3,9 +3,8 @@
 Not a paper figure — operational context for the correctness tooling:
 the linter runs on every CI push and inside the tier-1 gate, so its
 cold-parse cost, its warm-cache speedup, and the marginal price of the
-flow tier (PR 5: CFGs + fixpoints), the perf tier (hot-path derivation +
-array fixpoints) and the procs tier (process-model project rules) are
-worth tracking release over release.
+flow tier (CFGs + fixpoints) and the perf tier (hot-path derivation +
+array fixpoints) are worth tracking release over release.
 The project is synthetic so the numbers measure the engine, not the
 repo's current line count; every run rewrites ``BENCH_staticcheck.json``
 at the repo root as the second committed trajectory next to
@@ -18,7 +17,7 @@ relative to the same engine with that tier's rules ignored.  With
 ``REPRO_PERF_RATCHET=1`` (the CI benchmark job) the final test fails if
 the warm-cache speedup drops below its hard floor, if a warm-run tier
 overhead leaves its hard band (the cache stores findings, so a warm run
-must get both tiers for ~free), or if the warm speedup regresses more
+must get the perf tier for ~free), or if the warm speedup regresses more
 than 40% relative to the committed baseline.
 """
 
@@ -33,13 +32,12 @@ import pytest
 
 from benchmarks._perf import best_time, throughput
 from repro.staticcheck import check_paths, resolve_rules
-from repro.staticcheck.registry import resolve_project_rules
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_staticcheck.json"
 
-#: The flow-sensitive tier (PR 5); ignoring these skips CFG + fixpoint work.
+#: The flow-sensitive tier; ignoring these skips CFG + fixpoint work.
 FLOW_RULES = ("unit-mismatch", "resource-leak", "double-release")
-#: The perf tier (this PR); ignoring these skips hot-path derivation and
+#: The perf tier; ignoring these skips hot-path derivation and
 #: the shape/dtype array fixpoints.
 PERF_RULES = (
     "dtype-upcast",
@@ -51,17 +49,6 @@ PERF_RULES = (
     "quadratic-growth",
     "hidden-copy",
 )
-#: The procs tier (this PR): project rules over the process model.  The
-#: per-file facts walk is part of summary building (cold-only, cached);
-#: what ignoring these skips is the every-invocation project-rule pass,
-#: which is exactly what the warm overhead column isolates.
-PROCS_RULES = (
-    "fork-unsafe-inheritance",
-    "boundary-escape",
-    "child-global-divergence",
-    "blocking-in-worker",
-)
-
 NUM_FILES = 24
 
 #: hard floor: a fully-warm cache must be at least this much faster than
@@ -131,15 +118,12 @@ def results():
             "num_files": NUM_FILES + 1,
             "flow_rules": list(FLOW_RULES),
             "perf_rules": list(PERF_RULES),
-            "procs_rules": list(PROCS_RULES),
         }
     }
 
 
-def _check(project, cache, rules, project_rules=None):
-    result = check_paths(
-        [project], cache_path=cache, rules=rules, project_rules=project_rules
-    )
+def _check(project, cache, rules):
+    result = check_paths([project], cache_path=cache, rules=rules)
     assert result.files_checked == NUM_FILES + 1
     assert result.findings == []
     return result
@@ -175,34 +159,21 @@ def test_warm_runs(results, project, tmp_path):
     """Fully-warm cache: every file served without re-analysis, so both
     tiers cost ~nothing (their findings live in the cached entries)."""
     caches = {
-        "all": (tmp_path / "warm-all.json", resolve_rules(), None),
-        "no_perf": (
-            tmp_path / "warm-noperf.json",
-            resolve_rules(ignore=list(PERF_RULES)),
-            None,
-        ),
-        "no_procs": (
-            tmp_path / "warm-noprocs.json",
-            resolve_rules(),
-            resolve_project_rules(ignore=list(PROCS_RULES)),
-        ),
+        "all": (tmp_path / "warm-all.json", resolve_rules()),
+        "no_perf": (tmp_path / "warm-noperf.json", resolve_rules(ignore=list(PERF_RULES))),
     }
     warm = {}
-    for tag, (cache, rules, project_rules) in caches.items():
-        _check(project, cache, rules, project_rules)  # prime
-        warm[tag] = best_time(
-            lambda: _check(project, cache, rules, project_rules)
-        )
-        result = _check(project, cache, rules, project_rules)
+    for tag, (cache, rules) in caches.items():
+        _check(project, cache, rules)  # prime
+        warm[tag] = best_time(lambda: _check(project, cache, rules))
+        result = _check(project, cache, rules)
         assert result.stats.cache_hits == NUM_FILES + 1
         assert result.stats.flow_cfgs == 0
         assert result.stats.perf_hot_functions == 0
         assert result.stats.perf_array_fixpoints == 0
-        assert result.stats.procs_boundaries == 0
     results["warm"] = {
         "all_s": warm["all"],
         "no_perf_s": warm["no_perf"],
-        "no_procs_s": warm["no_procs"],
         "files_per_s": throughput(NUM_FILES + 1, warm["all"]),
     }
 
@@ -242,7 +213,6 @@ def test_write_bench_json(results):
         "flow_cold_overhead": cold["all_s"] / cold["no_flow_s"],
         "perf_cold_overhead": cold["all_s"] / cold["no_perf_s"],
         "perf_warm_overhead": warm["all_s"] / warm["no_perf_s"],
-        "procs_warm_overhead": warm["all_s"] / warm["no_procs_s"],
     }
     results["ratios"] = ratios
 
@@ -264,12 +234,6 @@ def test_write_bench_json(results):
             f"perf tier costs {ratios['perf_warm_overhead']:.2f}x on a warm "
             f"cache (cap {WARM_TIER_OVERHEAD_CAP}x): cached entries are "
             "being recomputed"
-        )
-    if ratios["procs_warm_overhead"] > WARM_TIER_OVERHEAD_CAP:
-        failures.append(
-            f"procs tier costs {ratios['procs_warm_overhead']:.2f}x on a "
-            f"warm cache (cap {WARM_TIER_OVERHEAD_CAP}x): the project-rule "
-            "pass is doing per-file work the summaries should already hold"
         )
     if baseline and "ratios" in baseline:
         old = baseline["ratios"].get("warm_speedup")

@@ -23,9 +23,8 @@ __all__ = ["FeatureEncoder"]
 def _format_value(v) -> str:
     """Render one feature value into the comma-separated string.
 
-    Floats that are whole numbers print without a trailing ``.0`` mantissa
-    noise except frequencies, which keep one decimal (2.0 vs 2.2 GHz must
-    remain distinct tokens).
+    Floats print in ``:g`` form, frequencies included: 2.0 GHz becomes
+    ``2`` and 2.2 GHz ``2.2``, which stay distinct tokens.
     """
     if isinstance(v, float):
         return f"{v:g}"

@@ -8,7 +8,8 @@ soup.
 - :mod:`repro.parallel.chunking` — balanced partitioning of index ranges
   and arrays (the building block of every data-parallel loop here).
 - :mod:`repro.parallel.executor` — ordered parallel map over chunks with
-  thread/process/serial backends and automatic fallback on a single core.
+  thread/process/serial backends and automatic fallback on a single core;
+  process workers are always spawned.
 """
 
 from repro.parallel.chunking import chunk_bounds, chunk_indices, split_array

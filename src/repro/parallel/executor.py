@@ -36,27 +36,19 @@ class ExecutorConfig:
         Python CPU-bound work at the cost of pickling.
     n_workers:
         Worker count; ``None`` means ``os.cpu_count()``.
-    start_method:
-        "fork", "spawn" or "forkserver" for the process backend;
-        ``None`` uses the platform default.  Pinning "spawn" guarantees
-        workers inherit no parent locks or handles, at the cost of
-        re-importing the task's module in each worker.
+
+    Process workers are always spawned, never forked: each re-imports the
+    task's module and inherits no parent locks, handles or globals.
     """
 
     backend: str = "serial"
     n_workers: int | None = None
-    start_method: str | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in ("serial", "thread", "process"):
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.n_workers is not None and self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if self.start_method is not None:
-            if self.backend != "process":
-                raise ValueError("start_method only applies to the 'process' backend")
-            if self.start_method not in ("fork", "spawn", "forkserver"):
-                raise ValueError(f"unknown start_method {self.start_method!r}")
 
 
 def effective_workers(config: ExecutorConfig) -> int:
@@ -156,7 +148,12 @@ def parallel_map(
 
     Falls back to a plain loop when the config resolves to one worker —
     the common case on the single-core evaluation machine — so there is no
-    pool overhead on the serial path.
+    pool overhead on the serial path.  The process backend spawns its
+    workers, so ``fn`` and each item must pickle (``ensure_picklable``
+    checks ``fn`` before the pool starts), a worker's writes to module
+    globals never reach the parent (return results instead), and a script
+    that calls it must guard its entry point with
+    ``if __name__ == "__main__":``, since each worker re-imports it.
     """
     config = config or ExecutorConfig()
     items = list(items)
@@ -167,11 +164,7 @@ def parallel_map(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     ensure_picklable(fn)
-    context = (
-        multiprocessing.get_context(config.start_method)
-        if config.start_method is not None
-        else None
-    )
+    context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         return list(pool.map(fn, items))
 

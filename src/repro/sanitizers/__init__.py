@@ -23,7 +23,6 @@ must pass, with hazards read back via :func:`events`.
 """
 
 from repro.sanitizers.events import SanitizerEvent, clear_events, events, flush_log, record
-from repro.sanitizers.forkaware import install as _install_fork_hook
 from repro.sanitizers.lockorder import TrackedLock, clear_lock_graph, lock_graph, new_lock
 from repro.sanitizers.numerics import check_finite, numeric_trap
 from repro.sanitizers.runtime import enabled, sanitize
@@ -45,7 +44,3 @@ __all__ = [
     "record",
     "sanitize",
 ]
-
-# Fork children must not inherit the parent's sanitizer state (events,
-# order graph, guard versions, internal locks); see forkaware.
-_install_fork_hook()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import atexit
 import json
+import multiprocessing
 import os
 import threading
 from dataclasses import dataclass, field
@@ -19,10 +20,6 @@ from dataclasses import dataclass, field
 __all__ = ["SanitizerEvent", "clear_events", "events", "flush_log", "record"]
 
 LOG_ENV = "REPRO_SANITIZE_LOG"
-
-#: pid that imported this module — a differing ``os.getpid()`` means we
-#: are in a fork child that inherited the parent's module state.
-_main_pid = os.getpid()
 
 
 @dataclass(frozen=True)
@@ -82,11 +79,7 @@ def clear_events() -> None:
 
 
 def _in_child_process() -> bool:
-    """Are we a worker process (fork or spawn) rather than the main one?"""
-    if os.getpid() != _main_pid:
-        return True
-    import multiprocessing
-
+    """Are we a spawned worker process rather than the main one?"""
     return multiprocessing.parent_process() is not None
 
 
@@ -110,19 +103,6 @@ def flush_log() -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for event in snapshot:
             handle.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
-
-
-def _rearm_after_fork() -> None:
-    """Reset the log in a fork child (the inherited events are the parent's).
-
-    The fresh lock matters as much as the fresh list: a parent thread
-    holding ``_events_lock`` at fork time would leave the child's copy
-    locked forever, deadlocking the first probe that fires there.
-    """
-    global _events, _events_lock, _seq
-    _events_lock = threading.Lock()
-    _events = []
-    _seq = 0
 
 
 atexit.register(flush_log)

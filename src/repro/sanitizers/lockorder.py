@@ -49,22 +49,6 @@ def clear_lock_graph() -> None:
         _edges.clear()
 
 
-def _rearm_after_fork() -> None:
-    """Reset lock-order state in a fork child.
-
-    The inherited order graph describes the *parent's* threads; keeping
-    it would report phantom inversions for acquisitions the child never
-    interleaved.  The graph lock and the held stack are replaced rather
-    than cleared — either may have been held by a (now nonexistent)
-    parent thread at fork time, which would wedge the child's first
-    probe.
-    """
-    global _edges, _graph_lock, _held
-    _graph_lock = threading.Lock()
-    _edges = {}
-    _held = threading.local()
-
-
 def _path(start: str, goal: str) -> list[str] | None:
     """Shortest observed edge path ``start -> ... -> goal``, if any."""
     with _graph_lock:

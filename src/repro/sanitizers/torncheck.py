@@ -16,29 +16,12 @@ it alone in tests to demonstrate a race.
 from __future__ import annotations
 
 import threading
-import weakref
 from contextlib import contextmanager
 
 from repro.sanitizers.events import record
 from repro.sanitizers.runtime import enabled
 
 __all__ = ["StateGuard"]
-
-#: every live guard, so a fork child can re-arm them (see forkaware).
-_guards: "weakref.WeakSet[StateGuard]" = weakref.WeakSet()
-
-
-def _rearm_after_fork() -> None:
-    """Reset every guard's version state in a fork child.
-
-    A fork during a parent write leaves the child's counter odd forever —
-    every later read would report a torn read that never happened — and a
-    fork during ``_bump`` leaves the version lock held by a thread the
-    child does not have.  Fresh counter, fresh lock.
-    """
-    for guard in list(_guards):
-        guard._version = 0
-        guard._version_lock = threading.Lock()
 
 
 class StateGuard:
@@ -48,7 +31,6 @@ class StateGuard:
         self.name = name
         self._version = 0
         self._version_lock = threading.Lock()
-        _guards.add(self)
 
     def _bump(self) -> int:
         with self._version_lock:

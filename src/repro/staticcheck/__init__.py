@@ -4,14 +4,14 @@ A self-contained static-analysis engine (stdlib only) that guards the
 training/inference stack's correctness invariants at two levels.
 Single-file rules check each module alone: replayable randomness,
 monotonic timing, tolerance-based float comparisons at the roofline
-boundary, no swallowed exceptions in the serving loop, process-safe
-parallel tasks, honest ``__all__`` surfaces, and order-stable iteration
-into feature encoding.  Project rules see every module at once through
-the import and call graphs: no circular runtime imports, call sites that
-match their intra-package callee's signature (``contract-drift``),
-no unseeded-RNG/wall-clock values flowing into persisted models or
-reports (``tainted-persistence``), and no ``__all__`` exports nothing
-imports (``dead-export``).
+boundary, no swallowed exceptions in the serving loop, honest
+``__all__`` surfaces, and order-stable iteration into feature encoding.
+Project rules see every module at once through the import and call
+graphs: no circular runtime imports, call sites that match their
+intra-package callee's signature (``contract-drift``), no
+unseeded-RNG/wall-clock values flowing into persisted models or reports
+(``tainted-persistence``), and no ``__all__`` exports nothing imports
+(``dead-export``).
 
 Runs are incremental: with a cache path set, unchanged files (and files
 whose import-graph dependencies are unchanged) skip parsing and the

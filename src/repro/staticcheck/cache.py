@@ -48,8 +48,11 @@ __all__ = ["AnalysisCache", "file_digest"]
 # read, so they must not be served);
 # 9 removed the capacity and sysmodel tiers and the procs tier's
 # shared-memory segment facts — schema-8 entries carry summary tables and
-# work counters this engine no longer reads.
-CACHE_SCHEMA = 9
+# work counters this engine no longer reads;
+# 10 removed the procs tier and the ``unpicklable-task`` rule — schema-9
+# entries carry the summaries' ``procs`` table, per-file procs-work
+# counters and cached ``unpicklable-task`` findings.
+CACHE_SCHEMA = 10
 
 
 def file_digest(data: bytes) -> str:

@@ -132,8 +132,6 @@ class CheckStats:
     #: perf-tier effort, same cold-files-only accounting.
     perf_hot_functions: int = 0
     perf_array_fixpoints: int = 0
-    #: procs-tier effort, same cold-files-only accounting.
-    procs_boundaries: int = 0
 
 
 @dataclass
@@ -276,13 +274,12 @@ def _analyze_file(task: tuple[str, tuple[str, ...] | None]) -> dict:
     tuple pickles cheaply across process boundaries; ``None`` means the
     full registry.
     """
-    from repro.staticcheck import flow, perf, procs
+    from repro.staticcheck import flow, perf
     from repro.staticcheck.project.summary import build_summary, module_name_for_path
 
     path_str, rule_ids = task
     flow_before = flow.snapshot_counters()
     perf_before = perf.snapshot_counters()
-    procs_before = procs.snapshot_counters()
     path = Path(path_str)
     source = path.read_text(encoding="utf-8")
     if rule_ids is None:
@@ -316,7 +313,6 @@ def _analyze_file(task: tuple[str, tuple[str, ...] | None]) -> dict:
     summary = build_summary(path_str, source, tree, module_name, is_package)
     flow_after = flow.snapshot_counters()
     perf_after = perf.snapshot_counters()
-    procs_after = procs.snapshot_counters()
     entry.update(
         {
             "findings": [f.to_dict() for f in sorted(active)],
@@ -324,7 +320,6 @@ def _analyze_file(task: tuple[str, tuple[str, ...] | None]) -> dict:
             "summary": summary.to_dict(),
             "flow": {k: flow_after[k] - flow_before[k] for k in flow_after},
             "perf": {k: perf_after[k] - perf_before[k] for k in perf_after},
-            "procs": {k: procs_after[k] - procs_before[k] for k in procs_after},
         }
     )
     return entry
@@ -627,14 +622,11 @@ def check_paths(
 
     flow_totals = {"cfgs": 0, "blocks": 0, "iterations": 0}
     perf_totals = {"hot_functions": 0, "array_fixpoints": 0}
-    procs_totals = {"boundaries": 0}
     for key in cold:
         for counter, value in entries[key].get("flow", {}).items():
             flow_totals[counter] = flow_totals.get(counter, 0) + value
         for counter, value in entries[key].get("perf", {}).items():
             perf_totals[counter] = perf_totals.get(counter, 0) + value
-        for counter, value in entries[key].get("procs", {}).items():
-            procs_totals[counter] = procs_totals.get(counter, 0) + value
 
     stats = CheckStats(
         files_checked=len(files),
@@ -648,7 +640,6 @@ def check_paths(
         flow_iterations=flow_totals["iterations"],
         perf_hot_functions=perf_totals["hot_functions"],
         perf_array_fixpoints=perf_totals["array_fixpoints"],
-        procs_boundaries=procs_totals["boundaries"],
     )
     result = CheckResult(
         findings=sorted(findings),

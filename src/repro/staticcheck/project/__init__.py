@@ -23,30 +23,18 @@ from repro.staticcheck.project.graph import CallGraph, ImportGraph, ProjectConte
 from repro.staticcheck.project.summary import ModuleSummary, build_summary, module_name_for_path
 from repro.staticcheck.project.taint import TaintedPersistenceRule
 from repro.staticcheck.perf.hotpath import HotPathGapRule
-from repro.staticcheck.procs.model import ProcessModel
-from repro.staticcheck.procs.rules import (
-    BlockingInWorkerRule,
-    BoundaryEscapeRule,
-    ChildGlobalDivergenceRule,
-    ForkUnsafeInheritanceRule,
-)
 
 __all__ = [
-    "BlockingInWorkerRule",
     "BlockingUnderLockRule",
-    "BoundaryEscapeRule",
     "HotPathGapRule",
     "CallGraph",
-    "ChildGlobalDivergenceRule",
     "ConcurrencyModel",
     "ContractDriftRule",
     "DeadExportRule",
-    "ForkUnsafeInheritanceRule",
     "ImportCycleRule",
     "ImportGraph",
     "LockOrderCycleRule",
     "ModuleSummary",
-    "ProcessModel",
     "ProjectContext",
     "TaintedPersistenceRule",
     "UnguardedSharedWriteRule",

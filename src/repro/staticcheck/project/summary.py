@@ -229,9 +229,6 @@ class ModuleSummary:
     #: function qualname -> ``# hotpath:`` annotation text, for the perf
     #: tier's cross-module hot-path-gap rule.
     hotpaths: dict = field(default_factory=dict)
-    #: process-boundary facts (spawn sites, start-method pins, handles)
-    #: for the procs tier — see :mod:`repro.staticcheck.procs.facts`.
-    procs: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -250,7 +247,6 @@ class ModuleSummary:
             "directives": self.directives,
             "concurrency": self.concurrency,
             "hotpaths": self.hotpaths,
-            "procs": self.procs,
         }
 
     @classmethod
@@ -273,7 +269,6 @@ class ModuleSummary:
             directives=doc["directives"],
             concurrency=doc.get("concurrency", {}),
             hotpaths=doc.get("hotpaths", {}),
-            procs=doc.get("procs", {}),
         )
 
 
@@ -914,14 +909,11 @@ def build_summary(path: str, source: str, tree: ast.Module, module_name: str | N
     _collect_symbol_refs(summary, tree)
     _ScopeWalker(summary).walk_module(tree)
     _ConcurrencyWalker(summary).walk(tree)
-    # Deferred imports: perf.hotpath and procs.rules register project
-    # rules on import, and pulling them in at module scope would tangle
-    # package init order.
+    # Deferred import: perf.hotpath registers a project rule on import,
+    # and pulling it in at module scope would tangle package init order.
     from repro.staticcheck.perf.hotpath import annotated_quals
-    from repro.staticcheck.procs.facts import collect_procs_facts
 
     summary.hotpaths = annotated_quals(tree, source)
-    collect_procs_facts(summary, tree)
     summary.directives = [
         {"line": d.line, "rules": sorted(d.rule_ids), "covers": list(d.covers)}
         for d in parse_directives(source)

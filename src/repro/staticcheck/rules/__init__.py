@@ -19,7 +19,6 @@ from repro.staticcheck.rules.exceptions import SilentExceptRule
 from repro.staticcheck.rules.exports import ExportDriftRule
 from repro.staticcheck.rules.floats import FloatEqualityRule
 from repro.staticcheck.rules.ordering import UnorderedIterationRule
-from repro.staticcheck.rules.picklability import UnpicklableTaskRule
 from repro.staticcheck.rules.randomness import UnseededRngRule
 from repro.staticcheck.rules.timing import WallclockTimingRule
 
@@ -40,7 +39,6 @@ __all__ = [
     "SilentExceptRule",
     "UnitMismatchRule",
     "UnorderedIterationRule",
-    "UnpicklableTaskRule",
     "UnseededRngRule",
     "WallclockTimingRule",
 ]

@@ -1,6 +1,5 @@
 """Tests for the ordered parallel map."""
 
-import multiprocessing
 import os
 import threading
 
@@ -12,10 +11,6 @@ from repro.parallel.executor import (
     ensure_picklable,
     parallel_map,
 )
-
-AVAILABLE_START_METHODS = [
-    m for m in ("fork", "spawn") if m in multiprocessing.get_all_start_methods()
-]
 
 
 def square(x):
@@ -60,12 +55,6 @@ class TestProcesses:
         cfg = ExecutorConfig(backend="process", n_workers=2)
         out = parallel_map(square, range(8), config=cfg)
         assert out == [x * x for x in range(8)]
-
-    @pytest.mark.parametrize("method", AVAILABLE_START_METHODS)
-    def test_round_trip_under_each_start_method(self, method):
-        cfg = ExecutorConfig(backend="process", n_workers=2, start_method=method)
-        out = parallel_map(square, range(6), config=cfg)
-        assert out == [x * x for x in range(6)]
 
 
 class TestPicklabilityPreflight:
@@ -146,14 +135,6 @@ class TestConfig:
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             ExecutorConfig(n_workers=0)
-
-    def test_invalid_start_method(self):
-        with pytest.raises(ValueError):
-            ExecutorConfig(backend="process", start_method="teleport")
-
-    def test_start_method_requires_process_backend(self):
-        with pytest.raises(ValueError, match="process"):
-            ExecutorConfig(backend="thread", start_method="spawn")
 
     def test_single_worker_thread_runs_serial_path(self):
         # still correct (and avoids pool overhead)

@@ -1,11 +1,13 @@
 """Incremental engine: warm reuse, dependency invalidation, baselines,
 SARIF output and parallel cold parsing."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.staticcheck import (
+    CheckStats,
     apply_baseline,
     check_paths,
     check_source,
@@ -102,12 +104,34 @@ class TestIncrementalCache:
         assert render_json(warm) == render_json(cold)
 
     def test_parallel_cold_parse_matches_serial(self, tmp_path):
+        """Spawned workers must hand back everything the serial run sees:
+        findings, and the flow/perf work counters they accumulate in
+        their own module globals."""
         pkg = make_project(tmp_path)
         (pkg / "dirty.py").write_text(TRIGGER)
+        (pkg / "hot.py").write_text(
+            "from pkg.b import helper\n"
+            "\n"
+            "def load(path):\n"
+            "    with open(path) as fh:\n"
+            "        return fh.read()\n"
+            "\n"
+            "def score(X, w):  # hotpath: parity fixture\n"
+            "    return X @ w + helper()\n"
+        )
         serial = check_paths([pkg])
         parallel = check_paths([pkg], jobs=2)
         assert parallel.stats.jobs == 2
         assert render_json(parallel) == render_json(serial)
+        for counter in ("flow_cfgs", "flow_blocks", "flow_iterations",
+                        "perf_hot_functions", "perf_array_fixpoints"):
+            assert getattr(serial.stats, counter) > 0, counter
+        unshared = {"jobs", "wall_seconds"}
+        for stat in dataclasses.fields(CheckStats):
+            if stat.name not in unshared:
+                assert getattr(parallel.stats, stat.name) == getattr(
+                    serial.stats, stat.name
+                ), stat.name
 
     def test_file_digest_is_content_addressed(self):
         assert file_digest(b"x") == file_digest(b"x")

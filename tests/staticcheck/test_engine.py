@@ -206,14 +206,13 @@ class TestRelativeImports:
 
 
 class TestRegistry:
-    def test_all_eight_rules_registered(self):
+    def test_all_seven_rules_registered(self):
         expected = {
             "unseeded-rng",
             "wallclock-timing",
             "float-equality",
             "mutable-default",
             "silent-except",
-            "unpicklable-task",
             "export-drift",
             "unordered-iteration",
         }

@@ -2,11 +2,11 @@
 
 This is the enforcement point for the correctness-tooling layer: any new
 unseeded RNG, wall-clock duration, float-equality boundary, silent
-handler, unpicklable parallel task, export drift or unordered iteration
-in ``src/repro`` fails the build here — and so does any cross-module
-regression the project rules see: circular runtime imports, call sites
-drifting from intra-package signatures, tainted values flowing into
-persistence, or ``__all__`` exports nothing imports.  Exactly as
+handler, export drift or unordered iteration in ``src/repro`` fails the
+build here — and so does any cross-module regression the project rules
+see: circular runtime imports, call sites drifting from intra-package
+signatures, tainted values flowing into persistence, or ``__all__``
+exports nothing imports.  Exactly as
 ``python -m repro.staticcheck`` would in CI.
 """
 

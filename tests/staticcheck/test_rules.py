@@ -256,61 +256,6 @@ class TestSilentExcept:
         assert len(result.suppressed) == 1
 
 
-class TestUnpicklableTask:
-    def test_lambda_fires(self):
-        src = """
-        from repro.parallel import parallel_map
-        out = parallel_map(lambda x: x + 1, items)
-        """
-        assert fires("unpicklable-task", src) == ["unpicklable-task"]
-
-    def test_nested_function_fires(self):
-        src = """
-        from repro.parallel import parallel_map
-
-        def fit(X):
-            def fit_one(i):
-                return X[i]
-            return parallel_map(fit_one, range(10))
-        """
-        assert fires("unpicklable-task", src) == ["unpicklable-task"]
-
-    def test_bound_method_fires(self):
-        src = """
-        from repro.parallel import parallel_map
-
-        class Trainer:
-            def run(self, jobs):
-                return parallel_map(self.step, jobs)
-        """
-        assert fires("unpicklable-task", src) == ["unpicklable-task"]
-
-    def test_module_level_function_clean(self):
-        src = """
-        from repro.parallel import parallel_map
-
-        def task(x):
-            return x * x
-
-        out = parallel_map(task, range(10))
-        """
-        assert fires("unpicklable-task", src) == []
-
-    def test_suppression(self):
-        src = """
-        from repro.parallel import parallel_map
-
-        def fit(X, cfg):
-            def fit_one(i):
-                return X[i]
-            # staticcheck: ignore[unpicklable-task] - cfg pins the thread backend
-            return parallel_map(fit_one, range(10), config=cfg)
-        """
-        result = run_rule("unpicklable-task", src)
-        assert result.findings == []
-        assert len(result.suppressed) == 1
-
-
 class TestExportDrift:
     def test_missing_all_fires_at_line_one(self):
         src = """\

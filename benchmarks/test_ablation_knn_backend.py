@@ -16,8 +16,8 @@ from repro.mlcore.knn import KNeighborsClassifier
 def test_ablation_knn_backend(benchmark, evaluator):
     idx = evaluator._training_indices(evaluator.test_start_day, 15)
     day = evaluator._day_indices[evaluator.test_start_day]
-    X, y = evaluator.X[idx], evaluator.y[idx]
-    Q = evaluator.X[day][:128]
+    X, y = evaluator.rows[evaluator.row_index[idx]], evaluator.y[idx]
+    Q = evaluator.rows[evaluator.row_index[day][:128]]
 
     # full 384-d embeddings: brute force is the practical backend
     brute = KNeighborsClassifier(5, algorithm="brute").fit(X, y)

@@ -18,8 +18,10 @@ def _fit_score(evaluator, splitter, n_estimators=15):
         "RF", n_estimators=n_estimators, max_depth=14,
         splitter=splitter, random_state=0,
     )
-    _, fit_s = time_call(model.training, evaluator.X[idx], evaluator.y[idx])
-    pred = model.inference(evaluator.X[day])
+    _, fit_s = time_call(
+        model.training, evaluator.rows, evaluator.y[idx], row_index=evaluator.row_index[idx]
+    )
+    pred = model.inference(evaluator.rows[evaluator.row_index[day]])
     return f1_macro(evaluator.y[day], pred), fit_s
 
 
@@ -41,10 +43,10 @@ def test_ablation_splitter(benchmark, evaluator):
 
     # benchmark the hist fit (the configuration the sweeps use)
     idx = evaluator._training_indices(evaluator.test_start_day, 15)
-    X, y = evaluator.X[idx], evaluator.y[idx]
+    rows, y, row_index = evaluator.rows, evaluator.y[idx], evaluator.row_index[idx]
     benchmark.pedantic(
         lambda: ClassificationModel(
             "RF", n_estimators=15, max_depth=14, splitter="hist", random_state=0
-        ).training(X, y),
+        ).training(rows, y, row_index=row_index),
         rounds=1, iterations=1,
     )

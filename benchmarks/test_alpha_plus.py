@@ -43,5 +43,9 @@ def test_alpha_plus(benchmark, evaluator, alpha_plus_runs, knn_grid, rf_grid, kn
 
     # benchmark one KNN retraining on the full grown window
     idx = evaluator._training_indices(evaluator.test_end_day - 1, ("plus", 30))
-    X, y = evaluator.X[idx], evaluator.y[idx]
-    benchmark(lambda: ClassificationModel("KNN", **knn_spec.params).training(X, y))
+    rows, y, row_index = evaluator.rows, evaluator.y[idx], evaluator.row_index[idx]
+    benchmark(
+        lambda: ClassificationModel("KNN", **knn_spec.params).training(
+            rows, y, row_index=row_index
+        )
+    )

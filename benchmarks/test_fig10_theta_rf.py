@@ -40,7 +40,7 @@ def test_fig10_theta_rf(benchmark, evaluator, theta_rf, theta_grid_values, rf_sp
     def retrain():
         sub = evaluator._subsample(idx, mid, "random", rng)
         return ClassificationModel("RF", **rf_spec.params).training(
-            evaluator.X[sub], evaluator.y[sub]
+            evaluator.rows, evaluator.y[sub], row_index=evaluator.row_index[sub]
         )
 
     benchmark.pedantic(retrain, rounds=1, iterations=1)

@@ -40,8 +40,12 @@ def test_fig6_knn(benchmark, evaluator, knn_grid, knn_spec, strict):
 
     # benchmark one daily retraining trigger at the best setting
     idx = evaluator._training_indices(evaluator.test_start_day, 30)
-    X, y = evaluator.X[idx], evaluator.y[idx]
-    benchmark(lambda: ClassificationModel("KNN", **knn_spec.params).training(X, y))
+    rows, y, row_index = evaluator.rows, evaluator.y[idx], evaluator.row_index[idx]
+    benchmark(
+        lambda: ClassificationModel("KNN", **knn_spec.params).training(
+            rows, y, row_index=row_index
+        )
+    )
 
     if strict:
         # quality level of the paper's headline
@@ -64,9 +68,11 @@ def test_fig6_rf(benchmark, evaluator, rf_grid, rf_spec, strict):
           "(paper: alpha=15 beta=1, F1=0.90)")
 
     idx = evaluator._training_indices(evaluator.test_start_day, 15)
-    X, y = evaluator.X[idx], evaluator.y[idx]
+    rows, y, row_index = evaluator.rows, evaluator.y[idx], evaluator.row_index[idx]
     benchmark.pedantic(
-        lambda: ClassificationModel("RF", **rf_spec.params).training(X, y),
+        lambda: ClassificationModel("RF", **rf_spec.params).training(
+            rows, y, row_index=row_index
+        ),
         rounds=1, iterations=1,
     )
 

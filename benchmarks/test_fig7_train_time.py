@@ -40,5 +40,9 @@ def test_fig7_training_time(benchmark, evaluator, knn_grid, rf_grid, knn_spec, s
 
     # measure a single KNN "training" (the near-zero bar of the figure)
     idx = evaluator._training_indices(evaluator.test_start_day, 60)
-    X, y = evaluator.X[idx], evaluator.y[idx]
-    benchmark(lambda: ClassificationModel("KNN", **knn_spec.params).training(X, y))
+    rows, y, row_index = evaluator.rows, evaluator.y[idx], evaluator.row_index[idx]
+    benchmark(
+        lambda: ClassificationModel("KNN", **knn_spec.params).training(
+            rows, y, row_index=row_index
+        )
+    )

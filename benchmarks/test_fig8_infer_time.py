@@ -45,7 +45,7 @@ def test_fig8_inference_time(benchmark, evaluator, knn_grid, rf_grid, knn_spec, 
 
     idx = evaluator._training_indices(evaluator.test_start_day, 30)
     model = ClassificationModel("KNN", **knn_spec.params)
-    model.training(evaluator.X[idx], evaluator.y[idx])
+    model.training(evaluator.rows, evaluator.y[idx], row_index=evaluator.row_index[idx])
     day_idx = evaluator._day_indices[evaluator.test_start_day]
-    X_day = evaluator.X[day_idx]
+    X_day = evaluator.rows[evaluator.row_index[day_idx]]
     benchmark(model.inference, X_day)

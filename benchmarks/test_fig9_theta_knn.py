@@ -60,7 +60,7 @@ def test_fig9_theta_knn(benchmark, evaluator, theta_knn, theta_grid_values, knn_
     def retrain():
         sub = evaluator._subsample(idx, mid, "random", rng)
         return ClassificationModel("KNN", **knn_spec.params).training(
-            evaluator.X[sub], evaluator.y[sub]
+            evaluator.rows, evaluator.y[sub], row_index=evaluator.row_index[sub]
         )
 
     benchmark(retrain)

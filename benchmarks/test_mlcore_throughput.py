@@ -28,6 +28,15 @@ BLAS search (distances to every training row, then top-k), on the same
 two shapes of training matrix; the ratchet requires >= 5x with repeated
 rows and >= 0.8x with every row distinct.  It records fit seconds too,
 since fit is where the distinct rows are found.
+
+``train_window`` times a warm ``MCBound.train`` (KNN, no model store) on
+a 1/60-scale alpha=30 window against an inline reference of the dense
+path it replaced: every job's feature string formatted and encoded,
+folded into a ``train_reservoir x d`` float32 reservoir, and a fit that
+finds the distinct rows by hashing every row.  It runs on the generated
+trace, whose submissions repeat, and with every job name made unique
+(``<name>-<job_id>``), so that no submission repeats and keying by
+submission saves nothing; the ratchet requires >= 2x and >= 0.8x.
 """
 
 from __future__ import annotations
@@ -41,6 +50,12 @@ import numpy as np
 import pytest
 
 from benchmarks._perf import best_time, throughput
+from repro.config import BenchSettings
+from repro.core import MCBound, MCBoundConfig, load_trace_into_db
+from repro.core.classification_model import ClassificationModel
+from repro.core.feature_encoder import _format_value
+from repro.fugaku import generate_trace
+from repro.fugaku.trace import JobTrace
 from repro.mlcore.forest import RandomForestClassifier
 from repro.mlcore.kdtree import KDTree
 from repro.mlcore.knn import KNeighborsClassifier
@@ -69,12 +84,18 @@ PUBLISH_DIM = 384
 QUERY_CASES = {"repeated": (9000, 120), "distinct": (9000, 9000)}
 QUERY_BATCH = 16
 
+#: trace scale, window and last day of the train_window cases
+TRAIN_SCALE, TRAIN_ALPHA_DAYS, TRAIN_DAY = 1.0 / 60.0, 30.0, 61
+DAY_SECONDS = 86_400.0
+
 #: ISSUE acceptance floors: measured speedup over the pre-PR scalar paths
 HARD_FLOORS = {"forest_predict": 2.0, "embedder_cold": 2.0}
 #: save_model vs compressing the whole training matrix, per publish case
 PUBLISH_FLOORS = {"repeated": 5.0, "distinct": 0.85}
 #: kneighbors vs a full-matrix BLAS search, per query case
 QUERY_FLOORS = {"repeated": 5.0, "distinct": 0.8}
+#: MCBound.train vs the dense training path, per trace
+TRAIN_FLOORS = {"generated": 2.0, "unique_names": 0.8}
 #: ratcheted speedups may regress at most 30% vs the committed baseline —
 #: wide enough to absorb run-to-run ratio noise, tight enough that losing a
 #: vectorized path (speedup -> ~1x) still fails loudly above the hard floors
@@ -119,6 +140,11 @@ def results():
                     name: {"n_train": n, "n_distinct": d}
                     for name, (n, d) in QUERY_CASES.items()
                 },
+            },
+            "train_window": {
+                "scale": TRAIN_SCALE,
+                "alpha_days": TRAIN_ALPHA_DAYS,
+                "day": TRAIN_DAY,
             },
         }
     }
@@ -300,6 +326,76 @@ def test_knn_query_throughput(results):
     results["knn_query"] = section
 
 
+def _dense_train(fw, now):
+    """The dense training path ``MCBound.train`` replaced: every job's
+    string formatted and encoded, folded into a float32 reservoir of
+    ``train_reservoir`` rows, and a fit that hashes every row."""
+    cfg, encoder = fw.config, fw.encoder
+    cap = cfg.train_reservoir
+    X_res = np.empty((cap, encoder.dim), dtype=np.float32)
+    y_res = np.empty(cap, dtype=np.int64)
+    rng = np.random.default_rng(cfg.embedder_seed)
+    n_seen = 0
+    for batch in fw.fetcher.fetch_batches(now - TRAIN_ALPHA_DAYS * DAY_SECONDS, now):
+        _, labels = fw._characterize_batch(batch)
+        labels = np.asarray(labels, dtype=np.int64)
+        cols = [[_format_value(v) for v in batch.column(f).tolist()] for f in encoder.feature_set]
+        Xb = encoder.embedder.encode([",".join(vals) for vals in zip(*cols)])
+        positions = n_seen + np.arange(len(labels))
+        fill = positions < cap
+        X_res[positions[fill]] = Xb[fill]
+        y_res[positions[fill]] = labels[fill]
+        rest = ~fill
+        if np.any(rest):
+            slots = rng.integers(0, positions[rest] + 1)
+            hits = slots < cap
+            X_res[slots[hits]] = Xb[rest][hits]
+            y_res[slots[hits]] = labels[rest][hits]
+        n_seen += len(labels)
+    n_fit = min(n_seen, cap)
+    model = ClassificationModel(cfg.algorithm, **cfg.model_params)
+    return model.training(X_res[:n_fit], y_res[:n_fit])
+
+
+def _unique_names(trace):
+    cols = {c: trace[c] for c in trace.column_names}
+    cols["job_name"] = np.array(
+        [f"{n}-{j}" for n, j in zip(trace["job_name"].tolist(), trace["job_id"].tolist())],
+        dtype=object,
+    )
+    return JobTrace(cols)
+
+
+def test_train_window_throughput(results):
+    trace = generate_trace(scale=TRAIN_SCALE, seed=SEED)
+    config = MCBoundConfig(
+        algorithm="KNN",
+        model_params=BenchSettings(scale=TRAIN_SCALE, seed=SEED).knn_params,
+        alpha_days=TRAIN_ALPHA_DAYS,
+    )
+    now = TRAIN_DAY * DAY_SECONDS
+    section = {}
+    for name, case in (("generated", trace), ("unique_names", _unique_names(trace))):
+        served = MCBound(config, load_trace_into_db(case))
+        dense = MCBound(config, load_trace_into_db(case))
+        # best_time's warm-up pass fills the label and embedder caches
+        train_s = best_time(lambda: served.train(now), repeats=5)
+        dense_s = best_time(lambda: _dense_train(dense, now), repeats=5)
+        fitted, reference = served.model.model, _dense_train(dense, now).model
+        assert fitted._rows[fitted._row_index].tobytes() == (
+            reference._rows[reference._row_index].tobytes()
+        )
+        assert fitted._y.tobytes() == reference._y.tobytes()
+        section[name] = {
+            "n_jobs": int(fitted._row_index.size),
+            "n_distinct": int(fitted._rows.shape[0]),
+            "train_s": train_s,
+            "dense_train_s": dense_s,
+            "speedup_vs_dense": dense_s / train_s,
+        }
+    results["train_window"] = section
+
+
 def test_write_bench_json(results):
     """Write the trajectory file; ratchet speedups when asked to.
 
@@ -307,7 +403,8 @@ def test_write_bench_json(results):
     section above has filled in its measurements.
     """
     for section in (
-        "knn_kdtree", "knn_brute", "forest", "embedder", "knn_publish", "knn_query"
+        "knn_kdtree", "knn_brute", "forest", "embedder", "knn_publish", "knn_query",
+        "train_window",
     ):
         assert section in results, f"bench section {section!r} did not run"
 
@@ -337,6 +434,10 @@ def test_write_bench_json(results):
         ratio = results["knn_query"][name]["speedup_vs_full_matrix"]
         if ratio < floor:
             failures.append(f"knn_query {name} {ratio:.2f}x < floor {floor}x")
+    for name, floor in TRAIN_FLOORS.items():
+        ratio = results["train_window"][name]["speedup_vs_dense"]
+        if ratio < floor:
+            failures.append(f"train_window {name} {ratio:.2f}x < floor {floor}x")
     if baseline and "speedups_vs_scalar" in baseline:
         for name, new in speedups.items():
             old = baseline["speedups_vs_scalar"].get(name)

@@ -80,11 +80,23 @@ class ClassificationModel:
 
     # -- the paper's two methods --------------------------------------------------
 
-    def training(self, encoded_jobs, labels) -> "ClassificationModel":
-        """Train on encoded job data and memory/compute-bound labels."""
+    def training(self, encoded_jobs, labels, *, row_index=None) -> "ClassificationModel":
+        """Train on encoded job data and memory/compute-bound labels.
+
+        With ``row_index``, ``encoded_jobs`` holds distinct encodings and
+        job ``i`` is ``encoded_jobs[row_index[i]]``, as
+        :meth:`repro.core.MCBound.train` and the online evaluator pass
+        them.  An estimator with ``fit_rows`` (KNN) fits on that pair
+        directly; any other is fitted on the expanded rows.
+        """
         X = np.asarray(encoded_jobs)
         y = np.asarray(labels)
-        self.model.fit(X, y)
+        if row_index is None:
+            self.model.fit(X, y)
+        elif hasattr(self.model, "fit_rows"):
+            self.model.fit_rows(X, row_index, y)
+        else:
+            self.model.fit(X[row_index], y)
         self._trained = True
         return self
 

@@ -4,7 +4,9 @@ Selects the configured subset of submission features, concatenates their
 values into a comma-separated string, and embeds the string with the
 sentence embedder into a fixed-width float array.  Encodings of repeated
 strings are served from the embedder's cache (the paper saves encodings
-across workflow triggers for the same reason).
+across workflow triggers for the same reason), and columnar batches are
+keyed by submission first, so the training and evaluation paths format
+and encode each distinct submission once.
 """
 
 from __future__ import annotations
@@ -29,6 +31,17 @@ def _format_value(v) -> str:
     if isinstance(v, float):
         return f"{v:g}"
     return str(v)
+
+
+def _format_column(col: np.ndarray) -> list[str]:
+    """:func:`_format_value` of every entry of a column, with the type
+    check done once for a numeric dtype."""
+    values = col.tolist()
+    if col.dtype.kind == "f":
+        return [f"{v:g}" for v in values]
+    if col.dtype.kind in "iub":
+        return list(map(str, values))
+    return [_format_value(v) for v in values]
 
 
 class FeatureEncoder:
@@ -71,23 +84,59 @@ class FeatureEncoder:
         for f in self.feature_set:
             if f not in trace:
                 raise KeyError(f"trace is missing feature column {f!r}")
-            cols.append([_format_value(v) for v in trace[f].tolist()])
+            cols.append(_format_column(trace[f]))
         return [",".join(vals) for vals in zip(*cols)]
+
+    def submission_ids(
+        self, result, known: dict, *, first_id: int | None = None
+    ) -> tuple[np.ndarray, list[str]]:
+        """Key the rows of a columnar ``ResultSet`` by submission.
+
+        Returns one int64 submission id per row, and the feature strings
+        of the submissions the caller-held map ``known`` (key -> id)
+        lacked; only those are formatted.  Known ids are reused; new ones
+        are added to ``known`` in first-seen order, numbered from
+        ``first_id`` (default ``len(known)``, which must exceed every
+        held id), so ``strings[i - first_id]`` is new id ``i``'s string.
+
+        Rows share an id only if their strings are equal: float columns
+        are keyed on their bits, because ``0.0 == -0.0`` while ``:g``
+        prints ``0`` and ``-0``.  NaN rows may get two ids for one
+        string, which costs a duplicate row and nothing else.
+        """
+        names = set(result.column_names)
+        cols, keys = [], []
+        for f in self.feature_set:
+            if f not in names:
+                raise KeyError(f"result is missing feature column {f!r}")
+            col = result.column(f)
+            cols.append(col)
+            exact = col.view(f"u{col.itemsize}") if col.dtype.kind == "f" else col
+            keys.append(exact.tolist())
+        start = len(known) if first_id is None else first_id
+        base = start - len(known)
+        ids = np.fromiter(
+            (known.setdefault(k, base + len(known)) for k in zip(*keys)),
+            np.int64,
+            len(result),
+        )
+        new = np.flatnonzero(ids >= start)
+        _, first = np.unique(ids[new], return_index=True)
+        rows = new[first]
+        formatted = [_format_column(col[rows]) for col in cols]
+        return ids, [",".join(vals) for vals in zip(*formatted)]
 
     def feature_strings_from_result(self, result) -> list[str]:
         """String construction straight off a columnar ``ResultSet``.
 
         Same strings as :meth:`feature_string` over the equivalent row
-        dicts, without ever materializing the rows — the streaming
-        training path feeds batches through here.
+        dicts, without ever materializing the rows: the per-row expansion
+        of :meth:`submission_ids`, which the streaming training path and
+        the online evaluator call directly, so that they format and
+        encode each distinct submission once.
         """
-        names = set(result.column_names)
-        cols = []
-        for f in self.feature_set:
-            if f not in names:
-                raise KeyError(f"result is missing feature column {f!r}")
-            cols.append([_format_value(v) for v in result.column(f).tolist()])
-        return [",".join(vals) for vals in zip(*cols)]
+        ids, strings = self.submission_ids(result, {})
+        return [strings[i] for i in ids.tolist()]
 
     # -- encoding ---------------------------------------------------------------------
 

@@ -135,33 +135,47 @@ class MCBound:
         """Run one training pass on the last α days before ``now``.
 
         Returns a summary dict (window, sample count, class balance,
-        published version).  Encodings come from the embedder cache when
-        the string was seen before.
+        published version).
 
-        The window is consumed batch by batch off the column store —
-        characterize, encode, then fold into a uniform reservoir of at
-        most ``config.train_reservoir`` rows — so training memory is
-        bounded by the reservoir, never the window.  Windows smaller
-        than the reservoir are used whole, in submit order, exactly as
-        the pre-streaming path did.  With ``use_idf`` the IDF table
-        updates per batch (online semantics) rather than once up front.
+        The window is consumed batch by batch off the column store: each
+        batch is characterized and keyed by submission
+        (:meth:`FeatureEncoder.submission_ids`), and the jobs' submission
+        ids and labels fold into a uniform reservoir of at most
+        ``config.train_reservoir`` jobs, so training memory is bounded by
+        the reservoir, never the window.  Only the submissions the
+        reservoir holds are encoded, each once, into a fixed store of
+        ``train_reservoir`` rows whose slots are reused as submissions
+        leave the reservoir; the fit gets the distinct rows and one row
+        index per job, never an n x d matrix.  Windows smaller than the
+        reservoir are used whole, in submit order, exactly as the
+        pre-streaming path did.  With ``use_idf`` the IDF table updates
+        per batch (online semantics) rather than once up front, so a
+        submission seen in two batches gets an id, and a row, per batch.
         """
         alpha = alpha_days if alpha_days is not None else self.config.alpha_days
         start = now - alpha * 86_400.0
         cap = self.config.train_reservoir
-        X_res = np.empty((cap, self.encoder.dim), dtype=np.float32)
+        ids_res = np.empty(cap, dtype=np.int64)
         y_res = np.empty(cap, dtype=np.int64)
+        # store[slot_of[i]] is the encoding of held submission id i
+        store = np.empty((cap, self.encoder.dim), dtype=np.float32)
+        slot_of: dict[int, int] = {}
+        free: list[int] = []
+        known: dict = {}  # submission key -> id, for the ids slot_of holds
+        next_id = 0
         rng = np.random.default_rng(self.config.embedder_seed)
         n_seen = 0
         class_counts: dict[int, int] = {}
         for batch in self.fetcher.fetch_batches(start, now):
             _job_ids, labels = self._characterize_batch(batch)
             labels = np.asarray(labels, dtype=np.int64)
-            strings = self.encoder.feature_strings_from_result(batch)
             if self.config.use_idf:
-                self.encoder.embedder.partial_fit_idf(strings)
-            Xb = self.encoder.embedder.encode(strings)
-            check_finite("MCBound.train.encodings", Xb)
+                known = {}  # each partial_fit_idf moves every encoding
+            ids, strings = self.encoder.submission_ids(batch, known, first_id=next_id)
+            if self.config.use_idf:
+                self.encoder.embedder.partial_fit_idf(
+                    [strings[i] for i in (ids - next_id).tolist()]
+                )
             unique, counts = np.unique(labels, return_counts=True)
             for u, c in zip(unique.tolist(), counts.tolist()):
                 class_counts[int(u)] = class_counts.get(int(u), 0) + int(c)
@@ -172,23 +186,40 @@ class MCBound:
             fill = positions < cap
             if np.any(fill):
                 dest = positions[fill]
-                X_res[dest] = Xb[fill]
+                ids_res[dest] = ids[fill]
                 y_res[dest] = labels[fill]
             rest = ~fill
             if np.any(rest):
                 slots = rng.integers(0, positions[rest] + 1)
                 hits = slots < cap
-                X_res[slots[hits]] = Xb[rest][hits]
+                ids_res[slots[hits]] = ids[rest][hits]
                 y_res[slots[hits]] = labels[rest][hits]
             n_seen += len(labels)
+            # free the slots of ids the fold dropped, encode the new ones
+            held = np.unique(ids_res[: min(n_seen, cap)])
+            kept = set(held.tolist())
+            for i in [i for i in slot_of if i not in kept]:
+                free.append(slot_of.pop(i))
+            fresh = held[held >= next_id].tolist()
+            if fresh:
+                X = self.encoder.embedder.encode([strings[i - next_id] for i in fresh])
+                check_finite("MCBound.train.encodings", X)
+                for i in fresh:
+                    slot_of[i] = free.pop() if free else len(slot_of)
+                store[[slot_of[i] for i in fresh]] = X
+            known = {key: i for key, i in known.items() if i in slot_of}
+            next_id += len(strings)
         if n_seen == 0:
             raise ValueError(f"no jobs in training window [{start}, {now})")
         n_fit = min(n_seen, cap)
         labels = y_res[:n_fit]
         if np.unique(labels).size < 2:
             raise ValueError("training window contains a single class")
+        held, row_index = np.unique(ids_res[:n_fit], return_inverse=True)
+        rows = store[[slot_of[i] for i in held.tolist()]]
+        del store  # the fit's float64 copy of the rows may reuse its memory
         model = ClassificationModel(self.config.algorithm, **self.config.model_params)
-        model.training(X_res[:n_fit], labels)
+        model.training(rows, labels, row_index=row_index)
         # Fit happened outside the critical section; only the publish of
         # the new model instance happens under the lock.
         with self._state_lock, self._state_guard.writing():

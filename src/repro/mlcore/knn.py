@@ -12,7 +12,10 @@ the distinct rows (first-seen order), one row index per training sample
 and each distinct row's training indices, never the n x d matrix, and
 every backend searches the distinct rows only: the k nearest points are
 the k smallest ``(distance, training index)`` pairs among the copies of
-the k nearest distinct rows.
+the k nearest distinct rows.  ``fit(X, y)`` finds the distinct rows by
+hashing each row of ``X``; ``KNeighborsClassifier.fit_rows(rows,
+row_index, y)`` takes them from a caller that already knows them (the
+training path keys jobs by submission) and hashes nothing.
 
 Backends:
 
@@ -68,6 +71,25 @@ def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _, first = np.unique(row_index, return_index=True)
     # with no repeats the rows are X itself: a copy would only add memory
     return (X[first] if first.size < len(X) else X), row_index
+
+
+def _referenced_rows(rows, row_index) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, row_index)`` reduced to the rows the index references,
+    renumbered in first-seen order; the rows become finite float64.
+
+    Nothing is hashed: two references to byte-identical rows stay two
+    rows, which ties them at every query and changes no neighbour.
+    """
+    row_index, rows = np.asarray(row_index), np.asarray(rows)
+    if row_index.ndim != 1 or row_index.dtype.kind not in "iu":
+        raise ValueError("row_index must be a 1-D integer array")
+    if row_index.size and not 0 <= row_index.min() <= row_index.max() < len(rows):
+        raise ValueError(f"row_index must lie in [0, {len(rows)})")
+    used, first, inverse = np.unique(row_index, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    if used.size < len(rows) or np.any(order != np.arange(order.size)):
+        rows = rows[used[order]]  # else every row is used, in first-seen order
+    return check_array(rows, dtype=np.float64, name="rows"), np.argsort(order)[inverse]
 
 
 def _flat_topk(qrow, key, val, n_queries: int, k: int):
@@ -278,6 +300,21 @@ class KNeighborsClassifier(_NeighborsBase):
         X, y = check_X_y(X, y, dtype=np.float64)
         self.classes_, self._y = encode_labels(y)
         self._fit_features(X)
+        return self
+
+    def fit_rows(self, rows, row_index, y) -> "KNeighborsClassifier":
+        """Fit on training sample ``i`` = ``rows[row_index[i]]``: the same
+        neighbours and predictions as ``fit(rows[row_index], y)``, without
+        building that matrix or hashing its rows.  Unreferenced rows are
+        dropped."""
+        rows, row_index = _referenced_rows(rows, row_index)
+        y = np.asarray(y)
+        if y.shape != row_index.shape:
+            raise ValueError(
+                f"row_index has {row_index.size} samples but y has shape {y.shape}"
+            )
+        self.classes_, self._y = encode_labels(y)
+        self._fit_rows(rows, row_index)
         return self
 
     # -- prediction ------------------------------------------------------------------

@@ -103,3 +103,79 @@ class TestIDFIntegration:
         enc.embedder.partial_fit_idf([enc.feature_string(r) for r in batch])
         after = enc.encode([RECORD])
         assert not np.allclose(before, after)
+
+
+def _batch(rows):
+    """A columnar ``ResultSet`` of default-feature rows, typed as the jobs
+    table stores them."""
+    from repro.storage.engine import ResultSet
+
+    dtypes = {"cores_req": np.int64, "nodes_req": np.int64, "freq_req_ghz": np.float64}
+    return ResultSet(
+        {
+            f: np.array([r[f] for r in rows], dtype=dtypes.get(f, object))
+            for f in DEFAULT_FEATURE_SET
+        }
+    )
+
+
+class TestSubmissionIds:
+    ROWS = [
+        RECORD,
+        {**RECORD, "freq_req_ghz": 2.2},
+        RECORD,
+        {**RECORD, "freq_req_ghz": 0.0},
+        {**RECORD, "freq_req_ghz": -0.0},
+        {**RECORD, "freq_req_ghz": float("nan")},
+        {**RECORD, "freq_req_ghz": 2.2},
+        {**RECORD, "freq_req_ghz": -0.0},
+        {**RECORD, "freq_req_ghz": float("nan")},
+        {**RECORD, "cores_req": 48},
+        RECORD,
+    ]
+
+    def test_expansion_is_the_feature_string_of_every_row(self):
+        enc = FeatureEncoder()
+        batch = _batch(self.ROWS)
+        ids, strings = enc.submission_ids(batch, {})
+        expanded = [strings[i] for i in ids.tolist()]
+        assert expanded == enc.feature_strings_from_result(batch)
+        assert expanded == [enc.feature_string(r) for r in self.ROWS]
+        # the keys are exact: 0.0 and -0.0 print differently, so they are
+        # two submissions although they compare equal as numbers
+        assert expanded[3].endswith(",0") and expanded[4].endswith(",-0")
+        assert ids[3] != ids[4] and ids[4] == ids[7]
+        assert ids[0] == ids[2] == ids[10] and ids[1] == ids[6]
+
+    def test_ids_are_numbered_in_first_seen_order(self):
+        enc = FeatureEncoder()
+        known = {}
+        ids, strings = enc.submission_ids(_batch(self.ROWS), known)
+        seen = []
+        for i in ids.tolist():
+            if i not in seen:
+                assert i == len(seen)
+                seen.append(i)
+        assert len(strings) == len(seen) == len(known)
+        assert sorted(known.values()) == seen
+
+    def test_ids_of_an_earlier_batch_are_reused(self):
+        enc = FeatureEncoder()
+        known = {}
+        first, first_strings = enc.submission_ids(_batch(self.ROWS[:5]), known)
+        held = dict(known)
+        later = [self.ROWS[4], {**RECORD, "job_name": "new.sh"}, self.ROWS[1], self.ROWS[5]]
+        ids, strings = enc.submission_ids(_batch(later), known)
+        assert ids[0] == first[4] and ids[2] == first[1]
+        # only the new submissions are formatted, numbered on from the map
+        assert ids[1] == len(held) and ids[3] == len(held) + 1
+        assert strings == [enc.feature_string(later[1]), enc.feature_string(later[3])]
+        assert {k: known[k] for k in held} == held
+        # a caller that forgot some ids numbers the new ones past them
+        ids, strings = enc.submission_ids(_batch(later[1:2]), {}, first_id=40)
+        assert ids.tolist() == [40] and strings == [enc.feature_string(later[1])]
+
+    def test_missing_column_raises(self):
+        enc = FeatureEncoder(feature_set=("job_name", "no_such_column"))
+        with pytest.raises(KeyError, match="no_such_column"):
+            enc.submission_ids(_batch([RECORD]), {})

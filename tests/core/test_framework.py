@@ -242,3 +242,79 @@ class TestStreamingTrain:
         fw = make_framework(tiny_trace, train_reservoir=50)
         summary = fw.train(now, alpha_days=30)
         assert sum(summary["class_counts"].values()) == summary["n_jobs"]
+
+    @pytest.mark.parametrize(
+        "use_idf, unique_names, cap",
+        [(False, False, 120), (True, False, 120), (False, True, 120), (False, False, 8)],
+    )
+    def test_large_window_matches_the_dense_reservoir_fold(
+        self, tiny_trace, now, use_idf, unique_names, cap
+    ):
+        """Above the cap, in many small batches, the fitted KNN holds the
+        matrix and labels of a reservoir folded over every job's encoding,
+        byte for byte: the id reservoir admits the same jobs, and each
+        held submission's encoding is the one its batch gave it.  With
+        every job name unique, every job is its own submission, so the
+        reservoir's evictions keep freeing and reusing store slots; at a
+        tiny cap, submissions leave the reservoir and come back."""
+        import functools
+
+        from repro.fugaku.trace import JobTrace
+        from repro.mlcore.knn import KNeighborsClassifier
+
+        if unique_names:
+            cols = {c: tiny_trace[c] for c in tiny_trace.column_names}
+            cols["job_name"] = np.array(
+                [f"{name}-{job}" for name, job in zip(
+                    tiny_trace["job_name"].tolist(), tiny_trace["job_id"].tolist()
+                )],
+                dtype=object,
+            )
+            tiny_trace = JobTrace(cols)
+        batch_rows = 40
+        cfg = dict(
+            algorithm="KNN", model_params={"n_neighbors": 3, "algorithm": "brute"},
+            train_reservoir=cap, use_idf=use_idf,
+        )
+        fw = make_framework(tiny_trace, **cfg)
+        fw.fetcher.fetch_batches = functools.partial(
+            fw.fetcher.fetch_batches, batch_rows=batch_rows
+        )
+        summary = fw.train(now, alpha_days=30)
+        assert summary["n_jobs"] > 4 * cap
+        assert summary["n_jobs"] > 10 * batch_rows
+
+        # the dense fold: every job's string, encoding and reservoir row
+        ref = make_framework(tiny_trace, **cfg)
+        X_res = np.empty((cap, ref.encoder.dim), dtype=np.float32)
+        y_res = np.empty(cap, dtype=np.int64)
+        rng = np.random.default_rng(ref.config.embedder_seed)
+        n_seen = 0
+        for batch in ref.fetcher.fetch_batches(
+            now - 30 * DAY_SECONDS, now, batch_rows=batch_rows
+        ):
+            labels = ref.characterizer.labels_from_result(batch).astype(np.int64)
+            strings = ref.encoder.feature_strings_from_result(batch)
+            if use_idf:
+                ref.encoder.embedder.partial_fit_idf(strings)
+            Xb = ref.encoder.embedder.encode(strings)
+            positions = n_seen + np.arange(len(labels))
+            fill = positions < cap
+            X_res[positions[fill]] = Xb[fill]
+            y_res[positions[fill]] = labels[fill]
+            rest = ~fill
+            if np.any(rest):
+                slots = rng.integers(0, positions[rest] + 1)
+                hits = slots < cap
+                X_res[slots[hits]] = Xb[rest][hits]
+                y_res[slots[hits]] = labels[rest][hits]
+            n_seen += len(labels)
+        assert n_seen == summary["n_jobs"]
+        dense = KNeighborsClassifier(**cfg["model_params"]).fit(X_res, y_res)
+
+        knn = fw.model.model
+        assert knn._rows[knn._row_index].tobytes() == dense._rows[dense._row_index].tobytes()
+        assert knn._y.tobytes() == dense._y.tobytes()
+        assert np.array_equal(knn.classes_, dense.classes_)
+        # the fit received one row per held submission, not per job
+        assert knn._rows.shape[0] == dense._rows.shape[0] <= cap

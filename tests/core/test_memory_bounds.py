@@ -15,6 +15,12 @@ these tests bound.
 A fitted KNN, and publishing it, are bounded by a fraction of its
 training matrix: the model keeps the distinct rows only, found one row
 at a time, and publish writes them as they are.
+
+Training and the online evaluator hold one encoding per distinct
+submission and one row id per job.  So a full reservoir's training pass
+peaks below the float64 ``cap x d`` matrix a dense fit would convert its
+reservoir to, and building the evaluator for a scale-0.05 trace peaks
+below half its dense ``n x d`` float32 encodings.
 """
 
 import functools
@@ -26,6 +32,7 @@ from repro.core.config import MCBoundConfig
 from repro.core.data_fetcher import load_trace_into_db
 from repro.core.framework import MCBound
 from repro.core.registry import ModelStore
+from repro.evaluation.online import OnlineEvaluator
 from repro.evaluation.timing import peak_memory_bytes
 from repro.fugaku.workload import generate_trace
 
@@ -40,6 +47,12 @@ PUBLISH_PEAK_FRACTION = 0.25
 #: a fitted KNN's arrays may total at most this fraction of the n x d
 #: training matrix (it keeps distinct rows, not the matrix)
 MODEL_FRACTION = 0.1
+#: reservoir cap of the full-reservoir training bound: the 28-day window
+#: holds about five times as many jobs
+FULL_RESERVOIR = 5_000
+#: building the evaluator may peak at most this fraction of the trace's
+#: dense n x d float32 encodings
+EVALUATOR_FRACTION = 0.5
 
 
 @pytest.fixture(scope="module")
@@ -127,4 +140,37 @@ def test_fitted_knn_holds_a_fraction_of_the_training_matrix(knn_window):
     assert held < MODEL_FRACTION * X.nbytes, (
         f"a {X.shape[0]}-row KNN holds {held / 1e6:.2f} MB of arrays, "
         f"{held / X.nbytes:.2f}x its {X.nbytes / 1e6:.2f} MB training matrix"
+    )
+
+
+@pytest.fixture(scope="module")
+def trace_005():
+    return generate_trace(scale=0.05)
+
+
+def test_full_reservoir_train_peaks_below_the_dense_training_matrix(trace_005):
+    config = MCBoundConfig(algorithm="KNN", train_reservoir=FULL_RESERVOIR)
+    fw = MCBound(config, load_trace_into_db(trace_005))
+    fw.fetcher.fetch_batches = functools.partial(
+        fw.fetcher.fetch_batches, batch_rows=BATCH_ROWS
+    )
+    start = float(trace_005["submit_time"].min())
+    _train(fw, start, LONG_DAYS)  # fill the label and embedder caches
+    n_jobs, peak = peak_memory_bytes(_train, fw, start, LONG_DAYS)
+    assert n_jobs >= 4 * FULL_RESERVOIR, "the reservoir must fill and turn over"
+    dense = FULL_RESERVOIR * fw.encoder.dim * np.dtype(np.float64).itemsize
+    assert peak < dense, (
+        f"training on {n_jobs} jobs at cap {FULL_RESERVOIR} peaked at "
+        f"{peak / 1e6:.2f} MB, {peak / dense:.2f}x the {dense / 1e6:.2f} MB "
+        "float64 reservoir matrix"
+    )
+
+
+def test_evaluator_peaks_below_half_its_dense_encodings(trace_005):
+    evaluator, peak = peak_memory_bytes(OnlineEvaluator, trace_005)
+    dense = len(trace_005) * evaluator.rows.shape[1] * np.dtype(np.float32).itemsize
+    assert peak < EVALUATOR_FRACTION * dense, (
+        f"building the evaluator of {len(trace_005)} jobs peaked at "
+        f"{peak / 1e6:.1f} MB, {peak / dense:.2f}x their {dense / 1e6:.1f} MB "
+        "dense encodings"
     )

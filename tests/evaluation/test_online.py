@@ -19,7 +19,8 @@ RF = ("RF", {"n_estimators": 5, "max_depth": 8, "splitter": "hist", "random_stat
 
 class TestSetup:
     def test_precomputed_state(self, evaluator, small_trace):
-        assert evaluator.X.shape == (len(small_trace), 384)
+        assert evaluator.row_index.shape == (len(small_trace),)
+        assert evaluator.rows.shape == (evaluator.row_index.max() + 1, 384)
         assert evaluator.y.shape == (len(small_trace),)
         assert evaluator.encode_time_per_job > 0
 

@@ -90,10 +90,12 @@ def test_transfer():
 
 
 def test_features_and_labels_match_the_trace_pipeline(evaluator, small_trace):
-    """The evaluator's X and y equal the paper-configuration encoder and
-    characterizer applied to the whole trace, byte for byte."""
+    """The evaluator's expanded encodings and y equal the
+    paper-configuration encoder and characterizer applied to the whole
+    trace, byte for byte."""
     X = FeatureEncoder().encode_trace(small_trace)
     y = JobCharacterizer().labels_from_trace(small_trace)
-    assert evaluator.X.dtype == X.dtype and evaluator.X.shape == X.shape
-    assert evaluator.X.tobytes() == X.tobytes()
+    expanded = evaluator.rows[evaluator.row_index]
+    assert expanded.dtype == X.dtype and expanded.shape == X.shape
+    assert expanded.tobytes() == X.tobytes()
     assert evaluator.y.dtype == y.dtype and evaluator.y.tobytes() == y.tobytes()

@@ -58,6 +58,23 @@ def duplicate_heavy(data):
     return X, np.vstack([distinct[:40], fresh])
 
 
+def as_referenced_rows(X):
+    """``(rows, row_index)`` with ``rows[row_index]`` byte-identical to
+    ``X``, laid out as ``fit_rows`` must accept it: the distinct rows in
+    reverse first-seen order (ids first used out of order), a NaN row
+    nothing references, and a byte-identical twin of the first distinct
+    row, which every other copy of that row references."""
+    ids = {}
+    first_seen = np.array([ids.setdefault(row.tobytes(), len(ids)) for row in X])
+    m = len(ids)
+    distinct = X[np.unique(first_seen, return_index=True)[1]]
+    rows = np.vstack([distinct[::-1], np.full((1, X.shape[1]), np.nan), distinct[:1]])
+    row_index = (m - 1) - first_seen
+    row_index[np.flatnonzero(first_seen == 0)[1::2]] = m + 1
+    assert rows[row_index].tobytes() == X.tobytes()
+    return rows, row_index
+
+
 @functools.lru_cache(maxsize=None)
 def duplicate_heavy_reference(data, k, p):
     X, Q = duplicate_heavy(data)
@@ -107,22 +124,56 @@ class TestNeighborEquivalence:
     @pytest.mark.parametrize("chunk_size", [1, 7, 512])
     @pytest.mark.parametrize("algorithm", ["brute", "kd_tree"])
     @pytest.mark.parametrize("data", ["lattice", "embeddings"])
+    @pytest.mark.parametrize("fit", ["fit", "fit_rows"])
     def test_brute_duplicate_heavy_matches_scalar_reference(
-        self, data, algorithm, chunk_size, k, p
+        self, fit, data, algorithm, chunk_size, k, p
     ):
         # both backends search the distinct rows and expand their copies;
         # neighbours and distances must equal the brute-force scalar
-        # reference over every row, whatever the chunking, for k up to n
+        # reference over every row, whatever the chunking, for k up to n,
+        # whether fit finds the distinct rows or fit_rows is handed them
         X, Q = duplicate_heavy(data)
+        y = np.arange(X.shape[0]) % 2
         n_distinct = len({row.tobytes() for row in X})
         assert n_distinct < len(X) // 3
         k = {"above_distinct": n_distinct + 3, "n": len(X)}.get(k, k)
         d_ref, i_ref = duplicate_heavy_reference(data, k, p)
         knn = KNeighborsClassifier(k, p=p, algorithm=algorithm, chunk_size=chunk_size)
-        knn.fit(X, np.arange(X.shape[0]) % 2)
+        if fit == "fit":
+            knn.fit(X, y)
+        else:
+            knn.fit_rows(*as_referenced_rows(X), y)
         d_b, i_b = knn.kneighbors(Q)
         assert np.array_equal(i_b, i_ref)
         assert np.array_equal(d_b, d_ref)
+        if fit == "fit_rows":
+            dense = KNeighborsClassifier(k, p=p, algorithm=algorithm, chunk_size=chunk_size)
+            dense.fit(X, y)
+            assert np.array_equal(knn.predict(Q), dense.predict(Q))
+            got, want = knn.get_state()["arrays"], dense.get_state()["arrays"]
+            assert set(got) == set(want)
+            # the twin stays its own row (fit_rows hashes nothing), so the
+            # layouts differ by it; the matrix they encode is the same
+            for name in ("classes", "y"):
+                assert got[name].dtype == want[name].dtype
+                assert np.array_equal(got[name], want[name])
+            expanded = got["rows"][got["row_index"]]
+            assert expanded.tobytes() == want["rows"][want["row_index"]].tobytes()
+            assert got["rows"].shape[0] == want["rows"].shape[0] + 1
+
+    def test_fit_rows_rejects_bad_input(self):
+        rows = np.eye(3)
+        knn = KNeighborsClassifier(1)
+        with pytest.raises(ValueError, match="y has shape"):
+            knn.fit_rows(rows, [0, 1, 2, 1], [0, 1, 0])
+        rows[1, 2] = np.inf
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            knn.fit_rows(rows, [0, 1, 2], [0, 1, 0])
+        # an unreferenced non-finite row is dropped, not rejected
+        knn.fit_rows(rows, [0, 2, 2], [0, 1, 0])
+        assert knn.get_state()["arrays"]["rows"].tobytes() == rows[[0, 2]].tobytes()
+        with pytest.raises(ValueError, match="must lie in"):
+            knn.fit_rows(rows, [0, 3], [0, 1])
 
     def test_brute_tie_free_batch_matches_scalar_reference(self):
         # continuous data: the BLAS screen only picks the rows to rescore,

@@ -19,7 +19,16 @@ from repro.core.config import DEFAULT_FEATURE_SET
 from repro.fugaku.trace import JobTrace
 from repro.nlp.embedder import SentenceEmbedder
 
-__all__ = ["FeatureEncoder"]
+__all__ = ["FeatureEncoder", "InvalidRecord", "MissingFeature"]
+
+
+class MissingFeature(KeyError):
+    """A job record lacks a feature of the encoder's feature set."""
+
+
+class InvalidRecord(ValueError):
+    """A job record's feature string is not valid Unicode (it holds a lone
+    surrogate), so it has no UTF-8 bytes to hash."""
 
 
 def _format_value(v) -> str:
@@ -72,11 +81,22 @@ class FeatureEncoder:
     # -- string construction -----------------------------------------------------
 
     def feature_string(self, record: Mapping) -> str:  # hotpath: per-record serialization behind encode()
-        """The comma-separated feature string of one raw job record."""
+        """The comma-separated feature string of one raw job record.
+
+        A record that cannot be encoded raises :class:`MissingFeature` or
+        :class:`InvalidRecord`; only this method raises them, so a caller
+        can tell the record's fault from its own.
+        """
         try:
-            return ",".join(_format_value(record[f]) for f in self.feature_set)
+            text = ",".join(_format_value(record[f]) for f in self.feature_set)
         except KeyError as exc:
-            raise KeyError(f"job record is missing feature {exc.args[0]!r}") from None
+            raise MissingFeature(f"job record is missing feature {exc.args[0]!r}") from None
+        if not text.isascii():
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                raise InvalidRecord("job record holds text that is not valid Unicode") from None
+        return text
 
     def feature_strings_from_trace(self, trace: JobTrace) -> list[str]:
         """Vectorized-ish string construction straight from trace columns."""

@@ -25,7 +25,11 @@ from repro.sanitizers import StateGuard, check_finite, new_lock
 from repro.storage.engine import SCAN_BATCH_ROWS, Database
 from repro.systems import get_system
 
-__all__ = ["MCBound"]
+__all__ = ["MCBound", "UnknownJob"]
+
+
+class UnknownJob(KeyError):
+    """No job with the requested id is stored."""
 
 
 def _concat(arrays) -> np.ndarray:
@@ -335,5 +339,5 @@ class MCBound:
         """Predict a single newly submitted job by id."""
         records = self.fetcher.fetch(job_id=job_id)
         if not records:
-            raise KeyError(f"no job with id {job_id}")
+            raise UnknownJob(f"no job with id {job_id}")
         return int(self.predict_records(records)[0])

@@ -14,15 +14,17 @@ the operations of the framework"; here the same API runs on
 - ``GET  /models``          published model versions + latest
 
 Malformed input — a body that is not a JSON object, a non-numeric time
-or id, a job that is not an object or lacks a feature or counter — gets
-a 400; only a fault of the service itself is a 5xx.
+or id, a job that is not an object, lacks a feature or counter, or holds
+text that is not valid Unicode — gets a 400, and an unknown job id a 404;
+only a fault of the service itself is a 5xx.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.core.framework import MCBound
+from repro.core.feature_encoder import InvalidRecord, MissingFeature
+from repro.core.framework import MCBound, UnknownJob
 from repro.core.job_characterizer import RECORD_COUNTERS
 from repro.mlcore.base import NotFittedError
 from repro.roofline.characterize import LABEL_NAMES
@@ -113,8 +115,8 @@ def build_app(framework: MCBound) -> App:
                 records = _job_records(body)
                 try:
                     labels = framework.predict_records(records)
-                except KeyError as exc:  # a record lacks a feature
-                    raise HTTPError(400, str(exc)) from exc
+                except (MissingFeature, InvalidRecord) as exc:
+                    raise HTTPError(400, str(exc.args[0])) from exc
                 return _label_payload(range(len(records)), labels)
             if "job_id" in body:
                 try:
@@ -127,8 +129,8 @@ def build_app(framework: MCBound) -> App:
                 return _label_payload(job_ids, labels)
         except NotFittedError as exc:
             raise HTTPError(503, str(exc)) from exc
-        except KeyError as exc:
-            raise HTTPError(404, str(exc)) from exc
+        except UnknownJob as exc:
+            raise HTTPError(404, str(exc.args[0])) from exc
         raise HTTPError(400, "body must contain 'jobs', 'job_id' or a time window")
 
     @app.route("/characterize", methods=("POST",))

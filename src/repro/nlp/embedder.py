@@ -13,25 +13,43 @@ Determinism: hashing is FNV-1a with fixed seeds; the embedding of a string
 depends only on (string, dim, n_hashes, seed, idf state).
 
 Performance: job feature strings repeat heavily (batches of identical
-jobs), so per-string vectors are memoized in an internal LRU cache and
-:meth:`encode` deduplicates its input before embedding — a batch of
-identical jobs costs one embedding plus dictionary lookups.  Cache misses
-are embedded together: token contributions for the whole batch are
-scattered into the ``(n, dim)`` output with a single ``np.bincount`` over
-flattened ``(row, dim)`` cells, in document-major token order, so each
-dimension accumulates its floating-point adds in exactly the order the
-scalar :meth:`_embed_one` loop would — batch and scalar embeddings are
-bit-for-bit identical (asserted by the equivalence tests; the pre-PR
-per-string encode loop is preserved in :mod:`repro.nlp.reference`).
+jobs), so per-string vectors are memoized in an LRU cache and
+:meth:`encode` deduplicates its input before embedding.  The strings that
+miss are embedded together through an interned token table:
+
+- Each distinct token owns one table row: its ``n_hashes`` dimensions
+  (collapsed keep-last, the dropped ones pointing at a dummy column
+  ``dim``), their signs, its IDF token id, and its IDF weight with the
+  generation that computed it.  Words and n-grams are looked up in two
+  vocabularies keyed on the tokenizer's raw pieces, by ``map`` passes
+  over the batch with no Python call per token; only the tokens a batch
+  adds are hashed, each once in its table lifetime.
+- A string becomes an int32 array of table rows in ``feature_tokens``
+  order (words, the words again, then n-grams), memoized per string.
+- A batch is one gather of its rows and one ``np.bincount`` over
+  flattened ``(string, dim + 1)`` cells, the dummy column sliced off.
+  bincount adds its input in order, so every dimension sums its floats in
+  the order of the per-token loop in :mod:`repro.nlp.reference`, and the
+  two are bit-for-bit identical.
+
+Bounds: the vector cache and the per-string row cache each hold at most
+``cache_size`` strings; the table holds at most ``4 * cache_size + 1024``
+tokens, and is emptied, with the row cache, before a batch that would
+overflow it (a single batch's tokens always fit).  One lock guards the
+table and both caches, so concurrent :meth:`encode` calls, and
+:meth:`partial_fit_idf`, never see them half-updated.
 """
 
 from __future__ import annotations
+
+from itertools import chain, filterfalse
 
 import numpy as np
 
 from repro.nlp.hashing import hash_token
 from repro.nlp.tfidf import DocumentFrequencyTable
-from repro.nlp.tokenizer import feature_tokens
+from repro.nlp.tokenizer import char_ngrams, word_tokens
+from repro.sanitizers import new_lock
 
 __all__ = ["SentenceEmbedder"]
 
@@ -44,6 +62,12 @@ def row_norms(M: np.ndarray) -> np.ndarray:
     they drift in the last bit; this helper is that single shared op.
     """
     return np.sqrt((M * M).sum(axis=-1))
+
+
+def _grown(a: np.ndarray, rows: int) -> np.ndarray:
+    out = np.empty((rows,) + a.shape[1:], dtype=a.dtype)
+    out[: len(a)] = a
+    return out
 
 
 class SentenceEmbedder:
@@ -66,9 +90,10 @@ class SentenceEmbedder:
     ngram_range:
         Character n-gram sizes fed to the tokenizer.
     cache_size:
-        Maximum number of distinct strings memoized (LRU eviction: a
-        cache hit refreshes the entry's recency, evictions drop the least
-        recently used string).
+        Maximum number of distinct strings memoized, as vectors (LRU
+        eviction: a cache hit refreshes the entry's recency, evictions
+        drop the least recently used string) and as token rows; the token
+        table holds at most ``4 * cache_size + 1024`` tokens.
     """
 
     def __init__(
@@ -95,132 +120,138 @@ class SentenceEmbedder:
         self.cache_size = int(cache_size)
         self.idf_table = DocumentFrequencyTable()
         self._cache: dict[str, np.ndarray] = {}
-        # token -> (dims, signs, token_id); memoizes hashing too
-        self._token_cache: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
-        # token -> (dims, signs * idf_weight, idf generation); entries from
-        # an older generation are stale and recomputed on demand
-        self._contrib_cache: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
-        # text -> token list.  Tokenization is pure Python (the dominant
-        # cost of a distinct-string embed) and independent of IDF state,
-        # so unlike the vector cache this memo survives partial_fit_idf's
-        # invalidation: re-encoding a known string after a refit skips
-        # the tokenizer entirely.
-        self._tokens_cache: dict[str, list[str]] = {}
+        self._lock = new_lock("repro.nlp.SentenceEmbedder")
+        # the projection hashes, then the IDF token id
+        self._seeds = [self.seed * 1000 + k for k in range(self.n_hashes)] + [self.seed]
+        self._table_bound = 4 * self.cache_size + 1024
+        # the token table, one row per token; _n_tokens rows are in use
+        self._dims = np.empty((0, self.n_hashes), dtype=np.intp)
+        self._signs = np.empty((0, self.n_hashes), dtype=np.float64)
+        self._ids = np.empty(0, dtype=np.uint64)
+        self._weight = np.empty(0, dtype=np.float64)
+        self._weight_gen = np.empty(0, dtype=np.int64)
         self._idf_gen = 0
+        self._reset_table()
 
-    # -- token machinery -------------------------------------------------------
+    # -- token table ------------------------------------------------------------
 
-    def _tokens_of(self, text: str) -> list[str]:  # hotpath: tokenization behind every encode()
-        hit = self._tokens_cache.get(text)
-        if hit is not None:
-            self._tokens_cache[text] = self._tokens_cache.pop(text)  # LRU: refresh
-            return hit
-        tokens = feature_tokens(text, n_min=self.ngram_range[0], n_max=self.ngram_range[1])
-        if self.cache_size:
-            if len(self._tokens_cache) >= self.cache_size:
-                self._tokens_cache.pop(next(iter(self._tokens_cache)))
-            self._tokens_cache[text] = tokens
-        return tokens
+    def _reset_table(self) -> None:
+        """Forget every token, and the per-string rows that point at them."""
+        self._words: dict[str, int] = {}
+        self._grams: dict[str, int] = {}
+        self._rows: dict[str, np.ndarray] = {}
+        self._n_tokens = 0
 
-    def _token_projection(self, token: str) -> tuple[np.ndarray, np.ndarray, int]:
-        hit = self._token_cache.get(token)
-        if hit is not None:
-            return hit
-        dims = np.empty(self.n_hashes, dtype=np.int64)
-        signs = np.empty(self.n_hashes, dtype=np.float64)
-        for k in range(self.n_hashes):
-            h = hash_token(token, seed=self.seed * 1000 + k)
-            dims[k] = h % self.dim
-            signs[k] = 1.0 if (h >> 63) & 1 else -1.0
-        if self.n_hashes > 1:
-            # Fancy-assignment semantics of ``v[dims] += signs * w``: when
-            # two hashes of one token collide on a dimension, only the last
-            # write sticks.  Collapse such duplicates (keep the last) here
-            # so every downstream accumulation — fancy add and bincount
-            # scatter alike — agrees with that historical rule bit-for-bit.
-            last_pos = {int(d): k for k, d in enumerate(dims)}
-            if len(last_pos) < self.n_hashes:
-                keep = np.array(sorted(last_pos.values()), dtype=np.intp)
-                dims = dims[keep]
-                signs = signs[keep]
-        token_id = hash_token(token, seed=self.seed)
-        entry = (dims, signs, token_id)
-        if len(self._token_cache) < 4 * self.cache_size + 1024:
-            self._token_cache[token] = entry
-        return entry
+    def _intern(self, words: list[str], grams: list[str]) -> None:
+        """Append one table row per new word, then per new n-gram."""
+        tokens = [f"w:{w}" for w in words] + [f"g:{g}" for g in grams]
+        h = np.array([[hash_token(t, s) for s in self._seeds] for t in tokens], dtype=np.uint64)
+        k = self.n_hashes
+        dims = (h[:, :k] % np.uint64(self.dim)).astype(np.intp)
+        if k > 1:
+            # ``v[dims] += signs * w`` keeps only the last write when two
+            # hashes of one token land on one dimension; point the earlier
+            # ones at the dummy column, so each real cell gets exactly the
+            # adds of the per-token loop
+            later = np.triu(np.ones((k, k), dtype=bool), 1)
+            dims[((dims[:, :, None] == dims[:, None, :]) & later).any(axis=2)] = self.dim
+        start, stop = self._n_tokens, self._n_tokens + len(tokens)
+        if stop > len(self._ids):
+            rows = max(stop, 2 * len(self._ids), 256)
+            self._dims, self._signs, self._ids, self._weight, self._weight_gen = (
+                _grown(a, rows)
+                for a in (self._dims, self._signs, self._ids, self._weight, self._weight_gen)
+            )
+        self._dims[start:stop] = dims
+        self._signs[start:stop] = np.where(h[:, :k] >> np.uint64(63), 1.0, -1.0)
+        self._ids[start:stop] = h[:, k]
+        self._weight_gen[start:stop] = -1  # no weight computed yet
+        self._words.update(zip(words, range(start, stop)))
+        self._grams.update(zip(grams, range(start + len(words), stop)))
+        self._n_tokens = stop
 
-    def _token_contrib(self, token: str) -> tuple[np.ndarray, np.ndarray]:
-        """``(dims, signs * weight)`` for one token under the current IDF."""
-        hit = self._contrib_cache.get(token)
-        if hit is not None and hit[2] == self._idf_gen:
-            return hit[0], hit[1]
-        dims, signs, tok_id = self._token_projection(token)
-        w = self.idf_table.idf(tok_id) if self.use_idf else 1.0
-        contrib = signs * w
-        if len(self._contrib_cache) < 4 * self.cache_size + 1024:
-            self._contrib_cache[token] = (dims, contrib, self._idf_gen)
-        return dims, contrib
-
-    def _embed_one(self, text: str) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=np.float64)
-        tokens = self._tokens_of(text)
-        if not tokens:
-            out = np.zeros(self.dim, dtype=np.float32)
-            out[0] = 1.0  # canonical vector for empty strings
+    def _token_rows(self, texts: list[str]) -> list[np.ndarray]:  # hotpath: tokenizes every embedded string
+        """Each text's table rows in ``feature_tokens`` order, interning
+        the tokens the table lacks.  The caller holds ``_lock``."""
+        out: list = []
+        missed: list[tuple[int, str]] = []
+        for text in texts:
+            rows = self._rows.pop(text, None)
+            if rows is None:
+                missed.append((len(out), text))
+            else:
+                self._rows[text] = rows  # LRU: refresh recency
+            out.append(rows)
+        if not missed:
             return out
-        for tok in tokens:
-            dims, contrib = self._token_contrib(tok)
-            v[dims] += contrib
-        norm = float(row_norms(v))
-        if norm > 0:
-            v /= norm
-        return v.astype(np.float32)
+        n_min, n_max = self.ngram_range
+        words = [word_tokens(text) for _, text in missed]
+        grams = [char_ngrams(text, n_min, n_max) for _, text in missed]
+        all_words = list(chain.from_iterable(words))
+        all_grams = list(chain.from_iterable(grams))
+        new_words = dict.fromkeys(filterfalse(self._words.__contains__, all_words))
+        new_grams = dict.fromkeys(filterfalse(self._grams.__contains__, all_grams))
+        if new_words or new_grams:
+            if self._n_tokens and self._n_tokens + len(new_words) + len(new_grams) > self._table_bound:
+                self._reset_table()
+                return self._token_rows(texts)
+            self._intern(list(new_words), list(new_grams))
+        word_rows = list(map(self._words.__getitem__, all_words))
+        gram_rows = list(map(self._grams.__getitem__, all_grams))
+        flat: list[int] = []
+        sizes: list[int] = []
+        w = g = 0
+        for ws, gs in zip(words, grams):
+            w_end, g_end = w + len(ws), g + len(gs)
+            flat += word_rows[w:w_end]
+            flat += word_rows[w:w_end]  # words count twice, as in feature_tokens
+            flat += gram_rows[g:g_end]
+            sizes.append(2 * len(ws) + len(gs))
+            w, g = w_end, g_end
+        parts = np.split(np.array(flat, dtype=np.int32), np.cumsum(sizes)[:-1])
+        for (j, text), rows in zip(missed, parts):
+            out[j] = rows
+            if self.cache_size:
+                if len(self._rows) >= self.cache_size:
+                    self._rows.pop(next(iter(self._rows)))
+                self._rows[text] = rows
+        return out
+
+    def _weights(self, flat: np.ndarray) -> np.ndarray:
+        """IDF weight of each gathered row; rows weighed under an older IDF
+        generation are recomputed first."""
+        stale = np.unique(flat[self._weight_gen[flat] != self._idf_gen])
+        if stale.size:
+            idf = self.idf_table.idf
+            self._weight[stale] = [idf(i) for i in self._ids[stale].tolist()]
+            self._weight_gen[stale] = self._idf_gen
+        return self._weight[flat]
 
     def _embed_batch(self, texts: list[str]) -> np.ndarray:  # hotpath: batched projection behind encode()
-        """Embed distinct strings together, bit-for-bit like ``_embed_one``.
+        """Embed strings together, bit-for-bit like the per-token loop.
 
-        Token contributions are collected document-major and scattered with
-        one ``np.bincount`` over flattened ``(row, dim)`` cells.  bincount
-        accumulates its input sequentially, so each output dimension sums
-        its contributions in the same order as the scalar per-token loop —
-        identical floating-point results, ~one NumPy call instead of one
-        per token.
+        One gather of the batch's table rows and one ``np.bincount`` over
+        flattened ``(string, dim + 1)`` cells; see the module docstring.
+        The caller holds ``_lock``.
         """
-        n = len(texts)
-        dim_parts: list[np.ndarray] = []
-        contrib_parts: list[np.ndarray] = []
-        counts = np.zeros(n, dtype=np.int64)  # scatter entries per document
-        empty_rows: list[int] = []
-        for j, text in enumerate(texts):
-            tokens = self._tokens_of(text)
-            if not tokens:
-                empty_rows.append(j)
-                continue
-            c = 0
-            for tok in tokens:
-                dims, contrib = self._token_contrib(tok)
-                dim_parts.append(dims)
-                contrib_parts.append(contrib)
-                c += dims.size
-            counts[j] = c
-        if dim_parts:
-            flat_dim = np.concatenate(dim_parts)
-            flat_contrib = np.concatenate(contrib_parts)
-            row_of = np.repeat(np.arange(n, dtype=np.int64), counts)
-            M = np.bincount(
-                row_of * self.dim + flat_dim,
-                weights=flat_contrib,
-                minlength=n * self.dim,
-            ).reshape(n, self.dim)
-        else:
-            M = np.zeros((n, self.dim), dtype=np.float64)
+        rows = self._token_rows(texts)
+        n, width = len(texts), self.dim + 1
+        counts = np.fromiter(map(len, rows), dtype=np.intp, count=n)
+        flat = np.concatenate(rows)
+        contrib = self._signs[flat]
+        if self.use_idf:
+            contrib *= self._weights(flat)[:, None]
+        cells = self._dims[flat] + np.repeat(np.arange(0, n * width, width), counts)[:, None]
+        M = np.bincount(cells.ravel(), weights=contrib.ravel(), minlength=n * width)
+        # (an all-empty batch has no weights, and bincount then counts ints)
+        M = M.astype(np.float64, copy=False).reshape(n, width)[:, : self.dim]
         norms = row_norms(M)
         nz = norms > 0
         M[nz] /= norms[nz, None]
         out = M.astype(np.float32)
-        for j in empty_rows:
-            out[j] = 0.0
-            out[j, 0] = 1.0  # canonical vector for empty strings
+        empty = counts == 0
+        out[empty] = 0.0
+        out[empty, 0] = 1.0  # canonical vector for empty strings
         return out
 
     # -- public API -----------------------------------------------------------
@@ -230,74 +261,59 @@ class SentenceEmbedder:
 
         Returns a float32 array of shape ``(dim,)`` for a single string or
         ``(n, dim)`` for a sequence.  Rows are L2-normalized.  Repeated
-        strings are embedded once (cache + in-batch deduplication).
+        strings are embedded once (cache + in-batch deduplication).  Safe
+        to call from several threads at once.
         """
         if isinstance(texts, str):
-            return self._encode_cached(texts).copy()
+            return self.encode([texts])[0]
         texts = list(texts)
         for t in texts:
             if not isinstance(t, str):
                 raise TypeError(f"expected str, got {type(t).__name__}")
         out = np.empty((len(texts), self.dim), dtype=np.float32)
-        miss_pos: dict[str, int] = {}  # distinct uncached text -> batch row
-        for i, t in enumerate(texts):
-            hit = self._cache.get(t)
-            if hit is not None:
-                self._cache[t] = self._cache.pop(t)  # LRU: refresh recency
-                out[i] = hit
-            elif t not in miss_pos:
-                miss_pos[t] = len(miss_pos)
-        if miss_pos:
-            M = self._embed_batch(list(miss_pos))
+        with self._lock:
+            miss_pos: dict[str, int] = {}  # distinct uncached text -> batch row
             for i, t in enumerate(texts):
-                j = miss_pos.get(t)
-                if j is not None:
-                    out[i] = M[j]
-            for t, j in miss_pos.items():
-                self._cache_store(t, M[j].copy())
+                hit = self._cache.get(t)
+                if hit is not None:
+                    self._cache[t] = self._cache.pop(t)  # LRU: refresh recency
+                    out[i] = hit
+                elif t not in miss_pos:
+                    miss_pos[t] = len(miss_pos)
+            if miss_pos:
+                M = self._embed_batch(list(miss_pos))
+                for i, t in enumerate(texts):
+                    j = miss_pos.get(t)
+                    if j is not None:
+                        out[i] = M[j]
+                if self.cache_size:
+                    for t, j in miss_pos.items():
+                        if len(self._cache) >= self.cache_size:
+                            # evict the least recently used entry (hits
+                            # re-append, so insertion order is recency order)
+                            self._cache.pop(next(iter(self._cache)))
+                        self._cache[t] = M[j].copy()
         return out
-
-    def _encode_cached(self, text: str) -> np.ndarray:
-        hit = self._cache.get(text)
-        if hit is not None:
-            self._cache[text] = self._cache.pop(text)  # LRU: refresh recency
-            return hit
-        v = self._embed_one(text)
-        self._cache_store(text, v)
-        return v
-
-    def _cache_store(self, text: str, v: np.ndarray) -> None:
-        if not self.cache_size:
-            return
-        if len(self._cache) >= self.cache_size:
-            # evict the least recently used entry (hits re-append, so the
-            # dict's insertion order is recency order)
-            self._cache.pop(next(iter(self._cache)))
-        self._cache[text] = v
 
     def partial_fit_idf(self, texts) -> "SentenceEmbedder":
         """Update the online IDF table with a batch of strings.
 
-        Tokenization goes through the same memoized per-token machinery as
-        :meth:`encode` (each distinct string is tokenized once per call).
-        Invalidate the string cache afterwards, since weights changed.
+        Each distinct string is tokenized once, its token ids read from the
+        token table.  The IDF generation then moves on, so every table
+        weight is recomputed when next used, and the vector cache empties.
         """
-        token_memo: dict[str, list[int]] = {}
-        docs = []
-        for t in texts:
-            ids = token_memo.get(t)
-            if ids is None:
-                ids = token_memo[t] = [
-                    self._token_projection(tok)[2] for tok in self._tokens_of(t)
-                ]
-            docs.append(ids)
-        self.idf_table.partial_fit(docs)
-        self._idf_gen += 1  # cached token contributions are now stale
-        self._cache.clear()
+        texts = list(texts)
+        with self._lock:
+            distinct = list(dict.fromkeys(texts))
+            ids = {t: self._ids[r].tolist() for t, r in zip(distinct, self._token_rows(distinct))}
+            self.idf_table.partial_fit(ids[t] for t in texts)
+            self._idf_gen += 1
+            self._cache.clear()
         return self
 
     def clear_cache(self) -> None:
-        self._cache.clear()
+        with self._lock:
+            self._cache.clear()
 
     @property
     def cache_len(self) -> int:
@@ -307,6 +323,8 @@ class SentenceEmbedder:
 
     def config_dict(self) -> dict:
         """Serializable constructor arguments + IDF state."""
+        with self._lock:
+            idf_state = self.idf_table.state_dict()
         return {
             "dim": self.dim,
             "n_hashes": self.n_hashes,
@@ -314,7 +332,7 @@ class SentenceEmbedder:
             "use_idf": self.use_idf,
             "ngram_range": list(self.ngram_range),
             "cache_size": self.cache_size,
-            "idf_state": self.idf_table.state_dict(),
+            "idf_state": idf_state,
         }
 
     @classmethod

@@ -1,5 +1,9 @@
 """Tests for the MCBound HTTP API (§III-E)."""
 
+import random
+import string
+import tracemalloc
+
 import pytest
 
 from repro.core import MCBound, MCBoundConfig, build_app, load_trace_into_db
@@ -98,6 +102,55 @@ class TestPredictEndpoint:
         client.post("/train", json_body={"now": NOW})
         assert client.post("/predict", json_body={"bogus": 1}).status == 400
         assert client.post("/predict", json_body={"jobs": "notalist"}).status == 400
+
+    def test_lone_surrogate_in_a_job_is_a_400(self, client):
+        client.post("/train", json_body={"now": NOW})
+        job = {
+            "user_name": "riken-ra0001", "job_name": "x\ud800y", "cores_req": 48,
+            "nodes_req": 1, "environment": "gcc", "freq_req_ghz": 2.0,
+        }
+        # json.dumps escapes the surrogate, so the body is valid JSON text
+        r = client.post("/predict", json_body={"jobs": [job]})
+        assert r.status == 400
+        assert "Unicode" in r.json()["error"]
+        assert "Traceback" not in r.json()["error"]
+
+    def test_a_50k_letter_job_name_is_answered_in_bounded_memory(self, client):
+        client.post("/train", json_body={"now": NOW})
+        name = "".join(random.Random(0).choices(string.ascii_lowercase, k=50_000))
+        job = {
+            "user_name": "riken-ra0001", "job_name": name, "cores_req": 48,
+            "nodes_req": 1, "environment": "gcc", "freq_req_ghz": 2.0,
+        }
+        # one 50,002-byte word token and ~64K distinct n-grams: hashing that
+        # pads every token to the longest would need gigabytes
+        tracemalloc.start()
+        try:
+            r = client.post("/predict", json_body={"jobs": [job]})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.status == 200
+        assert peak < 64 * 2**20
+
+    def test_internal_key_error_is_not_the_clients_fault(self, tiny_trace, monkeypatch):
+        cfg = MCBoundConfig(algorithm="KNN", model_params={"n_neighbors": 3}, alpha_days=20.0)
+        fw = MCBound(cfg, load_trace_into_db(tiny_trace))
+        client = TestClient(build_app(fw))
+        assert client.post("/train", json_body={"now": NOW}).status == 201
+
+        def broken(texts):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(fw.encoder.embedder, "encode", broken)
+        job = {
+            "user_name": "riken-ra0001", "job_name": "run.sh", "cores_req": 48,
+            "nodes_req": 1, "environment": "gcc", "freq_req_ghz": 2.0,
+        }
+        assert client.post("/predict", json_body={"jobs": [job]}).status == 500
+        assert client.post("/predict", json_body={"job_id": 1}).status == 500
+        del job["job_name"]
+        assert client.post("/predict", json_body={"jobs": [job]}).status == 400
 
 
 class TestCharacterizeEndpoint:

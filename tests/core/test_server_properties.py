@@ -2,7 +2,7 @@
 
 After one successful ``/train``, any JSON document posted to ``/train``,
 ``/predict`` or ``/characterize`` — wrong shapes, wrong types, missing
-fields, NaN, huge numbers — gets a 2xx or a 4xx.  Malformed input is the
+fields, NaN, huge numbers, lone surrogates — gets a 2xx or a 4xx.  Malformed input is the
 client's error, never the service's.
 """
 
@@ -33,7 +33,9 @@ TEMPLATE_JOB = {
     "nodes_alloc": 1,
 }
 
-_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+#: text may hold lone surrogates, which JSON can escape but UTF-8 cannot encode
+_text = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=6)
+_scalars = st.none() | st.booleans() | st.integers() | st.floats() | _text
 _json = st.recursive(
     _scalars,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nlp.embedder import SentenceEmbedder
 from repro.nlp.reference import embed_one_scalar, encode_scalar
@@ -52,7 +54,7 @@ class TestBatchScalarParity:
     def test_embed_one_is_the_scalar_reference(self):
         emb = SentenceEmbedder(dim=64, cache_size=0)
         for t in TEXTS:
-            assert np.array_equal(emb._embed_one(t), embed_one_scalar(emb, t))
+            assert np.array_equal(emb.encode(t), embed_one_scalar(emb, t))
 
 
 class TestLRUCache:
@@ -101,3 +103,45 @@ class TestPartialFitIdf:
         # weights changed, so cached contributions must have been recomputed
         assert not np.array_equal(before, after)
         assert np.array_equal(after, encode_scalar(emb, TEXTS))
+
+
+#: arbitrary Unicode, plus the corners of the tokenizer: non-ASCII digits
+#: that ``\d`` matches, "İ" (lowercasing makes it two characters), empty
+#: and whitespace-only strings, and strings shorter than ``n_min``
+_text = st.one_of(
+    st.text(max_size=30),
+    st.text(st.sampled_from("İi\u0307٣৭7aZ_-,./ \t"), max_size=8),
+    st.sampled_from(["", " ", "\t\n", "a", "ab", "İ", "٣", "x,1,2"]),
+)
+_batches = st.lists(_text, min_size=1, max_size=12)
+
+
+class TestOracleProperty:
+    """``encode`` equals the scalar oracle bit for bit, however the table
+    and caches were filled by earlier calls."""
+
+    @pytest.mark.parametrize(
+        "config", [{}, {"dim": 2, "n_hashes": 4}], ids=["default", "dim2-hashes4"]
+    )
+    def test_encode_is_the_oracle(self, config):
+        emb = SentenceEmbedder(**config)
+
+        @given(_batches)
+        @settings(max_examples=150, deadline=None)
+        def check(texts):
+            assert np.array_equal(emb.encode(texts), encode_scalar(emb, texts))
+
+        check()
+
+    def test_encode_is_the_oracle_across_idf_refits(self):
+        emb = SentenceEmbedder(dim=64, use_idf=True)
+
+        @given(_batches, _batches, _batches)
+        @settings(max_examples=100, deadline=None)
+        def check(before, fit, after):
+            assert np.array_equal(emb.encode(before), encode_scalar(emb, before))
+            emb.partial_fit_idf(fit)
+            both = after + before
+            assert np.array_equal(emb.encode(both), encode_scalar(emb, both))
+
+        check()

@@ -1,9 +1,10 @@
 """The MCBound facade: the four components wired together (paper Fig. 1).
 
 Owns the Data Fetcher, Feature Encoder, Job Characterizer and the current
-Classification Model instance, plus the two caches the paper's Fugaku
-implementation keeps (§V-A): characterizations and encodings computed by
-one workflow trigger are reused by later triggers.
+Classification Model instance.  The paper's Fugaku implementation also
+reuses characterizations and encodings across workflow triggers (§V-A):
+here the embedder caches encodings, and characterizations are recomputed,
+one vectorized pass per batch, which costs less than keeping them.
 """
 
 from __future__ import annotations
@@ -79,17 +80,15 @@ class MCBound:
         )
         self.store = ModelStore(model_store_root) if model_store_root else None
         self.model: ClassificationModel | None = None
-        #: job_id -> ground-truth label, filled by characterization passes
-        self.label_cache: dict[int, int] = {}
         #: submission string -> predicted label; users submit batches of
         #: identical jobs (§V-C.c), so the serve path memoizes on the raw
         #: string and skips encoder+forest for repeats.  Guarded by
         #: _state_lock; invalidated whenever a new model is published.
         self._predict_memo: OrderedDict[str, int] = OrderedDict()
         self._memo_model: ClassificationModel | None = None
-        # One lock serializes every cross-thread write to model/label_cache:
-        # the serving path (per-request threads) races the Training Workflow
-        # over both.  Reentrant because train() characterizes under it too.
+        # One lock serializes every cross-thread write to model and the
+        # memo: the serving path (per-request threads) races the Training
+        # Workflow over both.
         self._state_lock = new_lock("repro.core.MCBound.state")
         self._state_guard = StateGuard("repro.core.MCBound.state")
 
@@ -98,9 +97,7 @@ class MCBound:
     def characterize_window(self, start_time: float, end_time: float):
         """Label all jobs of a window; returns (job_ids, labels).
 
-        The concatenation of :meth:`characterize_window_batches`, so the
-        labels land in :attr:`label_cache` for the later triggers whose
-        windows overlap this one (§V-A).
+        The concatenation of :meth:`characterize_window_batches`.
         """
         parts = list(self.characterize_window_batches(start_time, end_time))
         return _concat(ids for ids, _ in parts), _concat(labels for _, labels in parts)
@@ -113,11 +110,7 @@ class MCBound:
         Each batch is fetched and characterized straight off the column
         store — no row dicts — so the working set of a month-scale window
         is O(``batch_rows``); :meth:`characterize_window` concatenates them.
-        Labels land in :attr:`label_cache` batch by batch (recomputing a
-        cached job is cheaper vectorized than checking), and that cache
-        keeps one entry per job it has not seen before: on a scale-0.05
-        trace a cold pass peaks at 0.78 MB for 5.7k jobs and 2.80 MB for
-        25.5k, a warm pass at 0.29 MB for either.
+        Nothing is kept once a batch is yielded.
         """
         for batch in self.fetcher.fetch_batches(
             start_time, end_time, batch_rows=batch_rows
@@ -125,13 +118,9 @@ class MCBound:
             yield self._characterize_batch(batch)
 
     def _characterize_batch(self, batch):
-        """Label one columnar batch; updates the label cache."""
+        """Label one columnar batch; returns (job_ids, labels)."""
         job_ids = batch.column("job_id").astype(np.int64, copy=False)
-        labels = self.characterizer.labels_from_result(batch)
-        updates = dict(zip(job_ids.tolist(), (int(v) for v in labels)))
-        with self._state_lock, self._state_guard.writing():
-            self.label_cache.update(updates)
-        return job_ids, labels
+        return job_ids, self.characterizer.labels_from_result(batch)
 
     # -- training -----------------------------------------------------------------------
 
@@ -224,10 +213,8 @@ class MCBound:
         del store  # the fit's float64 copy of the rows may reuse its memory
         model = ClassificationModel(self.config.algorithm, **self.config.model_params)
         model.training(rows, labels, row_index=row_index)
-        # Fit happened outside the critical section; only the publish of
-        # the new model instance happens under the lock.
-        with self._state_lock, self._state_guard.writing():
-            self.model = model
+        # Store first: a publish that raises leaves the previous model
+        # serving, so the live model is always one a restart reloads.
         version = None
         if self.store is not None:
             version = self.store.publish(
@@ -236,6 +223,10 @@ class MCBound:
                 trained_at=now,
                 window=(start, now),
             )
+        # Fit and publish happened outside the critical section; only the
+        # swap of the model instance happens under the lock.
+        with self._state_lock, self._state_guard.writing():
+            self.model = model
         return {
             "window": (start, now),
             "n_jobs": n_seen,

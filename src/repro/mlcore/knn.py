@@ -168,6 +168,15 @@ class _NeighborsBase:
                 8.0 * d * float(np.finfo(np.float64).smallest_subnormal),
             )
 
+    def _row_arrays(self) -> dict:
+        """The archive's ``rows`` and ``row_index``.  ``rows`` is written as
+        float32 when the float64 -> float32 round trip is exact, as it is
+        for the float32 encodings :meth:`MCBound.train` fits on;
+        :meth:`_load_rows` widens it back bit for bit."""
+        narrow = self._rows.astype(np.float32)
+        rows = narrow if np.array_equal(narrow, self._rows) else self._rows
+        return {"rows": rows, "row_index": self._row_index}
+
     def _load_rows(self, arrays: dict) -> None:
         """Rebuild from an archive: its distinct rows as they are, or the
         whole ``X`` of an archive written before that layout."""
@@ -354,8 +363,7 @@ class KNeighborsClassifier(_NeighborsBase):
             "arrays": {
                 "classes": self.classes_,
                 "y": self._y,
-                "rows": self._rows,
-                "row_index": self._row_index,
+                **self._row_arrays(),
             },
         }
 
@@ -459,8 +467,7 @@ class KNeighborsRegressor(_NeighborsBase):
             },
             "arrays": {
                 "targets": self._targets,
-                "rows": self._rows,
-                "row_index": self._row_index,
+                **self._row_arrays(),
             },
         }
 

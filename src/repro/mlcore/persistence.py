@@ -5,10 +5,12 @@ model instances are written to the filesystem so different versions can be
 kept and reloaded, without the arbitrary-code-execution risk of pickle.
 
 Format: a directory with ``manifest.json`` (model class, metadata, nested
-child references) and one ``.npy``-in-``.npz`` archive per state level.
-A model participates by implementing ``get_state() -> dict`` with keys
-``meta`` (JSON-serializable), ``arrays`` (name -> ndarray) and optionally
-``children`` (name -> nested state), plus a ``from_state`` classmethod.
+child references) and ``arrays.npz``, one zip holding every state level's
+arrays as ``.npy`` members, deflated at level 1; ``np.load`` reads it as
+it reads any ``.npz``.  A model participates by implementing
+``get_state() -> dict`` with keys ``meta`` (JSON-serializable), ``arrays``
+(name -> ndarray) and optionally ``children`` (name -> nested state),
+plus a ``from_state`` classmethod.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from __future__ import annotations
 import errno
 import json
 import os
-import re
 import shutil
 import uuid
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +79,17 @@ def _unflatten_state(manifest: dict, prefix: str, arrays) -> dict:
     return state
 
 
+def _write_archive(file: Path, arrays: dict[str, np.ndarray]) -> None:
+    """Write ``arrays`` to ``file`` as an ``.npz``: one ``.npy`` member per
+    array, deflated at level 1, which on a served KNN takes a third of the
+    time of ``np.savez_compressed``'s level 6."""
+    with zipfile.ZipFile(file, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as zf:
+        for key, arr in arrays.items():
+            # zip64 as np.savez forces it: a member's size is unknown upfront
+            with zf.open(f"{key}.npy", "w", force_zip64=True) as f:
+                np.lib.format.write_array(f, arr, allow_pickle=False)
+
+
 def save_model(model, path: str | Path) -> Path:
     """Serialize a model to directory ``path`` (created/overwritten)."""
     classes = _model_classes()
@@ -92,7 +105,7 @@ def save_model(model, path: str | Path) -> Path:
     arrays: dict[str, np.ndarray] = {}
     _flatten_state(state, "", manifest, arrays)
     (path / "manifest.json").write_text(json.dumps(manifest))
-    np.savez_compressed(path / "arrays.npz", **arrays)
+    _write_archive(path / "arrays.npz", arrays)
     return path
 
 
@@ -107,9 +120,6 @@ def load_model(path: str | Path):
         arrays = {k: npz[k] for k in npz.files}
     state = _unflatten_state(manifest, "", arrays)
     return cls.from_state(state)
-
-
-_VERSION_RE = re.compile(r"^v(\d{8})$")
 
 
 class ModelRegistry:
@@ -130,13 +140,8 @@ class ModelRegistry:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def _versions(self) -> list[int]:
-        out = []
-        for p in self.root.iterdir():
-            m = _VERSION_RE.match(p.name)
-            if m and p.is_dir():
-                out.append(int(m.group(1)))
-        return sorted(out)
+    def _vdir(self, version: int) -> Path:
+        return self.root / f"v{version:08d}"
 
     @property
     def latest_version(self) -> int | None:
@@ -146,45 +151,53 @@ class ModelRegistry:
             return None
 
     def publish(self, model, *, metadata: dict | None = None) -> int:
-        """Save ``model`` as the next version; returns the version number."""
+        """Save ``model`` as the next version; returns the version number.
+
+        The version is one past ``LATEST``, moved up past any number a
+        rename finds taken, so publish never lists the root directory.
+        """
         tmp = self.root / f".publish-{uuid.uuid4().hex}"
         try:
             save_model(model, tmp)
             if metadata is not None:
                 (tmp / "metadata.json").write_text(json.dumps(metadata))
-            version = max(self._versions(), default=0) + 1
+            version = (self.latest_version or 0) + 1
             while True:
                 try:
-                    os.replace(tmp, self.root / f"v{version:08d}")
+                    os.replace(tmp, self._vdir(version))
                     break
-                except OSError as exc:  # another publisher took this number
+                except OSError as exc:  # taken by a concurrent or killed publisher
                     if exc.errno not in (errno.EEXIST, errno.ENOTEMPTY):
                         raise
                     version += 1
         except BaseException:
             shutil.rmtree(tmp, ignore_errors=True)
             raise
-        self._point_latest_at_newest()
+        self._point_latest_at_newest(version)
         return version
 
-    def _point_latest_at_newest(self) -> None:
-        """Atomically point ``LATEST`` at the newest version directory.
+    def _point_latest_at_newest(self, newest: int) -> None:
+        """Atomically point ``LATEST`` at the newest version directory,
+        found by probing ``v<N+1>`` upward from the one just published.
 
-        Every ``v*`` directory is complete, because it appears by rename.
-        Checking again after each write makes concurrent publishers settle
-        on the newest one, rather than on whichever of them wrote last.
+        Versions are taken in order from ``LATEST + 1``, so the numbers
+        present have no gaps, and every ``v*`` directory is complete,
+        because it appears by rename.  Probing again after each write
+        makes concurrent publishers settle on the newest version, rather
+        than on whichever of them wrote last.
         """
         while True:
-            newest = self._versions()[-1]
+            while self._vdir(newest + 1).is_dir():
+                newest += 1
             tmp = self.root / f".LATEST-{uuid.uuid4().hex}"
             tmp.write_text(str(newest))
             os.replace(tmp, self.root / "LATEST")
-            if self._versions()[-1] == newest:
+            if not self._vdir(newest + 1).is_dir():
                 return
 
     def load(self, version: int):
         """Load a specific version."""
-        vdir = self.root / f"v{version:08d}"
+        vdir = self._vdir(version)
         if not vdir.exists():
             raise FileNotFoundError(f"no model version {version} in {self.root}")
         return load_model(vdir)
@@ -198,7 +211,7 @@ class ModelRegistry:
 
     def metadata(self, version: int) -> dict:
         """Metadata recorded at publish time (empty dict if none)."""
-        mpath = self.root / f"v{version:08d}" / "metadata.json"
+        mpath = self._vdir(version) / "metadata.json"
         if not mpath.exists():
             return {}
         return json.loads(mpath.read_text())

@@ -1,8 +1,8 @@
 """Torn-read sanitizer: the dynamic oracle for ``unguarded-shared-write``.
 
 :class:`StateGuard` is a seqlock-style version counter attached to a
-piece of shared state (the MCBound model + label cache handed between
-the retraining workflow and the serving path).  Writers bump the counter
+piece of shared state (the MCBound model and predict memo handed
+between the retraining workflow and the serving path).  Writers bump the counter
 to odd on entry and back to even on exit; readers snapshot it around
 their critical section.  A reader that observes an odd counter, or a
 counter that moved, overlapped a write — exactly the torn read the

@@ -52,13 +52,21 @@ class TestTraining:
         s2 = fw.train(now + DAY_SECONDS, alpha_days=15)
         assert (s1["version"], s2["version"]) == (1, 2)
 
-    def test_label_cache_reused(self, tiny_trace, now):
-        fw = make_framework(tiny_trace)
-        fw.train(now, alpha_days=15)
-        cached = len(fw.label_cache)
-        assert cached > 0
-        fw.train(now, alpha_days=15)  # same window: nothing new to label
-        assert len(fw.label_cache) == cached
+    def test_reloaded_knn_is_byte_identical_to_the_live_one(self, tiny_trace, now, tmp_path):
+        # train encodes into float32, so the archive holds float32 rows,
+        # and the reload widens them back to the live float64 bit for bit
+        fw = make_framework(
+            tiny_trace, tmp_path, algorithm="KNN", model_params={"n_neighbors": 5}
+        )
+        for day in range(3):
+            version = fw.train(now + day * DAY_SECONDS, alpha_days=15)["version"]
+            live, loaded = fw.model.model, fw.store.load(version)[0].model
+            for name in ("_rows", "_row_index", "_y", "classes_"):
+                a, b = getattr(live, name), getattr(loaded, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            archive = fw.store.registry.root / f"v{version:08d}" / "arrays.npz"
+            with np.load(archive, allow_pickle=False) as z:
+                assert z["rows"].dtype == np.float32
 
 
 class TestInference:

@@ -7,10 +7,11 @@ window one ``BATCH_ROWS`` batch at a time.  Materializing the scan, the
 fetched batches or row dicts anywhere on either path makes the long
 window's peak grow with its job count, and these tests fail.
 
-One untimed pass over the long window runs first.  It fills the label
-cache and the embedder cache, which grow by one entry per job (or
-string) never seen before; that growth is by design and is not what
-these tests bound.
+One untimed pass over the long window runs first.  It fills the
+embedder cache, which grows by one entry per string never seen before;
+that growth is by design and is not what these tests bound.
+Characterizing keeps nothing per job: after a pass over a whole trace
+the framework retains a few kilobytes.
 
 A fitted KNN, and publishing it, are bounded by a fraction of its
 training matrix: the model keeps the distinct rows only, found one row
@@ -24,6 +25,7 @@ below half its dense ``n x d`` float32 encodings.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +55,9 @@ FULL_RESERVOIR = 5_000
 #: building the evaluator may peak at most this fraction of the trace's
 #: dense n x d float32 encodings
 EVALUATOR_FRACTION = 0.5
+#: what characterizing a whole 1/60-scale trace may leave allocated; a
+#: label kept per job (~67 B each) would leave 2.4 MB
+RETAINED_BYTES = 64 * 1024
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +106,27 @@ def _assert_window_independent(peaks):
 
 def test_characterize_window_batches_peak_is_window_independent(warm):
     _assert_window_independent(_peaks(_drain_characterize, *warm))
+
+
+def test_characterize_window_retains_nothing_per_job():
+    trace = generate_trace(scale=1 / 60)
+    fw = MCBound(MCBoundConfig(), load_trace_into_db(trace))
+    submit = trace["submit_time"]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        job_ids, _labels = fw.characterize_window(
+            float(submit.min()), float(submit.max()) + 1.0
+        )
+        n_jobs = len(job_ids)
+        del job_ids, _labels
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert n_jobs == len(trace)
+    assert retained < RETAINED_BYTES, (
+        f"characterizing {n_jobs} jobs left {retained / 1e3:.1f} KB allocated"
+    )
 
 
 def test_train_peak_is_window_independent(warm):
@@ -155,7 +181,7 @@ def test_full_reservoir_train_peaks_below_the_dense_training_matrix(trace_005):
         fw.fetcher.fetch_batches, batch_rows=BATCH_ROWS
     )
     start = float(trace_005["submit_time"].min())
-    _train(fw, start, LONG_DAYS)  # fill the label and embedder caches
+    _train(fw, start, LONG_DAYS)  # fill the embedder cache
     n_jobs, peak = peak_memory_bytes(_train, fw, start, LONG_DAYS)
     assert n_jobs >= 4 * FULL_RESERVOIR, "the reservoir must fill and turn over"
     dense = FULL_RESERVOIR * fw.encoder.dim * np.dtype(np.float64).itemsize

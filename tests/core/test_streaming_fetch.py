@@ -64,9 +64,6 @@ class TestCharacterizeWindowBatches:
             got_labels.append(labels)
         assert np.array_equal(np.concatenate(got_ids), ref_ids)
         assert np.array_equal(np.concatenate(got_labels), ref_labels)
-        assert streamed.label_cache == dict(
-            zip(ref_ids.tolist(), ref_labels.tolist())
-        )
         whole_ids, whole_labels = streamed.characterize_window(lo, hi)
         assert np.array_equal(whole_ids, ref_ids)
         assert np.array_equal(whole_labels, ref_labels)

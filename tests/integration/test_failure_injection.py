@@ -22,6 +22,7 @@ from repro.core import (
 )
 from repro.core.classification_model import ClassificationModel
 from repro.fugaku.workload import DAY_SECONDS
+from repro.mlcore import persistence
 from repro.storage.engine import Database
 from repro.web import TestClient
 
@@ -130,6 +131,13 @@ def _knn_model(seed):
     return ClassificationModel("KNN", n_neighbors=3).training(X, (X[:, 0] > 0).astype(int)), X
 
 
+def _torn_archive(file, arrays):
+    """An archive writer that leaves half an archive, then fails."""
+    with open(file, "wb") as f:
+        f.write(b"PK\x03\x04 torn archive")
+    raise OSError("no space left on device")
+
+
 def _version_dirs(store):
     return sorted(p.name for p in store.registry.root.iterdir() if p.name.startswith("v"))
 
@@ -142,15 +150,16 @@ _KILLED_PUBLISHER = textwrap.dedent(
     import numpy as np
     from repro.core import ModelStore
     from repro.core.classification_model import ClassificationModel
+    from repro.mlcore import persistence
 
-    def killed(file, **arrays):
+    def killed(file, arrays):
         with open(file, "wb") as f:
             f.write(b"PK\\x03\\x04 torn archive")
         os.kill(os.getpid(), signal.SIGKILL)
 
     X = np.random.default_rng(1).normal(size=(40, 4))
     model = ClassificationModel("KNN", n_neighbors=3).training(X, (X[:, 0] > 0).astype(int))
-    np.savez_compressed = killed
+    persistence._write_archive = killed
     ModelStore(sys.argv[1]).publish(model)
     """
 )
@@ -171,12 +180,7 @@ class TestPublishCrashAndRace:
         model, X = _knn_model(0)
         store.publish(model)
 
-        def torn(file, **arrays):
-            with open(file, "wb") as f:
-                f.write(b"PK\x03\x04 torn archive")
-            raise OSError("no space left on device")
-
-        monkeypatch.setattr(np, "savez_compressed", torn)
+        monkeypatch.setattr(persistence, "_write_archive", _torn_archive)
         with pytest.raises(OSError, match="no space"):
             store.publish(_knn_model(1)[0])
         self._assert_previous_version_serves(store, model, X)
@@ -231,6 +235,32 @@ class TestPublishCrashAndRace:
             model, X = models[i]
             assert np.array_equal(loaded.inference(X), model.inference(X))
         assert store.latest_version == n
+
+
+class TestFailedPublishKeepsTheLiveModel:
+    """A /train whose publish raises leaves the previous model serving:
+    the one ``LATEST`` names, so a restart labels jobs as the live
+    service does."""
+
+    def test_framework(self, tiny_trace, tmp_path, monkeypatch):
+        fw = make_fw(tiny_trace, tmp_path)
+        fw.train(40 * DAY_SECONDS)
+        live, version = fw.model, fw.store.latest_version
+        monkeypatch.setattr(persistence, "_write_archive", _torn_archive)
+        with pytest.raises(OSError, match="no space"):
+            fw.train(41 * DAY_SECONDS)
+        assert fw.model is live
+        assert fw.store.latest_version == version
+
+    def test_http(self, tiny_trace, tmp_path, monkeypatch):
+        fw = make_fw(tiny_trace, tmp_path)
+        client = TestClient(build_app(fw))
+        assert client.post("/train", json_body={"now": 40 * DAY_SECONDS}).status == 201
+        window = {"start_time": 41 * DAY_SECONDS, "end_time": 48 * DAY_SECONDS}
+        before = client.post("/predict", json_body=window).json()["labels"]
+        monkeypatch.setattr(persistence, "_write_archive", _torn_archive)
+        assert client.post("/train", json_body={"now": 41 * DAY_SECONDS}).status == 500
+        assert client.post("/predict", json_body=window).json()["labels"] == before
 
 
 class TestEvaluationEdges:

@@ -1,6 +1,8 @@
 """Tests for pickle-free persistence and the model registry."""
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +143,23 @@ class TestKNNRoundTrip:
         assert np.array_equal(idx, idx2) and np.array_equal(dist, dist2)
         assert np.array_equal(model.predict(Q), loaded.predict(Q))
 
+    @pytest.mark.parametrize("nudge, dtype", [(0.0, "float32"), (2.0**-40, "float64")])
+    def test_rows_archive_as_float32_when_the_round_trip_is_exact(
+        self, nudge, dtype, tmp_path
+    ):
+        # lattice rows survive float64 -> float32 -> float64, so they are
+        # written as float32; a nudge below float32 precision keeps float64
+        X, _ = repeated_rows()
+        X[0, 0] = 1.0 + nudge
+        for model in (
+            KNeighborsClassifier(5).fit(X, np.arange(len(X)) % 2),
+            KNeighborsRegressor(5).fit(X, X[:, 0]),
+        ):
+            path = save_model(model, tmp_path / type(model).__name__)
+            with np.load(path / "arrays.npz", allow_pickle=False) as z:
+                assert z["rows"].dtype == dtype
+            assert _training_matrix(load_model(path)).tobytes() == X.tobytes()
+
     def test_archive_stores_one_row_per_distinct_byte_pattern(self, fitted, tmp_path):
         model, _ = fitted
         X, _ = repeated_rows()
@@ -240,3 +259,57 @@ class TestModelRegistry:
         t, _ = fitted_tree()
         reg.publish(t)
         assert (tmp_path / "reg" / "LATEST").read_text() == "1"
+
+    def test_publish_lists_no_directory(self, tmp_path, monkeypatch):
+        # numbering is O(1): one past LATEST, then a probe of v<N+1>, so a
+        # store's growth never reaches the cost of a publish
+        reg = ModelRegistry(tmp_path / "reg")
+        t, X = fitted_tree()
+        for version in range(1, 301):
+            (tmp_path / "reg" / f"v{version:08d}").mkdir()
+        (tmp_path / "reg" / "LATEST").write_text("300")
+
+        def listed(*args, **kwargs):
+            raise AssertionError("publish listed a directory")
+
+        monkeypatch.setattr(Path, "iterdir", listed)
+        monkeypatch.setattr(os, "scandir", listed)
+        monkeypatch.setattr(os, "listdir", listed)
+        assert reg.publish(t) == 301
+        assert reg.latest_version == 301
+        monkeypatch.undo()
+        assert np.array_equal(reg.load_latest().predict(X), t.predict(X))
+
+    @pytest.mark.parametrize("cut", ["v00000001", "LATEST"])
+    def test_latest_settles_on_the_newest_of_two_publishers(
+        self, tmp_path, monkeypatch, cut
+    ):
+        # publisher B runs whole while A is cut right after renaming its
+        # version into place, or right before its LATEST write lands
+        reg = ModelRegistry(tmp_path / "reg")
+        t, _ = fitted_tree()
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name != cut:
+                return real_replace(src, dst)
+            monkeypatch.setattr(os, "replace", real_replace)
+            if cut == "LATEST":
+                assert reg.publish(t) == 2
+                real_replace(src, dst)
+            else:
+                real_replace(src, dst)
+                assert reg.publish(t) == 2
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert reg.publish(t) == 1
+        assert reg.latest_version == 2
+
+    def test_publisher_killed_between_rename_and_latest(self, tmp_path):
+        reg = ModelRegistry(tmp_path / "reg")
+        t, _ = fitted_tree()
+        for _ in range(3):
+            reg.publish(t)
+        (tmp_path / "reg" / "LATEST").write_text("2")  # v3 renamed, LATEST not
+        assert reg.publish(t) == 4
+        assert reg.latest_version == 4

@@ -35,7 +35,7 @@ def test_ablation_embedding_dim(benchmark, trace, labels, evaluator):
         encoder = FeatureEncoder(embedder=SentenceEmbedder(dim=dim, cache_size=0))
         Xtr, t_enc = time_call(encoder.encode_trace, train)
         Xte = encoder.encode_trace(test)
-        knn = KNeighborsClassifier(5, algorithm="brute").fit(Xtr, y_train)
+        knn = KNeighborsClassifier(5).fit(Xtr, y_train)
         f1 = f1_macro(y_test, knn.predict(Xte))
         scores[dim] = f1
         rows.append([dim, round(f1, 4), f"{t_enc / len(train) * 1e6:.0f} us/job"])

@@ -35,14 +35,14 @@ def test_ablation_encoder_kind(benchmark, trace, labels):
 
     nlp = FeatureEncoder(embedder=SentenceEmbedder(dim=384))
     Xtr, Xte = nlp.encode_trace(train), nlp.encode_trace(test)
-    knn = KNeighborsClassifier(5, algorithm="brute").fit(Xtr, y_train)
+    knn = KNeighborsClassifier(5).fit(Xtr, y_train)
     results["NLP embedding (paper)"] = f1_macro(y_test, knn.predict(Xte))
 
     for mode in ("ordinal", "onehot"):
         cat = CategoricalEncoder(mode=mode).fit(train_records)
         Xtr_c = cat.encode(train_records).astype(np.float64)
         Xte_c = cat.encode(test_records).astype(np.float64)
-        knn_c = KNeighborsClassifier(5, algorithm="brute").fit(Xtr_c, y_train)
+        knn_c = KNeighborsClassifier(5).fit(Xtr_c, y_train)
         results[f"categorical {mode}"] = f1_macro(y_test, knn_c.predict(Xte_c))
 
     unknown = CategoricalEncoder().fit(train_records).unknown_rate(test_records)

@@ -40,7 +40,7 @@ def test_ablation_feature_sets(benchmark, trace, labels):
         )
         Xtr = encoder.encode_trace(train)
         Xte = encoder.encode_trace(test)
-        knn = KNeighborsClassifier(5, algorithm="brute").fit(Xtr, y_train)
+        knn = KNeighborsClassifier(5).fit(Xtr, y_train)
         f1 = f1_macro(y_test, knn.predict(Xte))
         scores[name] = f1
         rows.append([name, len(features), round(f1, 4)])

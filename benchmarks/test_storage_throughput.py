@@ -15,36 +15,30 @@ Three sections:
   allowed to scale with the job count.
 * **10^6-job streaming smoke** — generate a million-job trace one day at
   a time, ingest it into the column store batch by batch, then fetch and
-  characterize the full window through ``fetch_batches``; also sweeps
-  the same trace through a week-partitioned :class:`SegmentedTable`.
+  characterize the full window through ``fetch_batches``.
 
 Ratcheting: absolute wall times vary across machines, so with
 ``REPRO_PERF_RATCHET=1`` (the CI benchmark job) the gates are the
 *within-run* streaming speedup against its hard floor and the committed
-baseline, and the peak-memory ratio against its hard cap.
+baseline, and the peak-memory ratio against its hard cap; a run that
+fails them leaves ``BENCH_storage.json`` as it was.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from benchmarks._perf import best_time, throughput
+from benchmarks._perf import best_time, throughput, write_bench_json
 from repro.core.data_fetcher import DataFetcher, load_trace_into_db
 from repro.core.job_characterizer import JobCharacterizer
-from repro.fugaku.trace import NUMERIC_COLUMNS, STRING_COLUMNS
 from repro.fugaku.workload import WorkloadConfig, WorkloadGenerator
 from repro.evaluation.timing import peak_memory_bytes
-from repro.storage.schema import ColumnDef, ColumnType, TableSchema
-from repro.storage.partition import SegmentedTable
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_storage.json"
 
-DAY_SECONDS = 86_400.0
 FULL_SCALE_JOBS = 2_200_000
 
 #: batch size for every streaming scan below; small enough that the peak
@@ -183,83 +177,36 @@ def test_million_job_streaming_smoke(results):
     }
 
 
-def test_partitioned_sweep(results, ratchet_db):
-    """SegmentedTable: week-wide submit-time segments, full-range scan."""
-    db, n_jobs, lo, hi = ratchet_db
-    numeric = [
-        ColumnDef(n, ColumnType.INTEGER if n.endswith("_id") else ColumnType.REAL)
-        for n in NUMERIC_COLUMNS
-    ]
-    strings = [ColumnDef(n, ColumnType.TEXT) for n in STRING_COLUMNS]
-    st = SegmentedTable(
-        TableSchema("jobs_by_week", numeric + strings), "submit_time", 7 * DAY_SECONDS
-    )
-    source = db.table("jobs")
-
-    import time
-
-    t0 = time.perf_counter()
-    for batch in source.scan_batches("submit_time", batch_rows=BATCH_ROWS):
-        st.insert_columns({n: batch.column(n) for n in batch.column_names})
-    ingest_s = time.perf_counter() - t0
-    assert len(st) == n_jobs
-
-    characterizer = JobCharacterizer()
-    t0 = time.perf_counter()
-    total = 0
-    for batch in st.scan_batches(lo, hi, batch_rows=BATCH_ROWS):
-        total += len(characterizer.labels_from_result(batch))
-    scan_s = time.perf_counter() - t0
-    assert total == n_jobs
-
-    results["partitioned_100k"] = {
-        "n_jobs": n_jobs,
-        "n_segments": len(st.segment_ids),
-        "ingest_s": ingest_s,
-        "scan_characterize_s": scan_s,
-        "jobs_per_s": throughput(n_jobs, scan_s),
-    }
-
-
 def test_write_bench_json(results):
     """Write the trajectory file; ratchet the ratios when asked to.
 
     Runs last (pytest executes this module top to bottom), after every
     section above has filled in its measurements.
     """
-    for section in (
-        "fetch_characterize_100k",
-        "peak_independence",
-        "million_job_smoke",
-        "partitioned_100k",
-    ):
+    for section in ("fetch_characterize_100k", "peak_independence", "million_job_smoke"):
         assert section in results, f"bench section {section!r} did not run"
 
-    baseline = None
-    if BENCH_PATH.exists():
-        baseline = json.loads(BENCH_PATH.read_text())
-    BENCH_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-
-    if not os.environ.get("REPRO_PERF_RATCHET"):
-        return
-    speedup = results["fetch_characterize_100k"]["streaming_speedup"]
-    peak_ratio = results["peak_independence"]["peak_ratio"]
-    failures = []
-    if speedup < STREAM_SPEEDUP_FLOOR:
-        failures.append(
-            f"streaming fetch+characterize speedup {speedup:.2f}x < "
-            f"floor {STREAM_SPEEDUP_FLOOR}x"
-        )
-    if peak_ratio > PEAK_RATIO_CAP:
-        failures.append(
-            f"peak-memory ratio {peak_ratio:.2f}x > cap {PEAK_RATIO_CAP}x: "
-            "the streaming pipeline's peak scales with the job count"
-        )
-    if baseline and "fetch_characterize_100k" in baseline:
-        old = baseline["fetch_characterize_100k"].get("streaming_speedup")
-        if old and speedup < RATCHET_TOLERANCE * old:
+    def ratchet_failures(baseline):
+        speedup = results["fetch_characterize_100k"]["streaming_speedup"]
+        peak_ratio = results["peak_independence"]["peak_ratio"]
+        failures = []
+        if speedup < STREAM_SPEEDUP_FLOOR:
             failures.append(
-                f"streaming speedup regressed {speedup:.2f}x < "
-                f"{RATCHET_TOLERANCE:.0%} of baseline {old:.2f}x"
+                f"streaming fetch+characterize speedup {speedup:.2f}x < "
+                f"floor {STREAM_SPEEDUP_FLOOR}x"
             )
-    assert not failures, "; ".join(failures)
+        if peak_ratio > PEAK_RATIO_CAP:
+            failures.append(
+                f"peak-memory ratio {peak_ratio:.2f}x > cap {PEAK_RATIO_CAP}x: "
+                "the streaming pipeline's peak scales with the job count"
+            )
+        if baseline and "fetch_characterize_100k" in baseline:
+            old = baseline["fetch_characterize_100k"].get("streaming_speedup")
+            if old and speedup < RATCHET_TOLERANCE * old:
+                failures.append(
+                    f"streaming speedup regressed {speedup:.2f}x < "
+                    f"{RATCHET_TOLERANCE:.0%} of baseline {old:.2f}x"
+                )
+        return failures
+
+    write_bench_json(BENCH_PATH, results, ratchet_failures)

@@ -40,7 +40,7 @@ def main() -> None:
     framework = MCBound(
         MCBoundConfig(
             algorithm="KNN",
-            model_params={"n_neighbors": 5, "algorithm": "brute"},
+            model_params={"n_neighbors": 5},
             alpha_days=30.0,
         ),
         load_trace_into_db(trace),

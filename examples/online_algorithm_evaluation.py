@@ -23,7 +23,7 @@ def main() -> None:
           "(cached across retraining triggers, as in §V-A)\n")
 
     specs = [
-        ModelSpec("KNN", "KNN", {"n_neighbors": 5, "algorithm": "brute"}),
+        ModelSpec("KNN", "KNN", {"n_neighbors": 5}),
         ModelSpec("RF", "RF", {"n_estimators": 15, "max_depth": 12,
                                "splitter": "hist", "random_state": 0}),
     ]

@@ -95,7 +95,7 @@ def _cmd_evaluate(args) -> int:
     trace = _load_trace(args.trace)
     evaluator = OnlineEvaluator(trace)
     if args.algorithm == "KNN":
-        spec = ModelSpec("KNN", "KNN", {"n_neighbors": 5, "algorithm": "brute"})
+        spec = ModelSpec("KNN", "KNN", {"n_neighbors": 5})
     elif args.algorithm == "NB":
         spec = ModelSpec("NB", "NB", {})
     else:
@@ -128,7 +128,7 @@ def _cmd_serve(args) -> int:
     framework = MCBound(
         MCBoundConfig(
             algorithm="KNN",
-            model_params={"n_neighbors": 5, "algorithm": "brute"},
+            model_params={"n_neighbors": 5},
             alpha_days=30.0,
         ),
         load_trace_into_db(trace),

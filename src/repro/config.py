@@ -42,7 +42,7 @@ class BenchSettings:
 
     @property
     def knn_params(self) -> dict:
-        return {"n_neighbors": self.knn_k, "algorithm": "brute"}
+        return {"n_neighbors": self.knn_k}
 
     def scaled_theta(self, theta_paper: float) -> int:
         """Map a paper θ (data-point cap) to this scale, min 10."""

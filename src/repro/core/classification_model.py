@@ -55,7 +55,6 @@ class ClassificationModel:
     """
 
     def __init__(self, algorithm: str, /, **params) -> None:
-        # positional-only: KNN's own backend kwarg is also named "algorithm"
         key = algorithm.upper()
         if key not in _ALGORITHMS:
             raise ValueError(

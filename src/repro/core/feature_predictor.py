@@ -58,9 +58,7 @@ class JobFeaturePredictor:
         self.target = target
         self.encoder = encoder or FeatureEncoder()
         self.log_target = bool(log_target)
-        self.model = KNeighborsRegressor(
-            n_neighbors, algorithm="brute", weights=weights
-        )
+        self.model = KNeighborsRegressor(n_neighbors, weights=weights)
         self._trained = False
 
     # -- training -----------------------------------------------------------------

@@ -2,20 +2,17 @@
 
 The paper's Classification Model relies on scikit-learn's default Random
 Forest and k-Nearest Neighbors.  This package implements those algorithms
-(and the metric/model-selection/persistence machinery around them) on plain
-numpy, with vectorized hot paths:
+(and the metric and persistence machinery around them) on plain numpy,
+with vectorized hot paths:
 
 - :mod:`repro.mlcore.tree` — CART decision trees with an exact sort-based
   splitter; :mod:`repro.mlcore.histogram` adds a quantized 256-bin splitter.
 - :mod:`repro.mlcore.forest` — bagged random forest with per-node feature
   subsampling and out-of-bag scoring (Breiman 2001).
-- :mod:`repro.mlcore.knn` — k-NN with Minkowski distances, chunked
-  brute-force and a from-scratch KD-tree backend
-  (:mod:`repro.mlcore.kdtree`).
+- :mod:`repro.mlcore.knn` — exact Euclidean k-NN: chunked brute force
+  over the distinct training rows.
 - :mod:`repro.mlcore.metrics` — confusion matrix, precision/recall/F1 and
   the F1-macro average the paper reports.
-- :mod:`repro.mlcore.model_selection` — stratified splits and time-window
-  folds.
 - :mod:`repro.mlcore.persistence` — pickle-free model serialization and a
   versioned on-disk registry (the role skops.io plays in the paper).
 - :mod:`repro.mlcore.baseline` — the (job name, #cores) lookup baseline of
@@ -27,7 +24,6 @@ from repro.mlcore.tree import DecisionTreeClassifier
 from repro.mlcore.forest import RandomForestClassifier
 from repro.mlcore.knn import KNeighborsClassifier, KNeighborsRegressor
 from repro.mlcore.naive_bayes import GaussianNBClassifier
-from repro.mlcore.kdtree import KDTree
 from repro.mlcore.baseline import LookupTableBaseline
 from repro.mlcore.metrics import (
     accuracy_score,
@@ -36,11 +32,6 @@ from repro.mlcore.metrics import (
     f1_score,
     f1_macro,
     classification_report,
-)
-from repro.mlcore.model_selection import (
-    train_test_split,
-    StratifiedKFold,
-    cross_val_score,
 )
 from repro.mlcore.persistence import save_model, load_model, ModelRegistry
 
@@ -53,7 +44,6 @@ __all__ = [
     "KNeighborsClassifier",
     "KNeighborsRegressor",
     "GaussianNBClassifier",
-    "KDTree",
     "LookupTableBaseline",
     "accuracy_score",
     "confusion_matrix",
@@ -61,9 +51,6 @@ __all__ = [
     "f1_score",
     "f1_macro",
     "classification_report",
-    "train_test_split",
-    "StratifiedKFold",
-    "cross_val_score",
     "save_model",
     "load_model",
     "ModelRegistry",

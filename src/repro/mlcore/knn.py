@@ -10,27 +10,20 @@ Users submit batches of identical jobs (§V-C.c), so a window holds a few
 hundred distinct encodings among thousands of rows.  A fitted model keeps
 the distinct rows (first-seen order), one row index per training sample
 and each distinct row's training indices, never the n x d matrix, and
-every backend searches the distinct rows only: the k nearest points are
-the k smallest ``(distance, training index)`` pairs among the copies of
-the k nearest distinct rows.  ``fit(X, y)`` finds the distinct rows by
-hashing each row of ``X``; ``KNeighborsClassifier.fit_rows(rows,
-row_index, y)`` takes them from a caller that already knows them (the
-training path keys jobs by submission) and hashes nothing.
+searches the distinct rows only: the k nearest points are the k smallest
+``(distance, training index)`` pairs among the copies of the k nearest
+distinct rows.  ``fit(X, y)`` finds the distinct rows by hashing each row
+of ``X``; ``KNeighborsClassifier.fit_rows(rows, row_index, y)`` takes them
+from a caller that already knows them (the training path keys jobs by
+submission) and hashes nothing.
 
-Backends:
-
-- ``"brute"`` — chunked distance computation over the distinct rows.  For
-  p=2 a BLAS screen ``|x|² - 2 q·x`` (``|q - x|²`` less the query's own
-  ``|q|²``) keeps every row within a rigorous rounding bound of the k-th
-  screened value, and only those are rescored exactly as
-  ``Σ (q - x)²``, the arithmetic of
-  :func:`repro.mlcore.reference.brute_kneighbors_scalar`, so a query's
-  neighbours and distances do not depend on the batch it arrives in
-  (DESIGN §10 derives the bound).  Other p compute the reduced Minkowski
-  distance directly.
-- ``"kd_tree"`` — the from-scratch :class:`repro.mlcore.kdtree.KDTree`,
-  built on the distinct rows.
-- ``"auto"`` — kd-tree in low dimension where it wins, brute otherwise.
+The search is chunked brute force over the distinct rows.  A BLAS screen
+``|x|² - 2 q·x`` (``|q - x|²`` less the query's own ``|q|²``) keeps every
+row within a rigorous rounding bound of the k-th screened value, and only
+those are rescored exactly as ``Σ (q - x)²``, the arithmetic of
+:func:`repro.mlcore.reference.brute_kneighbors_scalar`, so a query's
+neighbours and distances do not depend on the batch it arrives in
+(DESIGN §10 derives the bound).
 """
 
 from __future__ import annotations
@@ -38,12 +31,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mlcore.base import check_is_fitted, check_X_y, check_array, encode_labels
-from repro.mlcore.kdtree import KDTree, reduced_minkowski
 
 __all__ = ["KNeighborsClassifier", "KNeighborsRegressor"]
 
-_AUTO_KDTREE_MAX_DIM = 15
-#: elements per block of the exact p=2 rescoring's (pairs, d) differences
+#: elements per block of the exact rescoring's (pairs, d) differences
 _RESCORE_BLOCK_ELEMS = 2**20
 
 
@@ -102,30 +93,33 @@ def _flat_topk(qrow, key, val, n_queries: int, k: int):
     return key[pick].reshape(n_queries, k), val[pick].reshape(n_queries, k)
 
 
+def _euclidean_meta(state: dict) -> dict:
+    """An archive's meta, refused unless its search was Euclidean.
+
+    Archives written while the estimators took ``p``, ``algorithm`` and
+    ``leaf_size`` still carry them.  Every backend was exact under the
+    same tie rule, so ``algorithm`` and ``leaf_size`` never changed an
+    answer and are ignored; any ``p`` but 2 did, and this search is
+    Euclidean only.
+    """
+    meta = state["meta"]
+    if meta.get("p", 2) != 2:
+        raise ValueError(
+            f"archived KNN searched with Minkowski p={meta['p']}; only p=2 "
+            "(Euclidean) is supported"
+        )
+    return meta
+
+
 class _NeighborsBase:
     """Shared neighbour-search machinery for k-NN estimators."""
 
-    def __init__(
-        self,
-        n_neighbors: int = 5,
-        *,
-        p: float = 2.0,
-        algorithm: str = "auto",
-        leaf_size: int = 32,
-        chunk_size: int = 512,
-    ) -> None:
+    def __init__(self, n_neighbors: int = 5, *, chunk_size: int = 512) -> None:
         if n_neighbors < 1:
             raise ValueError("n_neighbors must be >= 1")
-        if p < 1 or not np.isfinite(p):
-            raise ValueError("p must be finite and >= 1")
-        if algorithm not in ("auto", "brute", "kd_tree"):
-            raise ValueError(f"unknown algorithm {algorithm!r}")
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         self.n_neighbors = int(n_neighbors)
-        self.p = float(p)
-        self.algorithm = algorithm
-        self.leaf_size = int(leaf_size)
         self.chunk_size = int(chunk_size)
         self.classes_: np.ndarray | None = None
 
@@ -133,7 +127,7 @@ class _NeighborsBase:
 
     def _fit_features(self, X: np.ndarray) -> None:
         """Keep the distinct rows of the feature matrix and build the
-        selected backend over them."""
+        search over them."""
         self._fit_rows(*_distinct_rows(np.ascontiguousarray(X)))
 
     def _fit_rows(self, rows: np.ndarray, row_index: np.ndarray) -> None:
@@ -150,23 +144,17 @@ class _NeighborsBase:
         self._counts = np.bincount(row_index, minlength=rows.shape[0])
         self._starts = np.cumsum(self._counts) - self._counts
         d = rows.shape[1]
-        self._backend = self.algorithm
-        if self._backend == "auto":
-            self._backend = "kd_tree" if d <= _AUTO_KDTREE_MAX_DIM else "brute"
-        self._tree = KDTree(self._rows, self.leaf_size) if self._backend == "kd_tree" else None
-        self._slack = None  # set when p=2 brute force screens with BLAS
-        if self._backend == "brute" and self.p == 2.0:  # staticcheck: ignore[float-equality] - dispatch on exact Minkowski parameter value
-            self._sq_norms = np.einsum("ij,ij->i", self._rows, self._rows)
-            self._max_norm = float(np.sqrt(self._sq_norms.max()))
-            # DESIGN §10: screened and exact distances both lie within
-            # γ_{d+2}·(|q| + |x|)² of the true one, so no row that ranks
-            # exactly lies above the kd-th screened distance by more than
-            # 4γ_{d+2}·(|q| + max|x|)²; γ_{d+4} also covers rounding the
-            # threshold, and the absolute term gradual underflow
-            self._slack = (
-                4.0 * _gamma(d + 4),
-                8.0 * d * float(np.finfo(np.float64).smallest_subnormal),
-            )
+        self._sq_norms = np.einsum("ij,ij->i", self._rows, self._rows)
+        self._max_norm = float(np.sqrt(self._sq_norms.max()))
+        # DESIGN §10: screened and exact distances both lie within
+        # γ_{d+2}·(|q| + |x|)² of the true one, so no row that ranks
+        # exactly lies above the kd-th screened distance by more than
+        # 4γ_{d+2}·(|q| + max|x|)²; γ_{d+4} also covers rounding the
+        # threshold, and the absolute term gradual underflow
+        self._slack = (
+            4.0 * _gamma(d + 4),
+            8.0 * d * float(np.finfo(np.float64).smallest_subnormal),
+        )
 
     def _row_arrays(self) -> dict:
         """The archive's ``rows`` and ``row_index``.  ``rows`` is written as
@@ -210,11 +198,11 @@ class _NeighborsBase:
         for lo in range(0, nq, self.chunk_size):
             hi = min(lo + self.chunk_size, nq)
             rd, idx[lo:hi] = self._search(X[lo:hi], k)
-            dist[lo:hi] = rd ** (1.0 / self.p)
+            dist[lo:hi] = rd**0.5
         return dist, idx
 
     def _search(self, q: np.ndarray, k: int):  # hotpath: per-chunk search behind kneighbors()
-        """Reduced distances and training indices of the k nearest points
+        """Squared distances and training indices of the k nearest points
         to each query row, nearest first.
 
         Distinct row j's first copy precedes the first copy of every row
@@ -224,10 +212,7 @@ class _NeighborsBase:
         contributes at most its first k copies.
         """
         kd = min(k, self._rows.shape[0])
-        if self._tree is not None:
-            rd, cols = self._tree.query_reduced(q, kd, self.p)
-        else:
-            rd, cols = self._brute_rows(q, kd)
+        rd, cols = self._nearest_rows(q, kd)
         take = np.minimum(self._counts[cols], k).ravel()
         qrow = np.repeat(np.arange(q.shape[0]), kd)
         offset = np.arange(take.sum()) - np.repeat(np.cumsum(take) - take, take)
@@ -236,76 +221,53 @@ class _NeighborsBase:
             np.repeat(qrow, take), np.repeat(rd.ravel(), take), members, q.shape[0], k
         )
 
-    def _brute_rows(self, q: np.ndarray, kd: int):
-        """The kd nearest distinct rows by exact reduced distance, ranked
+    def _nearest_rows(self, q: np.ndarray, kd: int):
+        """The kd nearest distinct rows by exact squared distance, ranked
         by ``(distance, row)``.
 
-        For p=2 the BLAS screen only bounds which rows can rank: every
-        row within the DESIGN §10 slack of the kd-th screened distance is
-        rescored exactly, and the ranking uses the exact distances alone.
+        The BLAS screen only bounds which rows can rank: every row within
+        the DESIGN §10 slack of the kd-th screened distance is rescored
+        exactly, and the ranking uses the exact distances alone.
         """
-        if self._slack is None:
-            screen = self._minkowski_reduced(q)
-            slack = 0.0
-        else:
-            # |q|² is the same for every row of a query, so the screen
-            # |x|² - 2 q·x leaves it out
-            screen = q @ self._rows.T
-            screen *= -2.0
-            screen += self._sq_norms
-            rel, floor = self._slack
-            norms = np.sqrt(np.einsum("ij,ij->i", q, q))
-            slack = rel * (norms + self._max_norm) ** 2 + floor
+        # |q|² is the same for every row of a query, so the screen
+        # |x|² - 2 q·x leaves it out
+        screen = q @ self._rows.T
+        screen *= -2.0
+        screen += self._sq_norms
+        rel, floor = self._slack
+        norms = np.sqrt(np.einsum("ij,ij->i", q, q))
+        slack = rel * (norms + self._max_norm) ** 2 + floor
         kth = np.partition(screen, kd - 1, axis=1)[:, kd - 1]
         near = np.flatnonzero(screen <= (kth + slack)[:, None])
         qrow, cols = np.divmod(near, screen.shape[1])
-        rd = screen[qrow, cols] if self._slack is None else self._rescore(q, qrow, cols)
-        return _flat_topk(qrow, rd, cols, q.shape[0], kd)
+        return _flat_topk(qrow, self._rescore(q, qrow, cols), cols, q.shape[0], kd)
 
     def _rescore(self, q: np.ndarray, qrow: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Exact reduced p=2 distances of (query, row) pairs, per pair as
+        """Exact squared distances of (query, row) pairs, per pair as
         :func:`repro.mlcore.reference.brute_kneighbors_scalar` computes
-        them (its ``|q - x|`` squares to the same bits), blocked to bound
-        the (pairs, d) differences."""
+        them, blocked to bound the (pairs, d) differences."""
         out = np.empty(qrow.size, dtype=np.float64)
         block = max(1, _RESCORE_BLOCK_ELEMS // q.shape[1])
         for lo in range(0, qrow.size, block):
             hi = lo + block
-            out[lo:hi] = reduced_minkowski(q[qrow[lo:hi]] - self._rows[cols[lo:hi]], 2.0)
-        return out
-
-    def _minkowski_reduced(self, q: np.ndarray) -> np.ndarray:
-        """Reduced (root-free) Minkowski distances of a query chunk to every
-        distinct row, blocked over rows to bound the |q| x |x| x d
-        intermediate."""
-        rows = self._rows
-        out = np.empty((q.shape[0], rows.shape[0]), dtype=np.float64)
-        block = max(1, int(2**22 // max(1, q.shape[0] * rows.shape[1])))
-        for lo in range(0, rows.shape[0], block):
-            diff = np.abs(q[:, None, :] - rows[None, lo : lo + block, :])
-            out[:, lo : lo + block] = reduced_minkowski(diff, self.p)
+            diff = q[qrow[lo:hi]] - self._rows[cols[lo:hi]]
+            out[lo:hi] = np.einsum("...i,...i->...", diff, diff)
         return out
 
 
 class KNeighborsClassifier(_NeighborsBase):
-    """Majority-vote k-NN classifier with Minkowski distances.
+    """Majority-vote k-NN classifier with Euclidean distances.
 
     Parameters
     ----------
     n_neighbors:
         Vote size k (default 5, as in sklearn).
-    p:
-        Minkowski order (p >= 1; 2 = Euclidean).
-    algorithm:
-        "brute", "kd_tree" or "auto".
-    leaf_size:
-        KD-tree leaf size.
     chunk_size:
-        Query rows per brute-force chunk (bounds peak memory).
+        Query rows per search chunk (bounds peak memory).
     """
 
     def fit(self, X, y) -> "KNeighborsClassifier":
-        """Store the training set (and build the KD-tree if selected)."""
+        """Store the training set as its distinct rows."""
         X, y = check_X_y(X, y, dtype=np.float64)
         self.classes_, self._y = encode_labels(y)
         self._fit_features(X)
@@ -353,13 +315,7 @@ class KNeighborsClassifier(_NeighborsBase):
     def get_state(self) -> dict:
         check_is_fitted(self, "classes_")
         return {
-            "meta": {
-                "n_neighbors": self.n_neighbors,
-                "p": self.p,
-                "algorithm": self.algorithm,
-                "leaf_size": self.leaf_size,
-                "chunk_size": self.chunk_size,
-            },
+            "meta": {"n_neighbors": self.n_neighbors, "chunk_size": self.chunk_size},
             "arrays": {
                 "classes": self.classes_,
                 "y": self._y,
@@ -369,14 +325,8 @@ class KNeighborsClassifier(_NeighborsBase):
 
     @classmethod
     def from_state(cls, state: dict) -> "KNeighborsClassifier":
-        meta = state["meta"]
-        knn = cls(
-            meta["n_neighbors"],
-            p=meta["p"],
-            algorithm=meta["algorithm"],
-            leaf_size=meta["leaf_size"],
-            chunk_size=meta["chunk_size"],
-        )
+        meta = _euclidean_meta(state)
+        knn = cls(meta["n_neighbors"], chunk_size=meta["chunk_size"])
         arrays = state["arrays"]
         knn.classes_ = np.asarray(arrays["classes"])
         knn._y = np.asarray(arrays["y"], dtype=np.int64)
@@ -400,19 +350,9 @@ class KNeighborsRegressor(_NeighborsBase):
     """
 
     def __init__(
-        self,
-        n_neighbors: int = 5,
-        *,
-        p: float = 2.0,
-        algorithm: str = "auto",
-        leaf_size: int = 32,
-        chunk_size: int = 512,
-        weights: str = "uniform",
+        self, n_neighbors: int = 5, *, chunk_size: int = 512, weights: str = "uniform"
     ) -> None:
-        super().__init__(
-            n_neighbors, p=p, algorithm=algorithm, leaf_size=leaf_size,
-            chunk_size=chunk_size,
-        )
+        super().__init__(n_neighbors, chunk_size=chunk_size)
         if weights not in ("uniform", "distance"):
             raise ValueError(f"unknown weights {weights!r}")
         self.weights = weights
@@ -459,9 +399,6 @@ class KNeighborsRegressor(_NeighborsBase):
         return {
             "meta": {
                 "n_neighbors": self.n_neighbors,
-                "p": self.p,
-                "algorithm": self.algorithm,
-                "leaf_size": self.leaf_size,
                 "chunk_size": self.chunk_size,
                 "weights": self.weights,
             },
@@ -473,15 +410,8 @@ class KNeighborsRegressor(_NeighborsBase):
 
     @classmethod
     def from_state(cls, state: dict) -> "KNeighborsRegressor":
-        meta = state["meta"]
-        reg = cls(
-            meta["n_neighbors"],
-            p=meta["p"],
-            algorithm=meta["algorithm"],
-            leaf_size=meta["leaf_size"],
-            chunk_size=meta["chunk_size"],
-            weights=meta["weights"],
-        )
+        meta = _euclidean_meta(state)
+        reg = cls(meta["n_neighbors"], chunk_size=meta["chunk_size"], weights=meta["weights"])
         arrays = state["arrays"]
         reg._targets = np.asarray(arrays["targets"], dtype=np.float64)
         reg._load_rows(arrays)

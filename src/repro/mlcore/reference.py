@@ -1,8 +1,8 @@
 """Pre-vectorization reference implementations (parity + benchmark oracles).
 
-The PR that batch-vectorized the ML hot paths (KD-tree query, brute k-NN
-selection, CART split finders, packed forest prediction) preserved the
-historical per-item code paths here.  They serve two purposes:
+The PR that batch-vectorized the ML hot paths (brute k-NN selection,
+CART split finders, packed forest prediction) preserved the historical
+per-item code paths here.  They serve two purposes:
 
 - *parity oracles*: ``tests/mlcore/test_equivalence.py`` asserts that the
   vectorized paths reproduce these results exactly — bit-for-bit where
@@ -12,21 +12,18 @@ historical per-item code paths here.  They serve two purposes:
   measured against these functions, so the ratios keep their meaning as
   the fast paths evolve.
 
-Every neighbour reference follows the canonical tie rule shared by all
-backends: the k reported neighbours are the k smallest
-``(reduced_distance, training_index)`` pairs in lexicographic order.
+The neighbour reference follows the tie rule of the KNN search: the k
+reported neighbours are the k smallest ``(squared_distance,
+training_index)`` pairs in lexicographic order.
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
-from repro.mlcore.kdtree import _LEAF, reduced_minkowski
+from repro.mlcore.tree import _LEAF, _impurity
 
 __all__ = [
-    "kdtree_query_scalar",
     "brute_kneighbors_scalar",
     "tree_predict_proba_scalar",
     "forest_predict_proba_scalar",
@@ -38,61 +35,12 @@ __all__ = [
 # -- neighbour search ------------------------------------------------------------
 
 
-def kdtree_query_scalar(tree, X, k: int = 1, p: float = 2.0):
-    """Per-query branch-and-bound with a heap (the pre-vectorization path).
-
-    Operates on a built :class:`repro.mlcore.kdtree.KDTree`; one query
-    descends at a time, keeping its k best ``(rd, idx)`` pairs in a
-    max-heap and pruning nodes whose bounding box cannot beat the current
-    worst pair.  Leaf distances use the same ``reduced_minkowski`` ops as
-    the batched traversal, so results match it bit-for-bit.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    nq = X.shape[0]
-    dists = np.empty((nq, k), dtype=np.float64)
-    idxs = np.empty((nq, k), dtype=np.int64)
-    for qi in range(nq):
-        q = X[qi]
-        heap: list[tuple[float, int]] = []  # max-heap of (-rd, -idx)
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            gap = np.maximum(tree._box_lo[node] - q, q - tree._box_hi[node])
-            np.maximum(gap, 0.0, out=gap)
-            # strict >: a box exactly at the bound may hold an equidistant
-            # point with a smaller index, which the tie rule must admit
-            if len(heap) == k and float(reduced_minkowski(gap, p)) > -heap[0][0]:
-                continue
-            if tree._dim[node] == _LEAF:
-                pts = tree._perm[tree._start[node] : tree._end[node]]
-                rds = reduced_minkowski(np.abs(q[None, :] - tree.data[pts]), p)
-                for rd, j in zip(rds.tolist(), pts.tolist()):
-                    item = (-rd, -j)
-                    if len(heap) < k:
-                        heapq.heappush(heap, item)
-                    elif item > heap[0]:  # (rd, j) beats the worst kept pair
-                        heapq.heapreplace(heap, item)
-                continue
-            if q[tree._dim[node]] - tree._split[node] < 0:
-                near, far = tree._left[node], tree._right[node]
-            else:
-                near, far = tree._right[node], tree._left[node]
-            stack.append(far)  # LIFO: near child explored first
-            stack.append(near)
-        pairs = sorted((-a, -b) for a, b in heap)
-        dists[qi] = [rd for rd, _ in pairs]
-        idxs[qi] = [j for _, j in pairs]
-    # root taken with the array ufunc, as the batched query does — scalar
-    # Python pow can differ from it in the last bit
-    return dists ** (1.0 / p), idxs
-
-
-def brute_kneighbors_scalar(X_train, Q, k: int, p: float = 2.0):
+def brute_kneighbors_scalar(X_train, Q, k: int):
     """One query at a time against every training point, sorted in Python.
 
-    The obviously-correct oracle: materialize each query's full reduced
-    distance row and pick the k lexicographically smallest ``(rd, idx)``
-    pairs with ``sorted``.
+    The obviously-correct oracle: materialize each query's full squared
+    Euclidean distance row and pick the k lexicographically smallest
+    ``(rd, idx)`` pairs with ``sorted``.
     """
     X_train = np.asarray(X_train, dtype=np.float64)
     Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
@@ -100,11 +48,12 @@ def brute_kneighbors_scalar(X_train, Q, k: int, p: float = 2.0):
     dists = np.empty((nq, k), dtype=np.float64)
     idxs = np.empty((nq, k), dtype=np.int64)
     for qi in range(nq):
-        rd = reduced_minkowski(np.abs(Q[qi][None, :] - X_train), p)
+        diff = Q[qi][None, :] - X_train
+        rd = np.einsum("...i,...i->...", diff, diff)
         pairs = sorted(zip(rd.tolist(), range(X_train.shape[0])))[:k]
         dists[qi] = [r for r, _ in pairs]
         idxs[qi] = [j for _, j in pairs]
-    return dists ** (1.0 / p), idxs
+    return dists**0.5, idxs
 
 
 # -- tree / forest prediction ----------------------------------------------------
@@ -147,8 +96,6 @@ def best_split_exact_scalar(clf, X, y_enc, idx, features, k):
     against the running best so the first feature achieving the best rank
     wins — the tie rule the blocked finder preserves.
     """
-    from repro.mlcore.tree import _impurity
-
     n = idx.size
     min_leaf = clf.min_samples_leaf
     y_node = y_enc[idx]
@@ -194,8 +141,6 @@ def best_split_exact_scalar(clf, X, y_enc, idx, features, k):
 
 def best_split_hist_scalar(clf, codes, quantizer, y_enc, idx, features, k):
     """Per-feature histogram scan (the pre-blocking hist split finder)."""
-    from repro.mlcore.tree import _impurity
-
     n = idx.size
     min_leaf = max(1, clf.min_samples_leaf)
     y_node = y_enc[idx]

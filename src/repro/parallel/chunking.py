@@ -1,10 +1,8 @@
-"""Balanced chunking of index ranges and arrays."""
+"""Balanced chunking of index ranges."""
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = ["chunk_bounds", "chunk_indices", "split_array"]
+__all__ = ["chunk_bounds"]
 
 
 def chunk_bounds(n: int, n_chunks: int) -> list[tuple[int, int]]:
@@ -30,18 +28,3 @@ def chunk_bounds(n: int, n_chunks: int) -> list[tuple[int, int]]:
         bounds.append((lo, lo + size))
         lo += size
     return bounds
-
-
-def chunk_indices(n: int, chunk_size: int) -> list[tuple[int, int]]:  # hotpath: chunks every batched query
-    """Split ``range(n)`` into fixed-size ``[lo, hi)`` chunks (last may be short)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    return [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
-
-
-def split_array(arr: np.ndarray, n_chunks: int) -> list[np.ndarray]:
-    """Split an array into balanced row-views (no copies)."""
-    arr = np.asarray(arr)
-    return [arr[lo:hi] for lo, hi in chunk_bounds(arr.shape[0], n_chunks)]

@@ -13,12 +13,10 @@ this subpackage implements a small in-process relational engine:
   evaluation and a tiny planner that uses sorted indexes for equality and
   range predicates.
 - :mod:`repro.storage.index` — sorted secondary indexes.
-- :mod:`repro.storage.partition` — fixed-width time-partitioned segments.
 """
 
 from repro.storage.schema import ColumnType, ColumnDef, TableSchema
 from repro.storage.engine import Database, Table, ResultSet, SCAN_BATCH_ROWS
-from repro.storage.partition import SegmentedTable
 from repro.storage.sqlparser import parse_sql, SQLSyntaxError
 from repro.storage.index import SortedIndex
 
@@ -30,7 +28,6 @@ __all__ = [
     "Table",
     "ResultSet",
     "SCAN_BATCH_ROWS",
-    "SegmentedTable",
     "parse_sql",
     "SQLSyntaxError",
     "SortedIndex",

@@ -29,7 +29,7 @@ def _day_encodings(seed: int, day: int):
     submit order."""
     trace = generate_trace(scale=1 / 60, seed=seed)
     config = MCBoundConfig(
-        algorithm="KNN", model_params={"n_neighbors": 5, "algorithm": "brute"},
+        algorithm="KNN", model_params={"n_neighbors": 5},
         alpha_days=30.0,
     )
     fw = MCBound(config, load_trace_into_db(trace))

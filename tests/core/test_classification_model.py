@@ -31,10 +31,6 @@ class TestConstruction:
         m = ClassificationModel("KNN", n_neighbors=7)
         assert m.model.n_neighbors == 7
 
-    def test_knn_backend_param_does_not_collide(self):
-        m = ClassificationModel("KNN", algorithm="brute")
-        assert m.model.algorithm == "brute"
-
 
 class TestTrainInfer:
     def test_paper_contract_inference_requires_training(self):

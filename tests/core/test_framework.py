@@ -281,7 +281,7 @@ class TestStreamingTrain:
             tiny_trace = JobTrace(cols)
         batch_rows = 40
         cfg = dict(
-            algorithm="KNN", model_params={"n_neighbors": 3, "algorithm": "brute"},
+            algorithm="KNN", model_params={"n_neighbors": 3},
             train_reservoir=cap, use_idf=use_idf,
         )
         fw = make_framework(tiny_trace, **cfg)

@@ -139,7 +139,7 @@ def knn_window():
     identical batches make them repeat."""
     trace = generate_trace(scale=0.01)
     config = MCBoundConfig(
-        algorithm="KNN", model_params={"n_neighbors": 5, "algorithm": "brute"},
+        algorithm="KNN", model_params={"n_neighbors": 5},
         alpha_days=30.0,
     )
     fw = MCBound(config, load_trace_into_db(trace))

@@ -15,7 +15,7 @@ from repro.web import TestClient
 def client(tiny_trace, tmp_path):
     cfg = MCBoundConfig(
         algorithm="KNN",
-        model_params={"n_neighbors": 3, "algorithm": "brute"},
+        model_params={"n_neighbors": 3},
         alpha_days=20.0,
     )
     fw = MCBound(cfg, load_trace_into_db(tiny_trace), model_store_root=tmp_path / "m")

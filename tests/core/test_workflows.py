@@ -10,7 +10,7 @@ from repro.fugaku.workload import DAY_SECONDS
 def framework(tiny_trace):
     cfg = MCBoundConfig(
         algorithm="KNN",
-        model_params={"n_neighbors": 3, "algorithm": "brute"},
+        model_params={"n_neighbors": 3},
         alpha_days=20.0,
     )
     return MCBound(cfg, load_trace_into_db(tiny_trace))

@@ -20,7 +20,7 @@ def evaluator(small_trace):
     return OnlineEvaluator(small_trace, test_start_day=40, test_end_day=44)
 
 
-KNN_SPEC = ModelSpec("KNN", "KNN", {"n_neighbors": 3, "algorithm": "brute"})
+KNN_SPEC = ModelSpec("KNN", "KNN", {"n_neighbors": 3})
 RF_SPEC = ModelSpec("RF", "RF", {"n_estimators": 4, "max_depth": 6, "splitter": "hist", "random_state": 0})
 
 

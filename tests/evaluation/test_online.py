@@ -13,7 +13,7 @@ def evaluator(small_trace):
     return OnlineEvaluator(small_trace, test_start_day=40, test_end_day=46)
 
 
-KNN = ("KNN", {"n_neighbors": 3, "algorithm": "brute"})
+KNN = ("KNN", {"n_neighbors": 3})
 RF = ("RF", {"n_estimators": 5, "max_depth": 8, "splitter": "hist", "random_state": 0})
 
 

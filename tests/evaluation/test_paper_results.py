@@ -24,7 +24,7 @@ from repro.evaluation import (
 
 PINNED = json.loads(Path(__file__).with_name("paper_results.json").read_text())
 
-KNN = ("KNN", {"n_neighbors": 3, "algorithm": "brute"})
+KNN = ("KNN", {"n_neighbors": 3})
 RF = ("RF", {"n_estimators": 5, "max_depth": 8, "splitter": "hist", "random_state": 0})
 
 FIXED_SCHEDULE_RUNS = {

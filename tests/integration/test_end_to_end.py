@@ -27,7 +27,7 @@ from repro.mlcore.metrics import f1_macro
 def deployed(request, small_trace, tmp_path_factory):
     algo = request.param
     params = (
-        {"n_neighbors": 5, "algorithm": "brute"}
+        {"n_neighbors": 5}
         if algo == "KNN"
         else {"n_estimators": 8, "max_depth": 10, "splitter": "hist", "random_state": 0}
     )

@@ -30,7 +30,7 @@ from repro.web import TestClient
 def make_fw(trace, tmp_path=None, **over):
     cfg = MCBoundConfig(
         algorithm="KNN",
-        model_params={"n_neighbors": 3, "algorithm": "brute"},
+        model_params={"n_neighbors": 3},
         alpha_days=over.pop("alpha_days", 20.0),
     )
     root = tmp_path / "m" if tmp_path else None

@@ -40,7 +40,7 @@ class TestLiveDeployment:
         # index (see repro.mlcore.knn), and k=5 votes past the tie noise.
         cfg = MCBoundConfig(
             algorithm="KNN",
-            model_params={"n_neighbors": 5, "algorithm": "brute"},
+            model_params={"n_neighbors": 5},
             alpha_days=25.0,
         )
         fw = MCBound(cfg, load_trace_into_db(tiny_trace), model_store_root=tmp_path / "m")

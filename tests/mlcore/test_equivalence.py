@@ -13,14 +13,12 @@ import numpy as np
 import pytest
 
 from repro.mlcore.forest import RandomForestClassifier
-from repro.mlcore.kdtree import KDTree
 from repro.mlcore.knn import KNeighborsClassifier
 from repro.mlcore.reference import (
     best_split_exact_scalar,
     best_split_hist_scalar,
     brute_kneighbors_scalar,
     forest_predict_proba_scalar,
-    kdtree_query_scalar,
     tree_predict_proba_scalar,
 )
 from repro.mlcore.tree import DecisionTreeClassifier
@@ -29,7 +27,7 @@ from repro.mlcore.tree import DecisionTreeClassifier
 def lattice(rng, n, d, span=5):
     # small random integers stored as float64: every squared distance is an
     # exact integer, so equidistant points are bit-identical ties under any
-    # summation order — exact tie-breaking is testable across backends
+    # summation order — exact tie-breaking is testable against the oracle
     return rng.integers(0, span, size=(n, d)).astype(np.float64)
 
 
@@ -76,23 +74,12 @@ def as_referenced_rows(X):
 
 
 @functools.lru_cache(maxsize=None)
-def duplicate_heavy_reference(data, k, p):
+def duplicate_heavy_reference(data, k):
     X, Q = duplicate_heavy(data)
-    return brute_kneighbors_scalar(X, Q, k, p=p)
+    return brute_kneighbors_scalar(X, Q, k)
 
 
 class TestNeighborEquivalence:
-    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-    def test_kdtree_matches_scalar_reference(self, p):
-        rng = np.random.default_rng(7)
-        X = rng.normal(size=(300, 5))
-        Q = rng.normal(size=(60, 5))
-        tree = KDTree(X, leaf_size=7, query_chunk_size=13)
-        d_new, i_new = tree.query(Q, k=5, p=p)
-        d_ref, i_ref = kdtree_query_scalar(tree, Q, k=5, p=p)
-        assert np.array_equal(i_new, i_ref)
-        assert np.array_equal(d_new, d_ref)
-
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_all_backends_agree_on_lattice_ties(self, k):
         rng = np.random.default_rng(3)
@@ -104,31 +91,18 @@ class TestNeighborEquivalence:
         assert ((rd == kth[:, None]).sum(axis=1) > 1).any()
 
         d_ref, i_ref = brute_kneighbors_scalar(X, Q, k)
-        tree = KDTree(X, leaf_size=5, query_chunk_size=17)
-        d_t, i_t = tree.query(Q, k=k)
-        assert np.array_equal(i_t, i_ref)
-        assert np.array_equal(d_t, d_ref)
-
-        d_s, i_s = kdtree_query_scalar(tree, Q, k=k)
-        assert np.array_equal(i_s, i_ref)
-        assert np.array_equal(d_s, d_ref)
-
-        knn = KNeighborsClassifier(k, algorithm="brute")
+        knn = KNeighborsClassifier(k)
         knn.fit(X, np.arange(X.shape[0]) % 2)
         d_b, i_b = knn.kneighbors(Q)
         assert np.array_equal(i_b, i_ref)
         assert np.array_equal(d_b, d_ref)
 
-    @pytest.mark.parametrize("p", [1.0, 2.0])
     @pytest.mark.parametrize("k", [1, 5, 17, "above_distinct", "n"])
     @pytest.mark.parametrize("chunk_size", [1, 7, 512])
-    @pytest.mark.parametrize("algorithm", ["brute", "kd_tree"])
     @pytest.mark.parametrize("data", ["lattice", "embeddings"])
     @pytest.mark.parametrize("fit", ["fit", "fit_rows"])
-    def test_brute_duplicate_heavy_matches_scalar_reference(
-        self, fit, data, algorithm, chunk_size, k, p
-    ):
-        # both backends search the distinct rows and expand their copies;
+    def test_brute_duplicate_heavy_matches_scalar_reference(self, fit, data, chunk_size, k):
+        # the search runs over the distinct rows and expands their copies;
         # neighbours and distances must equal the brute-force scalar
         # reference over every row, whatever the chunking, for k up to n,
         # whether fit finds the distinct rows or fit_rows is handed them
@@ -137,8 +111,8 @@ class TestNeighborEquivalence:
         n_distinct = len({row.tobytes() for row in X})
         assert n_distinct < len(X) // 3
         k = {"above_distinct": n_distinct + 3, "n": len(X)}.get(k, k)
-        d_ref, i_ref = duplicate_heavy_reference(data, k, p)
-        knn = KNeighborsClassifier(k, p=p, algorithm=algorithm, chunk_size=chunk_size)
+        d_ref, i_ref = duplicate_heavy_reference(data, k)
+        knn = KNeighborsClassifier(k, chunk_size=chunk_size)
         if fit == "fit":
             knn.fit(X, y)
         else:
@@ -147,7 +121,7 @@ class TestNeighborEquivalence:
         assert np.array_equal(i_b, i_ref)
         assert np.array_equal(d_b, d_ref)
         if fit == "fit_rows":
-            dense = KNeighborsClassifier(k, p=p, algorithm=algorithm, chunk_size=chunk_size)
+            dense = KNeighborsClassifier(k, chunk_size=chunk_size)
             dense.fit(X, y)
             assert np.array_equal(knn.predict(Q), dense.predict(Q))
             got, want = knn.get_state()["arrays"], dense.get_state()["arrays"]
@@ -183,9 +157,7 @@ class TestNeighborEquivalence:
         X = rng.normal(size=(300, 4))
         Q = rng.normal(size=(70, 4))
         d_ref, i_ref = brute_kneighbors_scalar(X, Q, 5)
-        knn = KNeighborsClassifier(5, algorithm="brute").fit(
-            X, np.arange(X.shape[0]) % 2
-        )
+        knn = KNeighborsClassifier(5).fit(X, np.arange(X.shape[0]) % 2)
         d_b, i_b = knn.kneighbors(Q)
         assert np.array_equal(i_b, i_ref)
         assert np.array_equal(d_b, d_ref)
@@ -202,24 +174,12 @@ class TestNeighborEquivalence:
         screen = (q * q)[0] + (X * X)[:, 0] - 2.0 * (q @ X.T)[0]
         exact = ((q - X) ** 2)[:, 0]
         assert screen[0] < screen[1] and exact[1] < exact[0]
-        knn = KNeighborsClassifier(1, algorithm="brute").fit(X, [0, 1, 0])
+        knn = KNeighborsClassifier(1).fit(X, [0, 1, 0])
         d_b, i_b = knn.kneighbors(q)
         d_ref, i_ref = brute_kneighbors_scalar(X, q, 1)
         assert i_b[0, 0] == i_ref[0, 0] == 1
         assert np.array_equal(d_b, d_ref)
         assert knn.predict(q)[0] == 1
-
-    def test_brute_and_kdtree_classifiers_agree_continuous(self):
-        rng = np.random.default_rng(11)
-        X = rng.normal(size=(200, 4))
-        y = (X[:, 0] > 0).astype(int)
-        Q = rng.normal(size=(50, 4))
-        brute = KNeighborsClassifier(5, algorithm="brute").fit(X, y)
-        kd = KNeighborsClassifier(5, algorithm="kd_tree").fit(X, y)
-        d_b, i_b = brute.kneighbors(Q)
-        d_k, i_k = kd.kneighbors(Q)
-        assert np.array_equal(i_b, i_k)
-        np.testing.assert_allclose(d_b, d_k, rtol=1e-12, atol=1e-12)
 
 
 class TestSplitFinderEquivalence:

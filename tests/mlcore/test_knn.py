@@ -1,4 +1,4 @@
-"""Tests for the k-NN classifier (brute and KD-tree backends)."""
+"""Tests for the k-NN classifier."""
 
 import numpy as np
 import pytest
@@ -51,20 +51,20 @@ class TestFitPredict:
 class TestKneighbors:
     def test_self_is_nearest_in_training(self):
         X, y = blobs(50)
-        knn = KNeighborsClassifier(3, algorithm="brute").fit(X, y)
+        knn = KNeighborsClassifier(3).fit(X, y)
         dist, idx = knn.kneighbors(X)
         assert np.array_equal(dist[:, 0], np.zeros(50))  # rescored exactly
         assert np.array_equal(idx[:, 0], np.arange(50))
 
     def test_distances_sorted(self):
         X, y = blobs()
-        knn = KNeighborsClassifier(5, algorithm="brute").fit(X, y)
+        knn = KNeighborsClassifier(5).fit(X, y)
         dist, _ = knn.kneighbors(X[:10])
         assert np.all(np.diff(dist, axis=1) >= -1e-12)
 
     def test_k_equals_n(self):
         X, y = blobs(10)
-        knn = KNeighborsClassifier(3, algorithm="brute").fit(X, y)
+        knn = KNeighborsClassifier(3).fit(X, y)
         dist, idx = knn.kneighbors(X[:2], n_neighbors=10)
         assert dist.shape == (2, 10)
         assert set(idx[0].tolist()) == set(range(10))
@@ -72,7 +72,7 @@ class TestKneighbors:
     def test_brute_matches_exact_euclidean(self):
         X, y = blobs(80)
         q = np.random.default_rng(1).normal(size=(5, X.shape[1]))
-        knn = KNeighborsClassifier(4, algorithm="brute").fit(X, y)
+        knn = KNeighborsClassifier(4).fit(X, y)
         dist, idx = knn.kneighbors(q)
         full = np.sqrt(((q[:, None, :] - X[None]) ** 2).sum(-1))
         expected = np.sort(full, axis=1)[:, :4]
@@ -80,25 +80,6 @@ class TestKneighbors:
 
 
 class TestBackends:
-    def test_kdtree_matches_brute(self):
-        X, y = blobs(150, d=3)
-        q = np.random.default_rng(2).normal(size=(20, 3))
-        b = KNeighborsClassifier(5, algorithm="brute").fit(X, y)
-        k = KNeighborsClassifier(5, algorithm="kd_tree").fit(X, y)
-        db, _ = b.kneighbors(q)
-        dk, _ = k.kneighbors(q)
-        assert np.allclose(db, dk, atol=1e-10)
-
-    def test_auto_picks_kdtree_low_dim(self):
-        X, y = blobs(50, d=3)
-        knn = KNeighborsClassifier(3, algorithm="auto").fit(X, y)
-        assert knn._backend == "kd_tree"
-
-    def test_auto_picks_brute_high_dim(self):
-        X, y = blobs(50, d=32)
-        knn = KNeighborsClassifier(3, algorithm="auto").fit(X, y)
-        assert knn._backend == "brute"
-
     def test_chunking_consistent(self):
         X, y = blobs(300)
         big = KNeighborsClassifier(5, chunk_size=1000).fit(X, y)
@@ -107,51 +88,17 @@ class TestBackends:
         assert np.array_equal(big.predict(q), small.predict(q))
 
 
-class TestMinkowski:
-    def test_p1_manhattan(self):
-        X = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 2.0]])
-        y = np.array([0, 1, 1])
-        knn = KNeighborsClassifier(1, p=1.0, algorithm="brute").fit(X, y)
-        dist, idx = knn.kneighbors(np.array([[1.0, 1.0]]), n_neighbors=3)
-        assert dist[0, 0] == pytest.approx(2.0)  # to the origin
-
-    def test_p3_matches_definition(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(40, 5))
-        y = (X[:, 0] > 0).astype(int)
-        q = rng.normal(size=(3, 5))
-        knn = KNeighborsClassifier(4, p=3.0, algorithm="brute").fit(X, y)
-        dist, idx = knn.kneighbors(q)
-        ref = ((np.abs(q[:, None, :] - X[None]) ** 3).sum(-1)) ** (1 / 3)
-        assert np.allclose(dist, np.sort(ref, axis=1)[:, :4], atol=1e-10)
-
-    def test_kdtree_p1_matches_brute(self):
-        X, y = blobs(100, d=3)
-        b = KNeighborsClassifier(3, p=1.0, algorithm="brute").fit(X, y)
-        k = KNeighborsClassifier(3, p=1.0, algorithm="kd_tree").fit(X, y)
-        q = X[:15] + 0.05
-        db, _ = b.kneighbors(q)
-        dk, _ = k.kneighbors(q)
-        assert np.allclose(db, dk, atol=1e-10)
-
-    def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            KNeighborsClassifier(p=0.5)
-        with pytest.raises(ValueError):
-            KNeighborsClassifier(p=float("inf"))
-
-
 class TestVoting:
     def test_majority_wins(self):
         X = np.array([[0.0], [0.1], [0.2], [10.0], [10.1]])
         y = np.array([0, 0, 0, 1, 1])
-        knn = KNeighborsClassifier(5, algorithm="brute").fit(X, y)
+        knn = KNeighborsClassifier(5).fit(X, y)
         assert knn.predict(np.array([[0.05]]))[0] == 0
 
     def test_proba_is_vote_fraction(self):
         X = np.array([[0.0], [0.1], [10.0], [10.1], [10.2]])
         y = np.array([0, 0, 1, 1, 1])
-        knn = KNeighborsClassifier(5, algorithm="brute").fit(X, y)
+        knn = KNeighborsClassifier(5).fit(X, y)
         p = knn.predict_proba(np.array([[5.0]]))
         assert p[0, 0] == pytest.approx(0.4)
         assert p[0, 1] == pytest.approx(0.6)
@@ -159,7 +106,7 @@ class TestVoting:
     def test_tie_breaks_to_smaller_class(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([0, 1])
-        knn = KNeighborsClassifier(2, algorithm="brute").fit(X, y)
+        knn = KNeighborsClassifier(2).fit(X, y)
         assert knn.predict(np.array([[0.5]]))[0] == 0
 
 

@@ -84,15 +84,6 @@ class TestScore:
         assert reg.score(X, y) == pytest.approx(0.0, abs=1e-9)
 
 
-class TestBackends:
-    def test_kdtree_matches_brute(self):
-        X, y = smooth_data(150)
-        q = np.random.default_rng(3).uniform(-3, 3, size=(20, 2))
-        b = KNeighborsRegressor(4, algorithm="brute").fit(X, y).predict(q)
-        t = KNeighborsRegressor(4, algorithm="kd_tree").fit(X, y).predict(q)
-        assert np.allclose(b, t, atol=1e-10)
-
-
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         from repro.mlcore.persistence import load_model, save_model

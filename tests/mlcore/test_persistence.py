@@ -104,22 +104,21 @@ def _training_matrix(model):
     return model._rows[model._row_index]
 
 
+@pytest.fixture(params=["classifier", "regressor"])
+def fitted(request):
+    """A KNN classifier or regressor fitted on :func:`repeated_rows`, and
+    its queries."""
+    X, Q = repeated_rows()
+    if request.param == "classifier":
+        y = (X.sum(axis=1) > 0).astype(int)
+        return KNeighborsClassifier(5).fit(X, y), Q
+    y = X @ np.array([0.5, -1.0, 2.0, 0.25])
+    return KNeighborsRegressor(5).fit(X, y), Q
+
+
 class TestKNNRoundTrip:
     """A KNN archive holds the training matrix as its distinct rows plus a
     row index, and the reload is byte-identical."""
-
-    @pytest.fixture(params=["brute", "kd_tree"])
-    def algorithm(self, request):
-        return request.param
-
-    @pytest.fixture(params=["classifier", "regressor"])
-    def fitted(self, request, algorithm):
-        X, Q = repeated_rows()
-        if request.param == "classifier":
-            y = (X.sum(axis=1) > 0).astype(int)
-            return KNeighborsClassifier(5, algorithm=algorithm).fit(X, y), Q
-        y = X @ np.array([0.5, -1.0, 2.0, 0.25])
-        return KNeighborsRegressor(5, algorithm=algorithm).fit(X, y), Q
 
     def test_data_has_repeats_ties_and_signed_zeros(self):
         X, _ = repeated_rows()
@@ -190,7 +189,7 @@ class TestKNNArchiveWrittenBeforeDistinctRows:
 
     def test_classifier(self, tmp_path):
         X, Q = repeated_rows()
-        knn = KNeighborsClassifier(5, algorithm="brute").fit(X, (X[:, 0] > 0).astype(int))
+        knn = KNeighborsClassifier(5).fit(X, (X[:, 0] > 0).astype(int))
         self._write(
             tmp_path / "m", "KNeighborsClassifier", self.META,
             {"classes": knn.classes_, "X": X, "y": knn._y},
@@ -201,7 +200,7 @@ class TestKNNArchiveWrittenBeforeDistinctRows:
 
     def test_regressor(self, tmp_path):
         X, Q = repeated_rows()
-        reg = KNeighborsRegressor(5, algorithm="brute").fit(X, X[:, 0] * 2.0)
+        reg = KNeighborsRegressor(5).fit(X, X[:, 0] * 2.0)
         self._write(
             tmp_path / "m", "KNeighborsRegressor", {**self.META, "weights": "uniform"},
             {"X": X, "targets": reg._targets},
@@ -209,6 +208,39 @@ class TestKNNArchiveWrittenBeforeDistinctRows:
         loaded = load_model(tmp_path / "m")
         assert _training_matrix(loaded).tobytes() == X.tobytes()
         assert np.array_equal(loaded.predict(Q), reg.predict(Q))
+
+
+class TestKNNArchiveWithSearchOptions:
+    """Archives written while the estimators took ``algorithm``,
+    ``leaf_size`` and ``p`` carry them in their meta.  Every backend was
+    exact under one tie rule, so a KD-tree archive must answer as a fresh
+    fit does; a search under p != 2 gave other answers and is refused."""
+
+    def _archive(self, model, path, **meta):
+        save_model(model, path)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["meta"].update(meta)
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        return path
+
+    def test_kd_tree_archive_answers_as_a_fresh_fit(self, fitted, tmp_path):
+        fresh, Q = fitted
+        path = self._archive(
+            fresh, tmp_path / "m", p=2.0, algorithm="kd_tree", leaf_size=32
+        )
+        loaded = load_model(path)
+        dist, idx = fresh.kneighbors(Q)
+        dist2, idx2 = loaded.kneighbors(Q)
+        assert dist.tobytes() == dist2.tobytes()
+        assert idx.tobytes() == idx2.tobytes()
+        assert np.array_equal(fresh.predict(Q), loaded.predict(Q))
+
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_archive_searched_with_another_p_is_refused(self, fitted, p, tmp_path):
+        fresh, _ = fitted
+        path = self._archive(fresh, tmp_path / "m", p=p, algorithm="brute", leaf_size=32)
+        with pytest.raises(ValueError, match=f"p={p}"):
+            load_model(path)
 
 
 class TestModelRegistry:

@@ -1,11 +1,10 @@
 """Tests for balanced chunking."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.chunking import chunk_bounds, chunk_indices, split_array
+from repro.parallel.chunking import chunk_bounds
 
 
 class TestChunkBounds:
@@ -39,33 +38,3 @@ class TestChunkBounds:
         if bounds:
             sizes = [hi - lo for lo, hi in bounds]
             assert max(sizes) - min(sizes) <= 1
-
-
-class TestChunkIndices:
-    def test_fixed_size(self):
-        assert chunk_indices(10, 4) == [(0, 4), (4, 8), (8, 10)]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            chunk_indices(10, 0)
-
-    @given(st.integers(0, 5000), st.integers(1, 100))
-    @settings(max_examples=100, deadline=None)
-    def test_cover(self, n, size):
-        chunks = chunk_indices(n, size)
-        total = sum(hi - lo for lo, hi in chunks)
-        assert total == n
-        for lo, hi in chunks[:-1]:
-            assert hi - lo == size
-
-
-class TestSplitArray:
-    def test_views_not_copies(self):
-        a = np.arange(10)
-        parts = split_array(a, 2)
-        parts[0][0] = 99
-        assert a[0] == 99
-
-    def test_round_trip(self):
-        a = np.arange(17)
-        assert np.array_equal(np.concatenate(split_array(a, 5)), a)

@@ -1,9 +1,9 @@
 """Streaming discipline of the storage layer.
 
-Generator ingest, chunked scans and the partitioned table all peak at
-O(batch), never O(table) — including a tracemalloc bound at 10^5 rows
-that is independent of table size.  ``tests/core/test_memory_bounds.py``
-holds the same bound for the framework paths above the store.
+Generator ingest and chunked scans peak at O(batch), never O(table) —
+including a tracemalloc bound at 10^5 rows that is independent of table
+size.  ``tests/core/test_memory_bounds.py`` holds the same bound for the
+framework paths above the store.
 """
 
 import numpy as np
@@ -11,7 +11,6 @@ import pytest
 
 from repro.evaluation.timing import peak_memory_bytes
 from repro.storage.engine import SCAN_BATCH_ROWS, Database, Table, _INSERT_CHUNK
-from repro.storage.partition import SegmentedTable
 from repro.storage.schema import ColumnDef, ColumnType, TableSchema
 
 
@@ -147,38 +146,3 @@ class TestScanBatches:
         assert peak_small < per_batch and peak_large < per_batch
         # 5x the rows must not mean anywhere near 5x the peak
         assert peak_large < peak_small * 2
-
-
-class TestSegmentedTable:
-    def test_routing_and_total_length(self):
-        st = SegmentedTable(jobs_schema(), "key", 100.0)
-        st.insert_columns(
-            {"key": np.arange(1_000, dtype=float), "val": np.arange(1_000)}
-        )
-        assert len(st) == 1_000
-        assert st.segment_ids == tuple(range(10))
-        assert all(len(st.segment(b)) == 100 for b in st.segment_ids)
-
-    def test_scan_skips_non_overlapping_segments(self):
-        st = SegmentedTable(jobs_schema(), "key", 100.0)
-        st.insert_columns(
-            {"key": np.arange(1_000, dtype=float), "val": np.arange(1_000)}
-        )
-        got = np.concatenate(
-            [rs.column("val") for rs in st.scan_batches(150.0, 420.0, batch_rows=33)]
-        )
-        assert np.array_equal(got, np.arange(150, 420))
-
-    def test_interleaved_inserts_land_in_key_order_scan(self):
-        st = SegmentedTable(jobs_schema(), "key", 10.0)
-        st.insert_columns({"key": np.array([5.0, 25.0]), "val": np.array([5, 25])})
-        st.insert_columns({"key": np.array([15.0, 7.0]), "val": np.array([15, 7])})
-        got = [int(v) for rs in st.scan_batches() for v in rs.column("val")]
-        # partition order; insertion order within a partition
-        assert got == [5, 7, 15, 25]
-
-    def test_rejects_bad_key_and_width(self):
-        with pytest.raises(KeyError):
-            SegmentedTable(jobs_schema(), "missing", 10.0)
-        with pytest.raises(ValueError):
-            SegmentedTable(jobs_schema(), "key", 0.0)

@@ -18,8 +18,9 @@ more than 30% relative to the committed baseline, and then leaves
 gate; the relative band is wide because even same-machine speedup ratios
 wobble ~20-25% run to run (the scalar and vectorized sides respond
 differently to background load), and CI runners differ again.
-``embedder_cold`` alternates its two sides (best of 9 batched encodes, 3
-scalar ones) so that background load hits both.
+``forest_predict`` and ``embedder_cold`` alternate their two sides (best
+of 10 fused predicts against 5 scalar ones, and of 9 batched encodes
+against 3 scalar ones) so that background load hits both.
 
 ``knn_publish`` times ``save_model`` of a KNN against
 ``np.savez_compressed`` of its whole training matrix, once with rows that
@@ -216,8 +217,12 @@ def test_forest_throughput(results):
     forest = make().fit(X, y.astype(int))
     Q = rng.normal(size=(FOREST_PREDICT_BATCH, FOREST_DIM)).astype(np.float32)
 
-    predict_s = best_time(lambda: forest.predict_proba(Q), repeats=10)
-    scalar_s = best_time(lambda: forest_predict_proba_scalar(forest, Q), repeats=5)
+    predict_s, scalar_s = best_times_alternating(
+        lambda: forest.predict_proba(Q),
+        lambda: forest_predict_proba_scalar(forest, Q),
+        rounds=5,
+        fast_per_round=2,
+    )
     assert np.array_equal(forest.predict_proba(Q), forest_predict_proba_scalar(forest, Q))
 
     results["forest"] = {

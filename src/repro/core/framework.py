@@ -61,6 +61,9 @@ class MCBound:
         *,
         model_store_root: str | Path | None = None,
     ) -> None:
+        # Build the estimator once so that an unknown algorithm or a bad
+        # model_params fails here, not at every /train.
+        ClassificationModel(config.algorithm, **config.model_params)
         self.config = config
         self.fetcher = DataFetcher(db)
         self.encoder = FeatureEncoder(
@@ -87,7 +90,7 @@ class MCBound:
         self._predict_memo: OrderedDict[str, int] = OrderedDict()
         self._memo_model: ClassificationModel | None = None
         # One lock serializes every cross-thread write to model and the
-        # memo: the serving path (per-request threads) races the Training
+        # memo: the serving path (handler threads) races the Training
         # Workflow over both.
         self._state_lock = new_lock("repro.core.MCBound.state")
         self._state_guard = StateGuard("repro.core.MCBound.state")

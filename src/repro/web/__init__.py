@@ -10,8 +10,10 @@ the standard library:
   handling and error handlers.
 - :class:`repro.web.TestClient` — in-process request driver for tests
   (flask's ``test_client`` equivalent).
-- :func:`repro.web.serve` — a real HTTP server on
-  :class:`http.server.ThreadingHTTPServer` for live deployment.
+- :func:`repro.web.serve` — a real HTTP server for live deployment: a
+  fixed pool of worker threads blocked in ``accept()`` on one socket,
+  each reading a request straight off its connection and writing the
+  reply in one send (see :mod:`repro.web.server`).
 """
 
 from repro.web.app import App, Request, Response, HTTPError

@@ -21,7 +21,10 @@ _STATUS_TEXT = {
     404: "Not Found",
     405: "Method Not Allowed",
     409: "Conflict",
+    411: "Length Required",
     413: "Content Too Large",
+    414: "URI Too Long",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }

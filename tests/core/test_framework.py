@@ -46,6 +46,20 @@ class TestTraining:
         with pytest.raises(ValueError, match="no jobs"):
             fw.train(-100 * DAY_SECONDS, alpha_days=1)
 
+    @pytest.mark.parametrize(
+        "algorithm, params, error",
+        [
+            # the KNN options removed from the estimators
+            ("KNN", {"n_neighbors": 5, "algorithm": "brute"}, TypeError),
+            ("KNN", {"n_neighbors": 5, "leaf_size": 30}, TypeError),
+            ("KNN", {"n_neighbors": 5, "p": 2}, TypeError),
+            ("SVM", {}, ValueError),
+        ],
+    )
+    def test_bad_model_config_fails_at_construction(self, tiny_trace, algorithm, params, error):
+        with pytest.raises(error):
+            make_framework(tiny_trace, algorithm=algorithm, model_params=params)
+
     def test_publishes_to_store(self, tiny_trace, now, tmp_path):
         fw = make_framework(tiny_trace, tmp_path)
         s1 = fw.train(now, alpha_days=15)

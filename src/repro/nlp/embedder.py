@@ -15,43 +15,49 @@ depends only on (string, dim, n_hashes, seed, idf state).
 Performance: job feature strings repeat heavily (batches of identical
 jobs), so per-string vectors are memoized in an LRU cache and
 :meth:`encode` deduplicates its input before embedding.  The strings that
-miss are embedded together through an interned token table:
+miss are embedded together, :data:`CHUNK_STRINGS` at a time, in one numpy
+pass with no Python work per token:
 
-- Each distinct token owns one table row: its ``n_hashes`` dimensions
-  (collapsed keep-last, the dropped ones pointing at a dummy column
-  ``dim``), their signs, its IDF token id, and its IDF weight with the
-  generation that computed it.  Words and n-grams are looked up in two
-  vocabularies keyed on the tokenizer's raw pieces, by ``map`` passes
-  over the batch with no Python call per token; only the tokens a batch
-  adds are hashed, each once in its table lifetime.
-- A string becomes an int32 array of table rows in ``feature_tokens``
-  order (words, the words again, then n-grams), memoized per string.
-- A batch is one gather of its rows and one ``np.bincount`` over
+- Each string is lowercased on its own and wrapped as ``^...$``, and the
+  chunk is read as one array of code points.
+- Words, the maximal runs of ``[a-z]`` or of decimal digits, are hashed
+  together one code point per step
+  (:func:`repro.nlp.hashing.fnv1a64_runs`).  Every n-gram starting at a
+  position shares the FNV-1a states of its shorter prefixes, so ``n_max``
+  steps over all positions hash the n-grams of every length
+  (:func:`repro.nlp.hashing.fnv1a64_prefixes`); those that run past their
+  string's ``$`` are dropped.
+- The tokens go, in ``feature_tokens`` order (words, the words again, then
+  n-grams by length and position), into one ``np.bincount`` over
   flattened ``(string, dim + 1)`` cells, the dummy column sliced off.
   bincount adds its input in order, so every dimension sums its floats in
   the order of the per-token loop in :mod:`repro.nlp.reference`, and the
   two are bit-for-bit identical.
 
-Bounds: the vector cache and the per-string row cache each hold at most
-``cache_size`` strings; the table holds at most ``4 * cache_size + 1024``
-tokens, and is emptied, with the row cache, before a batch that would
-overflow it (a single batch's tokens always fit).  One lock guards the
-table and both caches, so concurrent :meth:`encode` calls, and
+Bounds: the vector cache holds at most ``cache_size`` strings, and one
+call's working memory is that of one chunk.  One lock guards the cache
+and the IDF table, so concurrent :meth:`encode` calls, and
 :meth:`partial_fit_idf`, never see them half-updated.
 """
 
 from __future__ import annotations
 
-from itertools import chain, filterfalse
-
 import numpy as np
 
-from repro.nlp.hashing import hash_token
+from repro.nlp.hashing import fnv1a64_prefixes, fnv1a64_runs, fnv1a64_states, mix64, utf8_units
 from repro.nlp.tfidf import DocumentFrequencyTable
-from repro.nlp.tokenizer import char_ngrams, word_tokens
 from repro.sanitizers import new_lock
 
 __all__ = ["SentenceEmbedder"]
+
+#: strings embedded per numpy pass: a vector does not depend on its chunk,
+#: so this bounds one call's working memory and changes no bit
+CHUNK_STRINGS = 1024
+
+#: word character kind of each ASCII code point: 1 for [a-z], 2 for digits
+_ASCII_KIND = np.zeros(0x80, dtype=np.int8)
+_ASCII_KIND[ord("a") : ord("z") + 1] = 1
+_ASCII_KIND[ord("0") : ord("9") + 1] = 2
 
 
 def row_norms(M: np.ndarray) -> np.ndarray:
@@ -62,12 +68,6 @@ def row_norms(M: np.ndarray) -> np.ndarray:
     they drift in the last bit; this helper is that single shared op.
     """
     return np.sqrt((M * M).sum(axis=-1))
-
-
-def _grown(a: np.ndarray, rows: int) -> np.ndarray:
-    out = np.empty((rows,) + a.shape[1:], dtype=a.dtype)
-    out[: len(a)] = a
-    return out
 
 
 class SentenceEmbedder:
@@ -90,10 +90,9 @@ class SentenceEmbedder:
     ngram_range:
         Character n-gram sizes fed to the tokenizer.
     cache_size:
-        Maximum number of distinct strings memoized, as vectors (LRU
-        eviction: a cache hit refreshes the entry's recency, evictions
-        drop the least recently used string) and as token rows; the token
-        table holds at most ``4 * cache_size + 1024`` tokens.
+        Maximum number of distinct strings whose vectors are memoized
+        (LRU eviction: a cache hit refreshes the entry's recency, evictions
+        drop the least recently used string).
     """
 
     def __init__(
@@ -123,135 +122,93 @@ class SentenceEmbedder:
         self._lock = new_lock("repro.nlp.SentenceEmbedder")
         # the projection hashes, then the IDF token id
         self._seeds = [self.seed * 1000 + k for k in range(self.n_hashes)] + [self.seed]
-        self._table_bound = 4 * self.cache_size + 1024
-        # the token table, one row per token; _n_tokens rows are in use
-        self._dims = np.empty((0, self.n_hashes), dtype=np.intp)
-        self._signs = np.empty((0, self.n_hashes), dtype=np.float64)
-        self._ids = np.empty(0, dtype=np.uint64)
-        self._weight = np.empty(0, dtype=np.float64)
-        self._weight_gen = np.empty(0, dtype=np.int64)
-        self._idf_gen = 0
-        self._reset_table()
 
-    # -- token table ------------------------------------------------------------
+    # -- batch embedding ---------------------------------------------------------
 
-    def _reset_table(self) -> None:
-        """Forget every token, and the per-string rows that point at them."""
-        self._words: dict[str, int] = {}
-        self._grams: dict[str, int] = {}
-        self._rows: dict[str, np.ndarray] = {}
-        self._n_tokens = 0
+    def _tokens(self, texts: list[str], seeds: list[int]) -> tuple[np.ndarray, np.ndarray, int]:
+        """Hash every token of ``texts`` once per seed, in one pass.
 
-    def _intern(self, words: list[str], grams: list[str]) -> None:
-        """Append one table row per new word, then per new n-gram."""
-        tokens = [f"w:{w}" for w in words] + [f"g:{g}" for g in grams]
-        h = np.array([[hash_token(t, s) for s in self._seeds] for t in tokens], dtype=np.uint64)
-        k = self.n_hashes
-        dims = (h[:, :k] % np.uint64(self.dim)).astype(np.intp)
-        if k > 1:
-            # ``v[dims] += signs * w`` keeps only the last write when two
-            # hashes of one token land on one dimension; point the earlier
-            # ones at the dummy column, so each real cell gets exactly the
-            # adds of the per-token loop
-            later = np.triu(np.ones((k, k), dtype=bool), 1)
-            dims[((dims[:, :, None] == dims[:, None, :]) & later).any(axis=2)] = self.dim
-        start, stop = self._n_tokens, self._n_tokens + len(tokens)
-        if stop > len(self._ids):
-            rows = max(stop, 2 * len(self._ids), 256)
-            self._dims, self._signs, self._ids, self._weight, self._weight_gen = (
-                _grown(a, rows)
-                for a in (self._dims, self._signs, self._ids, self._weight, self._weight_gen)
-            )
-        self._dims[start:stop] = dims
-        self._signs[start:stop] = np.where(h[:, :k] >> np.uint64(63), 1.0, -1.0)
-        self._ids[start:stop] = h[:, k]
-        self._weight_gen[start:stop] = -1  # no weight computed yet
-        self._words.update(zip(words, range(start, stop)))
-        self._grams.update(zip(grams, range(start + len(words), stop)))
-        self._n_tokens = stop
-
-    def _token_rows(self, texts: list[str]) -> list[np.ndarray]:  # hotpath: tokenizes every embedded string
-        """Each text's table rows in ``feature_tokens`` order, interning
-        the tokens the table lacks.  The caller holds ``_lock``."""
-        out: list = []
-        missed: list[tuple[int, str]] = []
-        for text in texts:
-            rows = self._rows.pop(text, None)
-            if rows is None:
-                missed.append((len(out), text))
-            else:
-                self._rows[text] = rows  # LRU: refresh recency
-            out.append(rows)
-        if not missed:
-            return out
-        n_min, n_max = self.ngram_range
-        words = [word_tokens(text) for _, text in missed]
-        grams = [char_ngrams(text, n_min, n_max) for _, text in missed]
-        all_words = list(chain.from_iterable(words))
-        all_grams = list(chain.from_iterable(grams))
-        new_words = dict.fromkeys(filterfalse(self._words.__contains__, all_words))
-        new_grams = dict.fromkeys(filterfalse(self._grams.__contains__, all_grams))
-        if new_words or new_grams:
-            if self._n_tokens and self._n_tokens + len(new_words) + len(new_grams) > self._table_bound:
-                self._reset_table()
-                return self._token_rows(texts)
-            self._intern(list(new_words), list(new_grams))
-        word_rows = list(map(self._words.__getitem__, all_words))
-        gram_rows = list(map(self._grams.__getitem__, all_grams))
-        flat: list[int] = []
-        sizes: list[int] = []
-        w = g = 0
-        for ws, gs in zip(words, grams):
-            w_end, g_end = w + len(ws), g + len(gs)
-            flat += word_rows[w:w_end]
-            flat += word_rows[w:w_end]  # words count twice, as in feature_tokens
-            flat += gram_rows[g:g_end]
-            sizes.append(2 * len(ws) + len(gs))
-            w, g = w_end, g_end
-        parts = np.split(np.array(flat, dtype=np.int32), np.cumsum(sizes)[:-1])
-        for (j, text), rows in zip(missed, parts):
-            out[j] = rows
-            if self.cache_size:
-                if len(self._rows) >= self.cache_size:
-                    self._rows.pop(next(iter(self._rows)))
-                self._rows[text] = rows
-        return out
-
-    def _weights(self, flat: np.ndarray) -> np.ndarray:
-        """IDF weight of each gathered row; rows weighed under an older IDF
-        generation are recomputed first."""
-        stale = np.unique(flat[self._weight_gen[flat] != self._idf_gen])
-        if stale.size:
-            idf = self.idf_table.idf
-            self._weight[stale] = [idf(i) for i in self._ids[stale].tolist()]
-            self._weight_gen[stale] = self._idf_gen
-        return self._weight[flat]
-
-    def _embed_batch(self, texts: list[str]) -> np.ndarray:  # hotpath: batched projection behind encode()
-        """Embed strings together, bit-for-bit like the per-token loop.
-
-        One gather of the batch's table rows and one ``np.bincount`` over
-        flattened ``(string, dim + 1)`` cells; see the module docstring.
-        The caller holds ``_lock``.
+        Returns ``(string, hashes, n_words)``: ``hashes[s, i]`` is
+        ``hash_token`` of token ``i`` under ``seeds[s]``, ``string[i]`` the
+        index of its text, and the first ``n_words`` tokens are the words,
+        the rest the n-grams, each set in ``feature_tokens`` order within
+        a text.
         """
-        rows = self._token_rows(texts)
-        n, width = len(texts), self.dim + 1
-        counts = np.fromiter(map(len, rows), dtype=np.intp, count=n)
-        flat = np.concatenate(rows)
-        contrib = self._signs[flat]
+        n_min, n_max = self.ngram_range
+        wrapped = [f"^{t.lower()}$" for t in texts]
+        joined = "".join(wrapped)
+        try:
+            cp = np.frombuffer(joined.encode("utf-32-le"), dtype=np.uint32)
+        except UnicodeEncodeError:
+            # a lone surrogate: the oracle raises this on the texts it hashes
+            # n-grams of, and words hold no surrogates
+            "".join(w for w in wrapped if len(w) >= n_min).encode("utf-8")
+            cp = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        lens = np.fromiter(map(len, wrapped), dtype=np.intp, count=len(wrapped))
+        string_of = np.repeat(np.arange(len(wrapped)), lens)
+        # code points from each position to its string's end, "$" included
+        left = np.repeat(np.cumsum(lens), lens) - np.arange(len(cp))
+        units = utf8_units(cp)
+
+        # words: runs of one kind, 1 for [a-z] and 2 for decimal digits
+        kind = _ASCII_KIND[np.minimum(cp, 0x7F)]
+        if len(units) > 1:  # the tokenizer's \d also takes non-ASCII decimal digits
+            wide = np.flatnonzero(cp >= 0x80)
+            codes = np.unique(cp[wide])
+            decimal = codes[np.array([chr(c).isdecimal() for c in codes.tolist()], dtype=bool)]
+            kind[wide[np.isin(cp[wide], decimal)]] = 2
+        # "^" and "$" are kind 0, so every run closes at the next edge
+        edge = np.flatnonzero(kind[1:] != kind[:-1]) + 1
+        opens = np.flatnonzero(kind[edge])
+        starts = edge[opens]
+        words = fnv1a64_runs(fnv1a64_states(b"w:", seeds), units, starts, edge[opens + 1] - starts)
+
+        parts, owner = [words], [string_of[starts]]
+        grams = fnv1a64_prefixes(fnv1a64_states(b"g:", seeds), units, n_max)
+        for n, h in enumerate(grams, 1):
+            if n >= n_min:
+                at = np.flatnonzero(left >= n)
+                parts.append(h[:, at])
+                owner.append(string_of[at])
+        return np.concatenate(owner), mix64(np.concatenate(parts, axis=1)), len(starts)
+
+    def _embed_chunk(self, texts: list[str]) -> np.ndarray:
+        """Embed one chunk of strings; see the module docstring."""
+        k, n, width = self.n_hashes, len(texts), self.dim + 1
+        string, h, n_words = self._tokens(texts, self._seeds[: k + self.use_idf])
+        # one row per token added, in feature_tokens order (words, the words
+        # again, then n-grams), holding the token's k projection hashes
+        feed = np.concatenate([np.arange(n_words), np.arange(len(string))])
+        proj = h[:k].T[feed]
+        dims = (proj % np.uint64(self.dim)).astype(np.intp)
+        # ``v[dims] += signs * w`` keeps only the last write when two hashes
+        # of one token land on one dimension; point the earlier ones at the
+        # dummy column, so each real cell gets exactly the adds of the
+        # per-token loop
+        for a in range(k - 1):
+            dims[(dims[:, a : a + 1] == dims[:, a + 1 :]).any(axis=1), a] = self.dim
+        weights = np.where(proj >> np.uint64(63), 1.0, -1.0)
         if self.use_idf:
-            contrib *= self._weights(flat)[:, None]
-        cells = self._dims[flat] + np.repeat(np.arange(0, n * width, width), counts)[:, None]
-        M = np.bincount(cells.ravel(), weights=contrib.ravel(), minlength=n * width)
-        # (an all-empty batch has no weights, and bincount then counts ints)
+            ids, which = np.unique(h[k], return_inverse=True)
+            idf = self.idf_table.idf  # math.log, as the oracle weighs
+            weights *= np.array([idf(i) for i in ids.tolist()], dtype=np.float64)[which[feed], None]
+        dims += (string[feed] * width)[:, None]
+        M = np.bincount(dims.ravel(), weights=weights.ravel(), minlength=n * width)
+        # (an all-empty chunk has no weights, and bincount then counts ints)
         M = M.astype(np.float64, copy=False).reshape(n, width)[:, : self.dim]
         norms = row_norms(M)
-        nz = norms > 0
-        M[nz] /= norms[nz, None]
-        out = M.astype(np.float32)
-        empty = counts == 0
+        out = (M / np.where(norms > 0, norms, 1.0)[:, None]).astype(np.float32)
+        empty = np.bincount(string, minlength=n) == 0
         out[empty] = 0.0
         out[empty, 0] = 1.0  # canonical vector for empty strings
+        return out
+
+    def _embed_batch(self, texts: list[str]) -> np.ndarray:  # hotpath: batched projection behind encode()
+        """Embed strings together, bit-for-bit like the per-token loop,
+        :data:`CHUNK_STRINGS` at a time; see the module docstring."""
+        out = np.empty((len(texts), self.dim), dtype=np.float32)
+        for lo in range(0, len(texts), CHUNK_STRINGS):
+            out[lo : lo + CHUNK_STRINGS] = self._embed_chunk(texts[lo : lo + CHUNK_STRINGS])
         return out
 
     # -- public API -----------------------------------------------------------
@@ -298,16 +255,21 @@ class SentenceEmbedder:
     def partial_fit_idf(self, texts) -> "SentenceEmbedder":
         """Update the online IDF table with a batch of strings.
 
-        Each distinct string is tokenized once, its token ids read from the
-        token table.  The IDF generation then moves on, so every table
-        weight is recomputed when next used, and the vector cache empties.
+        Each distinct string is tokenized and hashed once, by the pass
+        :meth:`encode` uses.  Every weight may change, so the vector cache
+        empties.
         """
         texts = list(texts)
         with self._lock:
             distinct = list(dict.fromkeys(texts))
-            ids = {t: self._ids[r].tolist() for t, r in zip(distinct, self._token_rows(distinct))}
+            ids: dict[str, list[int]] = {}
+            for lo in range(0, len(distinct), CHUNK_STRINGS):
+                chunk = distinct[lo : lo + CHUNK_STRINGS]
+                string, h, _ = self._tokens(chunk, [self.seed])
+                order = np.argsort(string, kind="stable")
+                bounds = np.cumsum(np.bincount(string, minlength=len(chunk)))[:-1]
+                ids.update(zip(chunk, (a.tolist() for a in np.split(h[0, order], bounds))))
             self.idf_table.partial_fit(ids[t] for t in texts)
-            self._idf_gen += 1
             self._cache.clear()
         return self
 

@@ -1,15 +1,16 @@
 """Scalar embedding oracle: one string at a time, one add per token.
 
-``SentenceEmbedder`` embeds a batch through its interned token table: one
-gather and one ``np.bincount`` for the whole batch.  These functions share
-nothing with that table.  They tokenize with
-:func:`repro.nlp.tokenizer.feature_tokens`, project each token with the
-scalar :func:`repro.nlp.hashing.hash_token` (memoized within one call
-only), add ``v[dims] += signs * w`` token by token, and normalize with the
-shared :func:`repro.nlp.embedder.row_norms`; the embedder contributes only
-its configuration and its IDF table.  ``tests/nlp/test_embedder_equivalence.py``
-asserts the batch path matches them bit-for-bit, and ``BENCH_mlcore.json``
-reports batch-encode speedups relative to :func:`encode_scalar`.
+``SentenceEmbedder`` embeds a batch in one numpy pass: the array FNV-1a
+of :mod:`repro.nlp.hashing` hashes every token of the batch, and one
+``np.bincount`` adds them up.  These functions share none of that pass.
+They tokenize with :func:`repro.nlp.tokenizer.feature_tokens`, project
+each token with the scalar :func:`repro.nlp.hashing.hash_token`
+(memoized within one call only), add ``v[dims] += signs * w`` token by
+token, and normalize with the shared :func:`repro.nlp.embedder.row_norms`;
+the embedder contributes only its configuration and its IDF table.
+``tests/nlp/test_embedder_equivalence.py`` asserts the batch path matches
+them bit-for-bit, and ``BENCH_mlcore.json`` reports batch-encode speedups
+relative to :func:`encode_scalar`.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ __all__ = ["word_tokens", "char_ngrams", "feature_tokens"]
 _WORD_RE = re.compile(r"[a-z]+|\d+")
 
 
-def word_tokens(text: str) -> list[str]:  # hotpath: tokenizes every embedded string
+def word_tokens(text: str) -> list[str]:
     """Lowercased alphabetic and numeric runs of the input.
 
     >>> word_tokens("run_cavity_LES012.sh")
@@ -25,7 +25,7 @@ def word_tokens(text: str) -> list[str]:  # hotpath: tokenizes every embedded st
     return _WORD_RE.findall(text.lower())
 
 
-def char_ngrams(text: str, n_min: int = 3, n_max: int = 4) -> list[str]:  # hotpath: tokenizes every embedded string
+def char_ngrams(text: str, n_min: int = 3, n_max: int = 4) -> list[str]:
     """Boundary-marked character n-grams of the lowercased input.
 
     The string is wrapped in ``^`` / ``$`` markers so prefixes and suffixes

@@ -285,8 +285,10 @@ class Database:
     Example
     -------
     >>> db = Database()
-    >>> db.execute("CREATE TABLE jobs (job_id INTEGER INDEXED, user_name TEXT)")
+    >>> jobs = db.execute("CREATE TABLE jobs (job_id INTEGER INDEXED, user_name TEXT)")
     >>> db.execute("INSERT INTO jobs (job_id, user_name) VALUES (1, 'alice')")
+    1
+    >>> len(jobs)
     1
     >>> db.execute("SELECT user_name FROM jobs WHERE job_id = ?", [1]).rows()
     [{'user_name': 'alice'}]

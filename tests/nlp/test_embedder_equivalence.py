@@ -51,6 +51,21 @@ class TestBatchScalarParity:
         single = np.stack([emb.encode(t) for t in TEXTS])
         assert np.array_equal(single, emb.encode(TEXTS))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "run_" + "a" * 5_000 + "_01.sh",
+            "é日😀٣ß" * 1_000,
+            " ".join(["ab"] * 12 + ["x" * 600, "٣" * 300]),
+        ],
+        ids=["5000-char-word", "5000-non-ascii", "long-words-among-short"],
+    )
+    def test_long_inputs_match_scalar(self, text):
+        emb = SentenceEmbedder(dim=64, use_idf=True, cache_size=0)
+        emb.partial_fit_idf([text, text[:100]])
+        batch = [text, "srun gemm", text[::-1]]
+        assert np.array_equal(emb.encode(batch), encode_scalar(emb, batch))
+
     def test_embed_one_is_the_scalar_reference(self):
         emb = SentenceEmbedder(dim=64, cache_size=0)
         for t in TEXTS:
@@ -105,23 +120,31 @@ class TestPartialFitIdf:
         assert np.array_equal(after, encode_scalar(emb, TEXTS))
 
 
-#: arbitrary Unicode, plus the corners of the tokenizer: non-ASCII digits
-#: that ``\d`` matches, "İ" (lowercasing makes it two characters), empty
-#: and whitespace-only strings, and strings shorter than ``n_min``
+#: arbitrary Unicode, plus the corners of the tokenizer and of the batch
+#: pass: non-ASCII digits that ``\d`` matches (2-byte "٣", 4-byte "𝟘"),
+#: "İ" (lowercasing makes it two characters), final sigma (lowercasing
+#: depends on context), the boundary markers "^" and "$" inside the text,
+#: 2-, 3- and 4-byte characters, empty and whitespace-only strings, and
+#: strings shorter than ``n_min``
 _text = st.one_of(
     st.text(max_size=30),
-    st.text(st.sampled_from("İi\u0307٣৭7aZ_-,./ \t"), max_size=8),
-    st.sampled_from(["", " ", "\t\n", "a", "ab", "İ", "٣", "x,1,2"]),
+    st.text(st.sampled_from("İi\u0307٣৭𝟘7aZ_-,./ \t^$ΟΔΣσςéß€日😀"), max_size=12),
+    st.sampled_from(
+        ["", " ", "\t\n", "a", "ab", "İ", "٣", "x,1,2", "ΟΔΟΣ", "ΣΑ", "^", "$", "^$",
+         "a^b$c", "$run^", "😀", "é", "ß€", "日本語", "𝟘𝟙x9", "ΟΔΟΣ 😀 a$^b"]
+    ),
 )
 _batches = st.lists(_text, min_size=1, max_size=12)
 
 
 class TestOracleProperty:
-    """``encode`` equals the scalar oracle bit for bit, however the table
-    and caches were filled by earlier calls."""
+    """``encode`` equals the scalar oracle bit for bit, however the cache
+    was filled by earlier calls."""
 
     @pytest.mark.parametrize(
-        "config", [{}, {"dim": 2, "n_hashes": 4}], ids=["default", "dim2-hashes4"]
+        "config",
+        [{}, {"dim": 2, "n_hashes": 4}, {"ngram_range": (1, 1)}, {"ngram_range": (2, 6), "n_hashes": 1}],
+        ids=["default", "dim2-hashes4", "unigrams", "grams2to6-hashes1"],
     )
     def test_encode_is_the_oracle(self, config):
         emb = SentenceEmbedder(**config)

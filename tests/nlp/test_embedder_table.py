@@ -1,10 +1,10 @@
-"""The embedder's token table under the serve path's load: memory, bounds
-and concurrent callers.
+"""The embedder under the serve path's load: memory, chunking and
+concurrent callers.
 
 The strings are shaped like the ``serve_cold`` benchmark's: the feature
 strings of generated jobs with every job name made unique
-(``<name>-<job_id>``), so no vector or row cache entry is ever reused and
-every batch interns new tokens.
+(``<name>-<job_id>``), so no vector cache entry is ever reused and every
+batch is embedded from scratch.
 """
 
 import sys
@@ -14,14 +14,18 @@ import tracemalloc
 import numpy as np
 
 from repro.core import FeatureEncoder
-from repro.nlp.embedder import SentenceEmbedder
+from repro.nlp.embedder import CHUNK_STRINGS, SentenceEmbedder
+from repro.nlp.hashing import hash_token
 from repro.nlp.reference import encode_scalar
 from repro.nlp.tokenizer import feature_tokens
 
 BATCH = 16
-#: memory an encoded string may keep alive: its cached vector, its cached
-#: table rows and its share of the token table
-RETAINED_BYTES_PER_STRING = 6 * 1024
+#: memory an encoded string may keep alive: its cached vector (1.5 KiB of
+#: float32 at 384 dimensions) and its cache entry
+RETAINED_BYTES_PER_STRING = 2 * 1024
+#: one encode of this many unique strings, with no cache, peaks below
+#: PEAK_BYTES: its output plus the working memory of one chunk
+PEAK_STRINGS, PEAK_BYTES = 8_000, 52_000_000
 
 
 def _cold_strings(trace, n):
@@ -57,29 +61,40 @@ def test_retained_memory_per_unique_string(small_trace):
     assert retained / len(strings) < RETAINED_BYTES_PER_STRING
 
 
-def test_table_stays_bounded_and_resets_to_the_oracle(small_trace):
-    strings = _cold_strings(small_trace, 2_000)
-    emb = SentenceEmbedder(cache_size=10)
-    bound = 4 * 10 + 1024
-    resets, previous = 0, 0
-    for batch in _batches(strings):
-        out = emb.encode(batch)
-        # the batch's own tokens always fit, so a reset leaves exactly them
-        batch_tokens = len({tok for t in batch for tok in feature_tokens(t)})
-        assert emb._n_tokens <= max(bound, batch_tokens)
-        assert len(emb._words) + len(emb._grams) == emb._n_tokens
-        assert len(emb._rows) <= 10 and emb.cache_len <= 10
-        resets += emb._n_tokens < previous
-        previous = emb._n_tokens
-        assert np.array_equal(out, encode_scalar(emb, batch))
-    assert resets > 0
-
-    # one batch with more distinct tokens than the bound is interned whole
-    big = strings[:200]
+def test_one_encode_peaks_at_one_chunk(small_trace):
+    strings = _cold_strings(small_trace, PEAK_STRINGS)
     emb = SentenceEmbedder(cache_size=0)
-    out = emb.encode(big)
-    assert emb._n_tokens == len({tok for t in big for tok in feature_tokens(t)}) > 1024
-    assert np.array_equal(out, encode_scalar(emb, big))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        emb.encode(strings)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_BYTES
+
+
+def test_serve_batches_and_a_batch_of_several_chunks_are_the_oracle(small_trace):
+    strings = _cold_strings(small_trace, 3_000)
+    emb = SentenceEmbedder(cache_size=10)
+    for batch in _batches(strings[:1_000]):
+        assert np.array_equal(emb.encode(batch), encode_scalar(emb, batch))
+
+    big = strings[1_000:]
+    assert len(big) > CHUNK_STRINGS
+    emb = SentenceEmbedder(cache_size=0)
+    assert np.array_equal(emb.encode(big), encode_scalar(emb, big))
+
+    # the IDF table learns, a chunk at a time, the ids of the oracle's tokens
+    fit = strings[:CHUNK_STRINGS + 100]
+    emb = SentenceEmbedder(use_idf=True, cache_size=0)
+    emb.partial_fit_idf(fit + fit[:50])
+    df = {}
+    for text in fit + fit[:50]:
+        for i in {hash_token(tok, emb.seed) for tok in feature_tokens(text)}:
+            df[i] = df.get(i, 0) + 1
+    assert emb.idf_table.state_dict() == {"n_docs": len(fit) + 50, "df": df}
+    assert np.array_equal(emb.encode(big), encode_scalar(emb, big))
 
 
 def test_concurrent_encode_matches_a_serial_encode(small_trace):

@@ -18,10 +18,11 @@ more than 30% relative to the committed baseline, and then leaves
 gate; the relative band is wide because even same-machine speedup ratios
 wobble ~20-25% run to run (the scalar and vectorized sides respond
 differently to background load), and CI runners differ again.
-``forest_predict``, ``embedder_cold`` and ``embedder_unique`` alternate
-their two sides (best of 10 fused predicts against 5 scalar ones, and of
-9 batched encode passes against 3 scalar ones) so that background load
-hits both.
+``forest_predict``, ``embedder_cold``, ``embedder_unique`` and
+``knn_publish`` alternate their two sides (best of 10 fused predicts
+against 5 scalar ones, of 9 batched encode passes against 3 scalar ones,
+and of 9 ``save_model`` calls against 3 full compressions) so that
+background load hits both.
 
 ``knn_publish`` times ``save_model`` of a KNN against
 ``np.savez_compressed`` of its whole training matrix, once with rows that
@@ -316,9 +317,9 @@ def test_knn_publish_throughput(results):
         X = distinct[rng.permutation(np.arange(n_train) % n_distinct)]
         knn = KNeighborsClassifier(KNN_K).fit(X, (X[:, 0] > 0).astype(int))
         with tempfile.TemporaryDirectory() as tmp:
-            save_s = best_time(lambda: save_model(knn, Path(tmp) / "model"), repeats=3)
-            full_s = best_time(
-                lambda: np.savez_compressed(Path(tmp) / "full.npz", X=X), repeats=3
+            save_s, full_s = best_times_alternating(
+                lambda: save_model(knn, Path(tmp) / "model"),
+                lambda: np.savez_compressed(Path(tmp) / "full.npz", X=X),
             )
         section[name] = {
             "save_model_s": save_s,

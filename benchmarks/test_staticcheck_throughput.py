@@ -3,8 +3,9 @@
 Not a paper figure — operational context for the correctness tooling:
 the linter runs on every CI push and inside the tier-1 gate, so its
 cold-parse cost, its warm-cache speedup, and the marginal price of the
-flow tier (CFGs + fixpoints) and the perf tier (hot-path derivation +
-array fixpoints) are worth tracking release over release.
+flow tier (CFGs + resource fixpoints) and the perf tier (hot-path
+derivation + the vectorization walk) are worth tracking release over
+release.
 The project is synthetic so the numbers measure the engine, not the
 repo's current line count; every run rewrites ``BENCH_staticcheck.json``
 at the repo root as the second committed trajectory next to
@@ -34,13 +35,10 @@ from repro.staticcheck import check_paths, resolve_rules
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_staticcheck.json"
 
 #: The flow-sensitive tier; ignoring these skips CFG + fixpoint work.
-FLOW_RULES = ("unit-mismatch", "resource-leak", "double-release")
-#: The perf tier; ignoring these skips hot-path derivation and
-#: the shape/dtype array fixpoints.
+FLOW_RULES = ("resource-leak", "double-release")
+#: The perf tier; ignoring these skips hot-path derivation and the
+#: vectorization walk.
 PERF_RULES = (
-    "dtype-upcast",
-    "dtype-narrowing",
-    "broadcast-mismatch",
     "scalar-loop",
     "per-item-call",
     "loop-alloc",
@@ -168,7 +166,6 @@ def test_warm_runs(results, project, tmp_path):
         assert result.stats.cache_hits == NUM_FILES + 1
         assert result.stats.flow_cfgs == 0
         assert result.stats.perf_hot_functions == 0
-        assert result.stats.perf_array_fixpoints == 0
     results["warm"] = {
         "all_s": warm["all"],
         "no_perf_s": warm["no_perf"],

@@ -227,29 +227,37 @@ class SentenceEmbedder:
         for t in texts:
             if not isinstance(t, str):
                 raise TypeError(f"expected str, got {type(t).__name__}")
-        out = np.empty((len(texts), self.dim), dtype=np.float32)
         with self._lock:
             miss_pos: dict[str, int] = {}  # distinct uncached text -> batch row
+            hits: list[tuple[int, np.ndarray]] = []
             for i, t in enumerate(texts):
                 hit = self._cache.get(t)
                 if hit is not None:
                     self._cache[t] = self._cache.pop(t)  # LRU: refresh recency
-                    out[i] = hit
+                    hits.append((i, hit))
                 elif t not in miss_pos:
                     miss_pos[t] = len(miss_pos)
-            if miss_pos:
-                M = self._embed_batch(list(miss_pos))
-                for i, t in enumerate(texts):
-                    j = miss_pos.get(t)
-                    if j is not None:
-                        out[i] = M[j]
-                if self.cache_size:
-                    for t, j in miss_pos.items():
-                        if len(self._cache) >= self.cache_size:
-                            # evict the least recently used entry (hits
-                            # re-append, so insertion order is recency order)
-                            self._cache.pop(next(iter(self._cache)))
-                        self._cache[t] = M[j].copy()
+            M = self._embed_batch(list(miss_pos)) if miss_pos else None
+            if M is not None and len(miss_pos) == len(texts):
+                # every input is a distinct miss, so M's rows are the
+                # output in order: no second (n, dim) copy
+                out = M
+            else:
+                out = np.empty((len(texts), self.dim), dtype=np.float32)
+                for i, hit in hits:
+                    out[i] = hit
+                if M is not None:
+                    for i, t in enumerate(texts):
+                        j = miss_pos.get(t)
+                        if j is not None:
+                            out[i] = M[j]
+            if M is not None and self.cache_size:
+                for t, j in miss_pos.items():
+                    if len(self._cache) >= self.cache_size:
+                        # evict the least recently used entry (hits
+                        # re-append, so insertion order is recency order)
+                        self._cache.pop(next(iter(self._cache)))
+                    self._cache[t] = M[j].copy()
         return out
 
     def partial_fit_idf(self, texts) -> "SentenceEmbedder":

@@ -1,13 +1,13 @@
 """Opt-in runtime sanitizers: dynamic oracles for the static concurrency rules.
 
-Every finding class in :mod:`repro.staticcheck.project.concurrency` has a
-runtime counterpart here, so a static report can be confirmed (or a fix
-validated) by running the real code instrumented:
+A static report of :mod:`repro.staticcheck.project.concurrency` can be
+confirmed (or a fix validated) by running the real code instrumented,
+and lock-order inversions, which no lint rule checks, are caught here:
 
 =======================  ==========================================
-static rule              runtime oracle
+hazard                   runtime check
 =======================  ==========================================
-``lock-order-cycle``     :func:`new_lock` / :class:`TrackedLock`
+lock-order inversion     :func:`new_lock` / :class:`TrackedLock`
                          feed a process-wide lock-order graph
 ``unguarded-shared-write``  :class:`StateGuard` seqlock checkpoints
                          detect torn reads across the boundary

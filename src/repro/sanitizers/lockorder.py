@@ -1,4 +1,4 @@
-"""Runtime lock-order sanitizer: the dynamic oracle for ``lock-order-cycle``.
+"""Runtime lock-order sanitizer: the check for lock-order inversions.
 
 :func:`new_lock` returns a :class:`TrackedLock` wrapping a real
 ``threading`` primitive.  While sanitizing is enabled every acquisition

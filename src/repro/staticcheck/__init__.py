@@ -1,17 +1,27 @@
 """repro.staticcheck — AST-based project linter with MCBound-specific rules.
 
-A self-contained static-analysis engine (stdlib only) that guards the
-training/inference stack's correctness invariants at two levels.
-Single-file rules check each module alone: replayable randomness,
-monotonic timing, tolerance-based float comparisons at the roofline
-boundary, no swallowed exceptions in the serving loop, honest
-``__all__`` surfaces, and order-stable iteration into feature encoding.
-Project rules see every module at once through the import and call
-graphs: no circular runtime imports, call sites that match their
-intra-package callee's signature (``contract-drift``), no
-unseeded-RNG/wall-clock values flowing into persisted models or reports
-(``tainted-persistence``), and no ``__all__`` exports nothing imports
-(``dead-export``).
+A self-contained static-analysis engine (stdlib only) for what the test
+suite cannot see.  It runs four tiers:
+
+* single-file rules, each module alone: replayable randomness, monotonic
+  timing, tolerance-based float comparisons at the roofline boundary, no
+  swallowed exceptions in the serving loop, honest ``__all__`` surfaces,
+  and order-stable iteration into feature encoding;
+* the flow tier (:mod:`repro.staticcheck.flow`): resources leaked on an
+  exception path (``resource-leak``) or released twice
+  (``double-release``);
+* the perf tier (:mod:`repro.staticcheck.perf`): devectorized code on
+  serve-path hot functions (``scalar-loop``, ``per-item-call``,
+  ``loop-alloc``, ``quadratic-growth``, ``hidden-copy``);
+* project rules, every module at once through the import and call
+  graphs: no circular runtime imports, call sites that match their
+  intra-package callee's signature (``contract-drift``), no
+  unseeded-RNG/wall-clock values flowing into persisted models or
+  reports (``tainted-persistence``), no ``__all__`` exports nothing
+  imports (``dead-export``), the concurrency rules
+  (``lock-order-cycle``, ``unguarded-shared-write``,
+  ``blocking-under-lock``) and ``hot-path-gap``, which keeps the perf
+  tier's view of hot functions whole across modules.
 
 Runs are incremental: with a cache path set, unchanged files (and files
 whose import-graph dependencies are unchanged) skip parsing and the

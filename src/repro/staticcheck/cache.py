@@ -51,8 +51,13 @@ __all__ = ["AnalysisCache", "file_digest"]
 # work counters this engine no longer reads;
 # 10 removed the procs tier and the ``unpicklable-task`` rule — schema-9
 # entries carry the summaries' ``procs`` table, per-file procs-work
-# counters and cached ``unpicklable-task`` findings.
-CACHE_SCHEMA = 10
+# counters and cached ``unpicklable-task`` findings;
+# 11 removed the ``dtype-upcast``, ``dtype-narrowing``,
+# ``broadcast-mismatch``, ``unit-mismatch`` and ``lock-order-cycle``
+# rules — schema-10 entries cache findings of those rules, the perf
+# tier's array-fixpoint counter and the summaries' lock acquisition
+# facts.
+CACHE_SCHEMA = 11
 
 
 def file_digest(data: bytes) -> str:

@@ -131,7 +131,6 @@ class CheckStats:
     flow_iterations: int = 0
     #: perf-tier effort, same cold-files-only accounting.
     perf_hot_functions: int = 0
-    perf_array_fixpoints: int = 0
 
 
 @dataclass
@@ -621,7 +620,7 @@ def check_paths(
         cache.save(keep_only=set(file_keys) | reference_keys)
 
     flow_totals = {"cfgs": 0, "blocks": 0, "iterations": 0}
-    perf_totals = {"hot_functions": 0, "array_fixpoints": 0}
+    perf_totals = {"hot_functions": 0}
     for key in cold:
         for counter, value in entries[key].get("flow", {}).items():
             flow_totals[counter] = flow_totals.get(counter, 0) + value
@@ -639,7 +638,6 @@ def check_paths(
         flow_blocks=flow_totals["blocks"],
         flow_iterations=flow_totals["iterations"],
         perf_hot_functions=perf_totals["hot_functions"],
-        perf_array_fixpoints=perf_totals["array_fixpoints"],
     )
     result = CheckResult(
         findings=sorted(findings),

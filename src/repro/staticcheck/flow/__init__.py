@@ -1,9 +1,9 @@
-"""Flow-sensitive dataflow tier: CFG construction + fixpoint engine.
+"""Flow-sensitive tier: CFG construction, fixpoint engine, resource rules.
 
 The flow-insensitive layers (single-file AST visitors, whole-program
 summaries) cannot see *order*: a socket acquired and then leaked on an
-exception path, a variable that is GFlops/s on one branch and
-GB/s on the other.  This package adds the missing tier:
+exception path, or a file closed on one path and again on another.  This
+package adds the missing tier:
 
 * :mod:`repro.staticcheck.flow.cfg` — a control-flow-graph builder over
   function ASTs (branches, loops, ``try/except/finally``, ``with``,
@@ -11,19 +11,12 @@ GB/s on the other.  This package adds the missing tier:
 * :mod:`repro.staticcheck.flow.fixpoint` — a generic forward-dataflow
   fixpoint engine (lattice join, worklist iteration, per-element
   transfer functions) that any rule can instantiate;
-* :mod:`repro.staticcheck.flow.unitlattice` — the physical-units lattice
-  (flops, bytes, seconds, rates and ratios thereof) plus the ``# unit:``
-  annotation parser;
-* :mod:`repro.staticcheck.flow.units` — the ``unit-mismatch`` rule:
-  abstract interpretation of dimensioned arithmetic over the units
-  lattice (the paper's Equations 1-5 are dimensioned formulas);
 * :mod:`repro.staticcheck.flow.resources` — the ``resource-leak`` /
   ``double-release`` rules: a must-release path analysis for executor
   pools, files, sockets, connections and bare lock acquisitions.
 
-Both rule families are ordinary single-file rules, so they run under the
-incremental cache; a change to an annotated dependency re-analyzes its
-dependents through the engine's dep-aware invalidation.
+Both rules are ordinary single-file rules that read only the file they
+check, so they run under the incremental cache.
 
 Work counters: :data:`COUNTERS` accumulates CFG/fixpoint effort for the
 CLI's ``--statistics`` (snapshot-and-diff around each file analysis).

@@ -1,17 +1,12 @@
-"""Performance tier: shape/dtype dataflow + hot-path vectorization rules.
+"""Performance tier: hot-path vectorization rules.
 
-The correctness tiers (PR 2-5) guard *what* the code computes; this
-package guards *how fast* it computes it.  Two rule families:
-
-* :mod:`repro.staticcheck.perf.dataflow` — an abstract interpretation of
-  numpy expressions over a dtype lattice and a symbolic-shape domain
-  (built on the PR 5 CFG/worklist fixpoint engine): silent
-  float64-upcast, dtype-narrowing against ``# dtype:`` declarations, and
-  broadcast mismatches between statically known shapes;
-* :mod:`repro.staticcheck.perf.vectorization` — vectorization invariants
-  enforced on *hot paths* only (see :mod:`repro.staticcheck.perf.hotpath`):
-  scalar loops over ndarrays, per-item calls to batched APIs, allocations
-  inside loops, quadratic append/concatenate growth and hidden copies.
+The correctness tiers guard *what* the code computes; this package
+guards *how fast* it computes it, where no test does: a devectorized
+loop returns the same bits, only slower.
+:mod:`repro.staticcheck.perf.vectorization` enforces vectorization
+invariants on *hot paths* only (see :mod:`repro.staticcheck.perf.hotpath`):
+scalar loops over ndarrays, per-item calls to batched APIs, allocations
+inside loops, quadratic append/concatenate growth and hidden copies.
 
 Hot paths are derived per file from explicit ``# hotpath:`` annotations
 plus a registry of serve/predict/encode entry-point names, closed over
@@ -21,8 +16,8 @@ lives in :class:`~repro.staticcheck.perf.hotpath.HotPathGapRule`, a
 project rule that walks call-graph reachability from the entry points and
 demands an annotation wherever the per-file derivation would be blind.
 
-Work counters: :data:`COUNTERS` accumulates hot-path/fixpoint effort for
-the CLI's ``--statistics`` (snapshot-and-diff around each file analysis,
+Work counters: :data:`COUNTERS` accumulates hot-path effort for the
+CLI's ``--statistics`` (snapshot-and-diff around each file analysis,
 mirroring :data:`repro.staticcheck.flow.COUNTERS`).
 """
 
@@ -31,7 +26,7 @@ from __future__ import annotations
 __all__ = ["COUNTERS", "snapshot_counters"]
 
 #: Process-wide effort counters, surfaced by ``--statistics``.
-COUNTERS = {"hot_functions": 0, "array_fixpoints": 0}
+COUNTERS = {"hot_functions": 0}
 
 
 def snapshot_counters() -> dict:

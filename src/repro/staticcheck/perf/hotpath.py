@@ -5,8 +5,7 @@ per-file derivation — the only evidence the cached vectorization rules
 may use — combines three file-local sources:
 
 1. an explicit ``# hotpath: <reason>`` comment in the ``def`` header
-   window (decorator-to-first-statement, same window the unit tier uses
-   for ``# unit:`` specs);
+   window (decorator-to-first-statement);
 2. the :data:`ENTRY_POINTS` name registry — ``predict``, ``encode``,
    ``query``, ``serve`` and friends are hot by convention, wherever they
    are defined (the scalar reference oracles deliberately use
@@ -31,11 +30,12 @@ convention; calling one per item inside a hot loop is the
 from __future__ import annotations
 
 import ast
+import io
+import tokenize
 from typing import Iterator
 
 from repro.staticcheck.findings import Finding
 from repro.staticcheck.perf import COUNTERS
-from repro.staticcheck.perf.arrays import tagged_comments
 from repro.staticcheck.registry import ProjectRule, register_project
 
 __all__ = [
@@ -80,8 +80,21 @@ _AMBIENT_METHODS = frozenset(
 
 
 def hotpath_lines(source: str) -> dict:
-    """Line -> reason text for every ``# hotpath:`` comment."""
-    return tagged_comments(source, "hotpath")
+    """Line -> reason text for every ``# hotpath:`` comment.
+
+    Comments only — a ``# hotpath:`` inside a string literal never
+    counts.  Unparsable files yield no annotations (the syntax-error rule
+    owns that complaint).
+    """
+    prefix = "# hotpath:"
+    out: dict = {}
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.COMMENT and tok.string.startswith(prefix):
+                out[tok.start[0]] = tok.string[len(prefix):].strip()
+    except (tokenize.TokenError, IndentationError, SyntaxError):
+        return {}
+    return out
 
 
 def _iter_defs(tree: ast.Module):
@@ -156,7 +169,7 @@ def hot_functions(module) -> dict:
 
     File-local derivation only (annotations + entry-point names +
     intra-module call closure), memoized on the :class:`ModuleContext` so
-    the dataflow and vectorization rules share one computation.
+    the vectorization rules share one computation.
     """
     cached = getattr(module, "_perf_hot", None)
     if cached is not None:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import ast
 
 from repro.staticcheck.findings import Finding
-from repro.staticcheck.perf.arrays import _render_chain
 from repro.staticcheck.perf.hotpath import BATCH_CONTRACTS, hot_functions
 from repro.staticcheck.registry import Rule, register
 
@@ -71,6 +70,18 @@ _CONCAT_CALLS = {
 
 _LOOP_NODES = (ast.For, ast.While)
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _render_chain(node):
+    """Render ``a.b.c`` attribute chains; anything else is unrenderable."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
 
 
 def _range_over_array(iter_node: ast.expr, module):

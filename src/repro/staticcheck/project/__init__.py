@@ -13,7 +13,6 @@ approximate call graph, and every summary at once.
 from repro.staticcheck.project.concurrency import (
     BlockingUnderLockRule,
     ConcurrencyModel,
-    LockOrderCycleRule,
     UnguardedSharedWriteRule,
 )
 from repro.staticcheck.project.contracts import ContractDriftRule
@@ -33,7 +32,6 @@ __all__ = [
     "DeadExportRule",
     "ImportCycleRule",
     "ImportGraph",
-    "LockOrderCycleRule",
     "ModuleSummary",
     "ProjectContext",
     "TaintedPersistenceRule",

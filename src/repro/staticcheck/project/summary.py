@@ -619,7 +619,6 @@ class _ConcurrencyWalker:
     Per function (dotted qualname, ``""`` for module level) the walker
     records, with the *candidate* lock set held at each site:
 
-    * ``acquires`` — ``with lock:`` items and ``lock.acquire()`` calls;
     * ``writes`` — stores to ``self.attr`` / declared globals (including
       subscript stores and in-place mutator methods like ``.update()``);
     * ``calls`` — every call site, with a flag marking receivers that are
@@ -662,7 +661,6 @@ class _ConcurrencyWalker:
             qual,
             {
                 "roles": [],
-                "acquires": [],
                 "writes": [],
                 "calls": [],
                 "thread_targets": [],
@@ -715,7 +713,6 @@ class _ConcurrencyWalker:
             if call.func.attr == "acquire":
                 lock = self._lock_id(call.func.value, qual, cls, local_locks)
                 if lock is not None:
-                    fn["acquires"].append([lock, call.lineno, list(held)])
                     held.append(lock)
             elif call.func.attr == "release":
                 lock = self._lock_id(call.func.value, qual, cls, local_locks)
@@ -846,7 +843,6 @@ class _ConcurrencyWalker:
             if isinstance(item.context_expr, (ast.Name, ast.Attribute)):
                 lock = self._lock_id(item.context_expr, qual, cls, local_locks)
                 if lock is not None:
-                    self._fn(qual)["acquires"].append([lock, item.context_expr.lineno, list(held)])
                     held.append(lock)
                     acquired.append(lock)
         self._walk_body(stmt.body, qual, cls, held, local_locks, global_names)

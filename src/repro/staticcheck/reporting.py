@@ -46,7 +46,6 @@ def render_statistics(stats: CheckStats) -> str:
         f"  flow blocks:      {stats.flow_blocks}",
         f"  flow iterations:  {stats.flow_iterations}",
         f"  perf hot funcs:   {stats.perf_hot_functions}",
-        f"  perf fixpoints:   {stats.perf_array_fixpoints}",
     ]
     if stats.findings_per_rule:
         lines.append("  findings by rule:")

@@ -1,12 +1,6 @@
 """Built-in MCBound rules; importing this package registers all of them."""
 
 from repro.staticcheck.flow.resources import DoubleReleaseRule, ResourceLeakRule
-from repro.staticcheck.flow.units import UnitMismatchRule
-from repro.staticcheck.perf.dataflow import (
-    BroadcastMismatchRule,
-    DtypeNarrowingRule,
-    DtypeUpcastRule,
-)
 from repro.staticcheck.perf.vectorization import (
     HiddenCopyRule,
     LoopAllocRule,
@@ -23,10 +17,7 @@ from repro.staticcheck.rules.randomness import UnseededRngRule
 from repro.staticcheck.rules.timing import WallclockTimingRule
 
 __all__ = [
-    "BroadcastMismatchRule",
     "DoubleReleaseRule",
-    "DtypeNarrowingRule",
-    "DtypeUpcastRule",
     "ExportDriftRule",
     "FloatEqualityRule",
     "HiddenCopyRule",
@@ -37,7 +28,6 @@ __all__ = [
     "ResourceLeakRule",
     "ScalarLoopRule",
     "SilentExceptRule",
-    "UnitMismatchRule",
     "UnorderedIterationRule",
     "UnseededRngRule",
     "WallclockTimingRule",

@@ -25,7 +25,7 @@ BATCH = 16
 RETAINED_BYTES_PER_STRING = 2 * 1024
 #: one encode of this many unique strings, with no cache, peaks below
 #: PEAK_BYTES: its output plus the working memory of one chunk
-PEAK_STRINGS, PEAK_BYTES = 8_000, 52_000_000
+PEAK_STRINGS, PEAK_BYTES = 8_000, 36_000_000
 
 
 def _cold_strings(trace, n):

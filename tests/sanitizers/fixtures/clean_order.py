@@ -1,8 +1,7 @@
 """Consistent lock ordering: the clean twin of ``racy_order``.
 
-Both thread bodies acquire the locks in the same nested order, so
-neither the ``lock-order-cycle`` static rule nor the runtime lock-order
-sanitizer may report anything here.
+Both thread bodies acquire the locks in the same nested order, so the
+runtime lock-order sanitizer may report nothing here.
 """
 
 import threading

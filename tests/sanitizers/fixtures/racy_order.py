@@ -1,8 +1,7 @@
 """Deliberately inconsistent lock ordering.
 
-This module is the shared race fixture: the ``lock-order-cycle`` static
-rule must flag it from the source alone, and the runtime lock-order
-sanitizer must flag it when :func:`run_both` executes instrumented.  The
+This module is the race fixture: the runtime lock-order sanitizer must
+flag it when :func:`run_both` executes instrumented.  The
 two thread bodies are run back to back (started and joined one at a
 time) so the inversion is always *observed* without ever scheduling the
 interleaving that would actually deadlock the test process.

@@ -124,7 +124,7 @@ class TestIncrementalCache:
         assert parallel.stats.jobs == 2
         assert render_json(parallel) == render_json(serial)
         for counter in ("flow_cfgs", "flow_blocks", "flow_iterations",
-                        "perf_hot_functions", "perf_array_fixpoints"):
+                        "perf_hot_functions"):
             assert getattr(serial.stats, counter) > 0, counter
         unshared = {"jobs", "wall_seconds"}
         for stat in dataclasses.fields(CheckStats):

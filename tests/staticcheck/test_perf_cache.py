@@ -12,9 +12,6 @@ import textwrap
 from repro.staticcheck import check_paths, render_json, resolve_rules
 
 PERF_RULES = [
-    "dtype-upcast",
-    "dtype-narrowing",
-    "broadcast-mismatch",
     "scalar-loop",
     "per-item-call",
     "loop-alloc",
@@ -81,10 +78,8 @@ class TestPerfStatistics:
         pkg = make_project(tmp_path, annotated=True)
         cache = tmp_path / "cache.json"
         cold = check(pkg, cache)
-        # drain() is hot (annotation) and has one CFG worth of array
-        # fixpointing; the empty __init__/other contribute nothing
+        # drain() is hot (annotation); the empty __init__/other
+        # contribute nothing
         assert cold.stats.perf_hot_functions >= 1
-        assert cold.stats.perf_array_fixpoints >= 1
         warm = check(pkg, cache)
         assert warm.stats.perf_hot_functions == 0
-        assert warm.stats.perf_array_fixpoints == 0

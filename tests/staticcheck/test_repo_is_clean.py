@@ -1,13 +1,19 @@
 """Tier-1 gate: the repo's own sources must pass the project linter.
 
-This is the enforcement point for the correctness-tooling layer: any new
-unseeded RNG, wall-clock duration, float-equality boundary, silent
-handler, export drift or unordered iteration in ``src/repro`` fails the
-build here — and so does any cross-module regression the project rules
-see: circular runtime imports, call sites drifting from intra-package
-signatures, tainted values flowing into persistence, or ``__all__``
-exports nothing imports.  Exactly as
-``python -m repro.staticcheck`` would in CI.
+This is the enforcement point for the correctness-tooling layer, and it
+runs every tier, exactly as ``python -m repro.staticcheck`` would in CI:
+
+* the single-file rules: any new unseeded RNG, wall-clock duration,
+  float-equality boundary, silent handler, export drift or unordered
+  iteration in ``src/repro`` fails the build here;
+* the flow tier: a resource leaked on some path, or released twice;
+* the perf tier: a devectorized loop, per-item batched call, loop
+  allocation, quadratic growth or hidden copy on a hot path;
+* the project rules: circular runtime imports, call sites drifting from
+  intra-package signatures, tainted values flowing into persistence,
+  ``__all__`` exports nothing imports, unguarded shared writes, blocking
+  calls under a lock, and cross-module hot callees the perf tier cannot
+  see.
 """
 
 from pathlib import Path
@@ -38,23 +44,37 @@ def test_repo_is_clean():
 
 
 def test_project_rules_were_active():
-    """The gate runs the whole-program layer, not just single-file rules."""
+    """The gate runs the whole-program layer, not just single-file rules:
+    the concurrency rules and the perf tier's cross-module half too."""
     assert {r.id for r in resolve_project_rules()} >= {
         "import-cycle",
         "contract-drift",
         "tainted-persistence",
         "dead-export",
+        "hot-path-gap",
+        "unguarded-shared-write",
+        "blocking-under-lock",
     }
 
 
 def test_flow_rules_were_active():
-    """The gate runs the flow-sensitive tier: the roofline/counters unit
-    annotations and the resource lifecycles in ``src/repro`` are being
-    checked, not just the single-statement rules."""
+    """The gate runs the flow-sensitive tier: the resource lifecycles in
+    ``src/repro`` are being checked, not just the single-statement rules."""
     assert {r.id for r in resolve_rules()} >= {
-        "unit-mismatch",
         "resource-leak",
         "double-release",
+    }
+
+
+def test_perf_rules_were_active():
+    """The gate runs the perf tier's vectorization rules, which no test
+    replaces: a devectorized hot path returns the same bits, only slower."""
+    assert {r.id for r in resolve_rules()} >= {
+        "scalar-loop",
+        "per-item-call",
+        "loop-alloc",
+        "quadratic-growth",
+        "hidden-copy",
     }
 
 

@@ -18,11 +18,12 @@ more than 30% relative to the committed baseline, and then leaves
 gate; the relative band is wide because even same-machine speedup ratios
 wobble ~20-25% run to run (the scalar and vectorized sides respond
 differently to background load), and CI runners differ again.
-``forest_predict``, ``embedder_cold``, ``embedder_unique`` and
-``knn_publish`` alternate their two sides (best of 10 fused predicts
-against 5 scalar ones, of 9 batched encode passes against 3 scalar ones,
-and of 9 ``save_model`` calls against 3 full compressions) so that
-background load hits both.
+``forest_predict``, ``embedder_cold``, ``embedder_unique``,
+``knn_publish`` and ``knn_query`` alternate their two sides (best of 10
+fused predicts against 5 scalar ones, of 9 batched encode passes against
+3 scalar ones, of 9 ``save_model`` calls against 3 full compressions, and
+of 20 queries against 20 full-matrix searches, one of each per round) so
+that background load hits both.
 
 ``knn_publish`` times ``save_model`` of a KNN against
 ``np.savez_compressed`` of its whole training matrix, once with rows that
@@ -356,9 +357,13 @@ def test_knn_query_throughput(results):
             lambda: KNeighborsClassifier(KNN_K).fit(X, y), repeats=3
         )
         knn = KNeighborsClassifier(KNN_K).fit(X, y)
-        query_s = best_time(lambda: knn.kneighbors(Q), repeats=20)
         sq_norms = np.einsum("ij,ij->i", X, X)
-        full_s = best_time(lambda: _full_matrix_kneighbors(X, sq_norms, Q, KNN_K), repeats=20)
+        query_s, full_s = best_times_alternating(
+            lambda: knn.kneighbors(Q),
+            lambda: _full_matrix_kneighbors(X, sq_norms, Q, KNN_K),
+            rounds=20,
+            fast_per_round=1,
+        )
         section[name] = {
             "fit_s": fit_s,
             "query_s": query_s,

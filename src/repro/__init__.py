@@ -16,8 +16,6 @@ Layers (see README.md and DESIGN.md):
 - :mod:`repro.evaluation` — the §V online-evaluation experiment harness.
 - :mod:`repro.analysis` — the §IV characterization analyses and the
   §V-C.d impact estimator.
-- :mod:`repro.dispatch` — the §VI consumer: prediction-guided frequency
-  selection and co-scheduling in an event-driven cluster simulator.
 """
 
 from repro._version import __version__

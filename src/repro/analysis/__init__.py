@@ -13,7 +13,6 @@ from repro.analysis.roofline_plots import (
 )
 from repro.analysis.tables import table2_distribution, Table2
 from repro.analysis.impact import ImpactEstimate, estimate_impact
-from repro.analysis.user_mix import UserMixSummary, per_user_class_mix, top_users_by_jobs
 
 __all__ = [
     "jobs_per_day",
@@ -26,7 +25,4 @@ __all__ = [
     "Table2",
     "ImpactEstimate",
     "estimate_impact",
-    "UserMixSummary",
-    "per_user_class_mix",
-    "top_users_by_jobs",
 ]

@@ -14,8 +14,7 @@ Components mirror Figure 1 of the paper:
 - :class:`repro.core.MCBound` — the facade wiring the four components with
   caching of characterizations and encodings (§V-A).
 - :class:`repro.core.TrainingWorkflow` / :class:`repro.core.InferenceWorkflow`
-  — the two CI/CD workflows of Figure 1, driven online by
-  :class:`repro.core.CronSchedule` + :class:`repro.core.SimClock` (§III-E).
+  — the two CI/CD workflows of Figure 1 (§III-E).
 - :func:`repro.core.build_app` — the HTTP backend (§III-E).
 """
 
@@ -24,11 +23,8 @@ from repro.core.data_fetcher import DataFetcher, load_trace_into_db, JOBS_TABLE_
 from repro.core.feature_encoder import FeatureEncoder
 from repro.core.job_characterizer import JobCharacterizer, FugakuCounterTransform
 from repro.core.classification_model import ClassificationModel
-from repro.core.feature_predictor import JobFeaturePredictor
-from repro.core.categorical_encoder import CategoricalEncoder
 from repro.core.framework import MCBound
 from repro.core.workflows import TrainingWorkflow, InferenceWorkflow, WorkflowResult
-from repro.core.scheduler import SimClock, CronSchedule, Scheduler
 from repro.core.registry import ModelStore
 from repro.core.server import build_app
 
@@ -42,15 +38,10 @@ __all__ = [
     "JobCharacterizer",
     "FugakuCounterTransform",
     "ClassificationModel",
-    "JobFeaturePredictor",
-    "CategoricalEncoder",
     "MCBound",
     "TrainingWorkflow",
     "InferenceWorkflow",
     "WorkflowResult",
-    "SimClock",
-    "CronSchedule",
-    "Scheduler",
     "ModelStore",
     "build_app",
 ]

@@ -99,7 +99,7 @@ class ClassificationModel:
         self._trained = True
         return self
 
-    def inference(self, encoded_jobs) -> np.ndarray:
+    def inference(self, encoded_jobs) -> np.ndarray:  # hotpath: model predict behind every /predict batch
         """Predict labels for encoded jobs; only valid after training."""
         if not self._trained:
             raise NotFittedError(

@@ -22,7 +22,7 @@ with vectorized hot paths:
 from repro.mlcore.base import NotFittedError, check_is_fitted, check_random_state
 from repro.mlcore.tree import DecisionTreeClassifier
 from repro.mlcore.forest import RandomForestClassifier
-from repro.mlcore.knn import KNeighborsClassifier, KNeighborsRegressor
+from repro.mlcore.knn import KNeighborsClassifier
 from repro.mlcore.naive_bayes import GaussianNBClassifier
 from repro.mlcore.baseline import LookupTableBaseline
 from repro.mlcore.metrics import (
@@ -42,7 +42,6 @@ __all__ = [
     "DecisionTreeClassifier",
     "RandomForestClassifier",
     "KNeighborsClassifier",
-    "KNeighborsRegressor",
     "GaussianNBClassifier",
     "LookupTableBaseline",
     "accuracy_score",

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.mlcore.base import check_is_fitted, check_X_y, check_array, encode_labels
 
-__all__ = ["KNeighborsClassifier", "KNeighborsRegressor"]
+__all__ = ["KNeighborsClassifier"]
 
 #: elements per block of the exact rescoring's (pairs, d) differences
 _RESCORE_BLOCK_ELEMS = 2**20
@@ -111,8 +111,16 @@ def _euclidean_meta(state: dict) -> dict:
     return meta
 
 
-class _NeighborsBase:
-    """Shared neighbour-search machinery for k-NN estimators."""
+class KNeighborsClassifier:
+    """Majority-vote k-NN classifier with Euclidean distances.
+
+    Parameters
+    ----------
+    n_neighbors:
+        Vote size k (default 5, as in sklearn).
+    chunk_size:
+        Query rows per search chunk (bounds peak memory).
+    """
 
     def __init__(self, n_neighbors: int = 5, *, chunk_size: int = 512) -> None:
         if n_neighbors < 1:
@@ -125,10 +133,27 @@ class _NeighborsBase:
 
     # -- fit -------------------------------------------------------------------
 
-    def _fit_features(self, X: np.ndarray) -> None:
-        """Keep the distinct rows of the feature matrix and build the
-        search over them."""
+    def fit(self, X, y) -> "KNeighborsClassifier":
+        """Store the training set as its distinct rows."""
+        X, y = check_X_y(X, y, dtype=np.float64)
+        self.classes_, self._y = encode_labels(y)
         self._fit_rows(*_distinct_rows(np.ascontiguousarray(X)))
+        return self
+
+    def fit_rows(self, rows, row_index, y) -> "KNeighborsClassifier":
+        """Fit on training sample ``i`` = ``rows[row_index[i]]``: the same
+        neighbours and predictions as ``fit(rows[row_index], y)``, without
+        building that matrix or hashing its rows.  Unreferenced rows are
+        dropped."""
+        rows, row_index = _referenced_rows(rows, row_index)
+        y = np.asarray(y)
+        if y.shape != row_index.shape:
+            raise ValueError(
+                f"row_index has {row_index.size} samples but y has shape {y.shape}"
+            )
+        self.classes_, self._y = encode_labels(y)
+        self._fit_rows(rows, row_index)
+        return self
 
     def _fit_rows(self, rows: np.ndarray, row_index: np.ndarray) -> None:
         """Build the search over distinct ``rows`` in first-seen order;
@@ -154,26 +179,6 @@ class _NeighborsBase:
         self._slack = (
             4.0 * _gamma(d + 4),
             8.0 * d * float(np.finfo(np.float64).smallest_subnormal),
-        )
-
-    def _row_arrays(self) -> dict:
-        """The archive's ``rows`` and ``row_index``.  ``rows`` is written as
-        float32 when the float64 -> float32 round trip is exact, as it is
-        for the float32 encodings :meth:`MCBound.train` fits on;
-        :meth:`_load_rows` widens it back bit for bit."""
-        narrow = self._rows.astype(np.float32)
-        rows = narrow if np.array_equal(narrow, self._rows) else self._rows
-        return {"rows": rows, "row_index": self._row_index}
-
-    def _load_rows(self, arrays: dict) -> None:
-        """Rebuild from an archive: its distinct rows as they are, or the
-        whole ``X`` of an archive written before that layout."""
-        if "rows" not in arrays:
-            self._fit_features(np.asarray(arrays["X"], dtype=np.float64))
-            return
-        self._fit_rows(
-            np.asarray(arrays["rows"], dtype=np.float64),
-            np.asarray(arrays["row_index"], dtype=np.int64),
         )
 
     # -- neighbour search ---------------------------------------------------------
@@ -254,40 +259,6 @@ class _NeighborsBase:
             out[lo:hi] = np.einsum("...i,...i->...", diff, diff)
         return out
 
-
-class KNeighborsClassifier(_NeighborsBase):
-    """Majority-vote k-NN classifier with Euclidean distances.
-
-    Parameters
-    ----------
-    n_neighbors:
-        Vote size k (default 5, as in sklearn).
-    chunk_size:
-        Query rows per search chunk (bounds peak memory).
-    """
-
-    def fit(self, X, y) -> "KNeighborsClassifier":
-        """Store the training set as its distinct rows."""
-        X, y = check_X_y(X, y, dtype=np.float64)
-        self.classes_, self._y = encode_labels(y)
-        self._fit_features(X)
-        return self
-
-    def fit_rows(self, rows, row_index, y) -> "KNeighborsClassifier":
-        """Fit on training sample ``i`` = ``rows[row_index[i]]``: the same
-        neighbours and predictions as ``fit(rows[row_index], y)``, without
-        building that matrix or hashing its rows.  Unreferenced rows are
-        dropped."""
-        rows, row_index = _referenced_rows(rows, row_index)
-        y = np.asarray(y)
-        if y.shape != row_index.shape:
-            raise ValueError(
-                f"row_index has {row_index.size} samples but y has shape {y.shape}"
-            )
-        self.classes_, self._y = encode_labels(y)
-        self._fit_rows(rows, row_index)
-        return self
-
     # -- prediction ------------------------------------------------------------------
 
     def predict_proba(self, X) -> np.ndarray:
@@ -313,106 +284,38 @@ class KNeighborsClassifier(_NeighborsBase):
     # -- persistence --------------------------------------------------------------------
 
     def get_state(self) -> dict:
+        """The archive's state.  ``rows`` is written as float32 when the
+        float64 -> float32 round trip is exact, as it is for the float32
+        encodings :meth:`MCBound.train` fits on; :meth:`from_state` widens
+        it back bit for bit."""
         check_is_fitted(self, "classes_")
+        narrow = self._rows.astype(np.float32)
+        rows = narrow if np.array_equal(narrow, self._rows) else self._rows
         return {
             "meta": {"n_neighbors": self.n_neighbors, "chunk_size": self.chunk_size},
             "arrays": {
                 "classes": self.classes_,
                 "y": self._y,
-                **self._row_arrays(),
+                "rows": rows,
+                "row_index": self._row_index,
             },
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "KNeighborsClassifier":
+        """Rebuild from an archive: its distinct rows as they are, or the
+        whole ``X`` of an archive written before that layout."""
         meta = _euclidean_meta(state)
         knn = cls(meta["n_neighbors"], chunk_size=meta["chunk_size"])
         arrays = state["arrays"]
         knn.classes_ = np.asarray(arrays["classes"])
         knn._y = np.asarray(arrays["y"], dtype=np.int64)
-        knn._load_rows(arrays)
+        if "rows" in arrays:
+            knn._fit_rows(
+                np.asarray(arrays["rows"], dtype=np.float64),
+                np.asarray(arrays["row_index"], dtype=np.int64),
+            )
+        else:
+            X = np.ascontiguousarray(arrays["X"], dtype=np.float64)
+            knn._fit_rows(*_distinct_rows(X))
         return knn
-
-
-class KNeighborsRegressor(_NeighborsBase):
-    """k-NN regression: predict a continuous target from similar jobs.
-
-    The paper's future-work direction (§VI): "the KNN finds the most
-    similar jobs regardless of the target feature, hence we can easily
-    adapt the framework for the prediction of multiple features" —
-    duration, power consumption, and so on.  Same neighbour search as the
-    classifier; the prediction is the (optionally distance-weighted) mean
-    of the neighbours' target values.
-
-    Parameters are those of :class:`KNeighborsClassifier` plus
-    ``weights``: "uniform" (default) or "distance" (inverse-distance
-    weighting, exact matches dominate).
-    """
-
-    def __init__(
-        self, n_neighbors: int = 5, *, chunk_size: int = 512, weights: str = "uniform"
-    ) -> None:
-        super().__init__(n_neighbors, chunk_size=chunk_size)
-        if weights not in ("uniform", "distance"):
-            raise ValueError(f"unknown weights {weights!r}")
-        self.weights = weights
-
-    def fit(self, X, y) -> "KNeighborsRegressor":
-        """Store the training features and continuous targets."""
-        X, y = check_X_y(X, y, dtype=np.float64)
-        y = y.astype(np.float64)
-        if not np.all(np.isfinite(y)):
-            raise ValueError("targets contain NaN or infinity")
-        self._targets = y
-        self._fit_features(X)
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        """Neighbour-mean prediction of the target."""
-        check_is_fitted(self, "_targets")
-        dist, idx = self.kneighbors(X)
-        vals = self._targets[idx]
-        if self.weights == "uniform":
-            return vals.mean(axis=1)
-        # inverse-distance weights; exact matches get all the weight
-        with np.errstate(divide="ignore"):
-            w = 1.0 / np.maximum(dist, 1e-300)
-        exact = dist <= 1e-12
-        has_exact = exact.any(axis=1)
-        w[has_exact] = exact[has_exact].astype(np.float64)
-        return (vals * w).sum(axis=1) / w.sum(axis=1)
-
-    def score(self, X, y) -> float:
-        """Coefficient of determination R^2."""
-        y = np.asarray(y, dtype=np.float64)
-        pred = self.predict(X)
-        ss_res = float(((y - pred) ** 2).sum())
-        ss_tot = float(((y - y.mean()) ** 2).sum())
-        if ss_tot == 0:
-            return 1.0 if ss_res == 0 else 0.0
-        return 1.0 - ss_res / ss_tot
-
-    # -- persistence --------------------------------------------------------------------
-
-    def get_state(self) -> dict:
-        check_is_fitted(self, "_targets")
-        return {
-            "meta": {
-                "n_neighbors": self.n_neighbors,
-                "chunk_size": self.chunk_size,
-                "weights": self.weights,
-            },
-            "arrays": {
-                "targets": self._targets,
-                **self._row_arrays(),
-            },
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "KNeighborsRegressor":
-        meta = _euclidean_meta(state)
-        reg = cls(meta["n_neighbors"], chunk_size=meta["chunk_size"], weights=meta["weights"])
-        arrays = state["arrays"]
-        reg._targets = np.asarray(arrays["targets"], dtype=np.float64)
-        reg._load_rows(arrays)
-        return reg

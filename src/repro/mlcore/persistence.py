@@ -32,7 +32,7 @@ def _model_classes() -> dict:
     # Imported lazily to avoid import cycles at package init.
     from repro.mlcore.baseline import LookupTableBaseline
     from repro.mlcore.forest import RandomForestClassifier
-    from repro.mlcore.knn import KNeighborsClassifier, KNeighborsRegressor
+    from repro.mlcore.knn import KNeighborsClassifier
     from repro.mlcore.naive_bayes import GaussianNBClassifier
     from repro.mlcore.tree import DecisionTreeClassifier
 
@@ -40,7 +40,6 @@ def _model_classes() -> dict:
         "DecisionTreeClassifier": DecisionTreeClassifier,
         "RandomForestClassifier": RandomForestClassifier,
         "KNeighborsClassifier": KNeighborsClassifier,
-        "KNeighborsRegressor": KNeighborsRegressor,
         "GaussianNBClassifier": GaussianNBClassifier,
         "LookupTableBaseline": LookupTableBaseline,
     }

@@ -1,10 +1,8 @@
 """Roofline model library (Williams et al., CACM 2009).
 
 Provides the node-level Roofline used by the paper's Job Characterizer
-(:mod:`repro.roofline.model`, :mod:`repro.roofline.characterize`), the
-multi-ceiling extension the paper names as future work (cache /
-interconnect ceilings, :mod:`repro.roofline.multiceiling`), and log-binned
-2-D summaries of job scatter used to regenerate Figures 3 and 5
+(:mod:`repro.roofline.model`, :mod:`repro.roofline.characterize`) and
+log-binned 2-D summaries of job scatter used to regenerate Figures 3 and 5
 (:mod:`repro.roofline.binning`).
 """
 
@@ -17,7 +15,6 @@ from repro.roofline.characterize import (
     job_operational_intensity,
     characterize_jobs,
 )
-from repro.roofline.multiceiling import Ceiling, MultiCeilingRoofline
 from repro.roofline.binning import log_bin_2d, RooflineScatterSummary
 
 __all__ = [
@@ -28,8 +25,6 @@ __all__ = [
     "job_memory_bandwidth",
     "job_operational_intensity",
     "characterize_jobs",
-    "Ceiling",
-    "MultiCeilingRoofline",
     "log_bin_2d",
     "RooflineScatterSummary",
 ]

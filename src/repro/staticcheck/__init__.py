@@ -19,13 +19,13 @@ suite cannot see.  It runs four tiers:
   unseeded-RNG/wall-clock values flowing into persisted models or
   reports (``tainted-persistence``), no ``__all__`` exports nothing
   imports (``dead-export``), the concurrency rules
-  (``lock-order-cycle``, ``unguarded-shared-write``,
-  ``blocking-under-lock``) and ``hot-path-gap``, which keeps the perf
-  tier's view of hot functions whole across modules.
+  (``unguarded-shared-write``, ``blocking-under-lock``) and
+  ``hot-path-gap``, which keeps the perf tier's view of hot functions
+  whole across modules.
 
-Runs are incremental: with a cache path set, unchanged files (and files
-whose import-graph dependencies are unchanged) skip parsing and the
-single-file rules entirely, and cold files can be parsed in parallel.
+Runs are incremental: with a cache path set, unchanged files skip
+parsing and the single-file rules entirely, and cold files can be parsed
+in parallel.
 
 Programmatic use::
 

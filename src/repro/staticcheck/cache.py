@@ -1,17 +1,16 @@
 """Content-hash-keyed on-disk cache for the incremental engine.
 
 One JSON document (default ``.staticcheck-cache.json``) maps each linted
-file to its content hash, the hashes of its import-graph dependencies,
-its single-file findings (active and suppressed) and its
-:class:`~repro.staticcheck.project.summary.ModuleSummary`.  A warm entry
-is served — no parse, no single-file rules — when
+file to its content hash, its single-file findings (active and
+suppressed) and its :class:`~repro.staticcheck.project.summary.ModuleSummary`.
+A warm entry is served — no parse, no single-file rules — when
 
 * the cache was written by the same schema and the same rule set
   (``fingerprint``), and
-* the file's own hash matches, and
-* every recorded dependency still exists in the scanned set with the
-  recorded hash (a changed dependency conservatively re-analyzes its
-  dependents, keeping dependency-sensitive facts honest).
+* the file's own hash matches.
+
+Analyzing a file reads no other file, so a change elsewhere cannot
+invalidate its entry.
 
 Project rules always run — they are whole-program — but they consume the
 cached summaries, so a warm run re-parses only what changed.  Reference
@@ -56,7 +55,10 @@ __all__ = ["AnalysisCache", "file_digest"]
 # ``broadcast-mismatch``, ``unit-mismatch`` and ``lock-order-cycle``
 # rules — schema-10 entries cache findings of those rules, the perf
 # tier's array-fixpoint counter and the summaries' lock acquisition
-# facts.
+# facts.  Entries stopped recording their import-graph dependencies'
+# hashes under the same schema: no single-file rule reads another module,
+# so an entry depends only on its own content and the rule set, and
+# entries written either way stay valid for engines of either kind.
 CACHE_SCHEMA = 11
 
 
@@ -105,17 +107,10 @@ class AnalysisCache:
 
     # -- lookups -----------------------------------------------------------
 
-    def lookup(self, key: str, digest: str, current_digests: dict[str, str]) -> dict | None:
+    def lookup(self, key: str, digest: str) -> dict | None:
         """A valid entry for ``key``, or None; counts the hit/miss."""
         entry = self.files.get(key)
-        if (
-            isinstance(entry, dict)
-            and entry.get("hash") == digest
-            and all(
-                current_digests.get(dep_path) == dep_hash
-                for dep_path, dep_hash in entry.get("deps", {}).items()
-            )
-        ):
+        if isinstance(entry, dict) and entry.get("hash") == digest:
             self.hits += 1
             return entry
         self.misses += 1

@@ -14,7 +14,7 @@ With no paths the engine checks ``src/repro`` when run from the repo root
 usage from ``tests``, ``benchmarks`` and ``examples`` for the
 ``dead-export`` rule.  ``--cache`` (optionally with a path, default
 ``.staticcheck-cache.json``) turns on the incremental engine; a warm run
-re-parses only files whose content or import-graph dependencies changed.
+re-parses only files whose content changed.
 ``--statistics`` prints cache and per-rule counters to stderr, keeping
 stdout byte-stable.  Exit status: 0 clean, 1 findings, 2 usage or I/O
 error — so CI can gate on it directly.

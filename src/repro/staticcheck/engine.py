@@ -9,8 +9,7 @@ per-module summaries.
 
 Incremental operation: with ``cache_path`` set, every file's parse,
 single-file findings and module summary are keyed on its content hash
-(plus the hashes of its import-graph dependencies) in an on-disk JSON
-cache, so a warm run re-parses only what changed — see
+in an on-disk JSON cache, so a warm run re-parses only what changed — see
 :mod:`repro.staticcheck.cache`.  With ``jobs > 1`` cold files are parsed
 through :func:`repro.parallel.parallel_map` on the process backend.
 """
@@ -286,7 +285,7 @@ def _analyze_file(task: tuple[str, tuple[str, ...] | None]) -> dict:
     else:  # may be empty: project-rules-only runs select no file rules
         registry = all_rules()
         rules = [registry[rule_id]() for rule_id in rule_ids]
-    entry: dict = {"hash": file_digest(source.encode("utf-8")), "deps": {}}
+    entry: dict = {"hash": file_digest(source.encode("utf-8"))}
     try:
         tree = ast.parse(source, filename=path_str)
     except SyntaxError as exc:
@@ -491,7 +490,7 @@ def check_paths(
     entries: dict[str, dict] = {}
     cold: list[str] = []
     for key in file_keys:
-        entry = cache.lookup(key, digests[key], digests) if cache is not None else None
+        entry = cache.lookup(key, digests[key]) if cache is not None else None
         if entry is not None:
             entries[key] = entry
         else:
@@ -525,7 +524,6 @@ def check_paths(
                     summary = None
                 entries[key] = {
                     "hash": digests[key],
-                    "deps": {},
                     "findings": [f.to_dict() for f in result.findings],
                     "suppressed": [f.to_dict() for f in result.suppressed],
                     "summary": summary,
@@ -601,19 +599,8 @@ def check_paths(
         else:
             findings.append(unused)
 
-    # -- record dependency hashes and persist the cache ----------------------
+    # -- persist the cache ---------------------------------------------------
     if cache is not None:
-        from repro.staticcheck.project.graph import ImportGraph
-
-        graph = ImportGraph(summaries)
-        module_paths = {name: s.path for name, s in summaries.items()}
-        for name, summary in summaries.items():
-            deps = {}
-            for dep_module in graph.dependencies(name):
-                dep_path = module_paths.get(dep_module)
-                if dep_path is not None and dep_path in digests:
-                    deps[dep_path] = digests[dep_path]
-            entries[summary.path]["deps"] = deps
         for key in file_keys:
             cache.store(key, entries[key])
         reference_keys = {str(f) for f in reference_files}

@@ -4,8 +4,8 @@ Importing this package registers every built-in project rule, mirroring
 how :mod:`repro.staticcheck.rules` registers the single-file rules.  The
 layer is summary-driven: each module contributes a serializable
 :class:`~repro.staticcheck.project.summary.ModuleSummary` (served from
-the incremental cache when the file and its import-graph dependencies
-are unchanged), and the rules reason over the assembled
+the incremental cache when the file is unchanged), and the rules
+reason over the assembled
 :class:`~repro.staticcheck.project.graph.ProjectContext` — import graph,
 approximate call graph, and every summary at once.
 """

@@ -62,10 +62,6 @@ class ImportGraph:
     def runtime_successors(self, module: str) -> list[str]:
         return sorted(t for t, (_, runtime) in self.edges.get(module, {}).items() if runtime)
 
-    def dependencies(self, module: str) -> list[str]:
-        """All imported project modules, runtime or not (cache deps)."""
-        return sorted(self.edges.get(module, {}))
-
     def edge_line(self, module: str, target: str) -> int:
         return self.edges.get(module, {}).get(target, (1, True))[0]
 

@@ -17,7 +17,6 @@ import numpy as np
 from repro.storage.index import SortedIndex
 from repro.storage.schema import ColumnDef, ColumnType, TableSchema
 from repro.storage.sqlparser import (
-    Aggregate,
     And,
     Between,
     Comparison,
@@ -346,8 +345,6 @@ class Database:
 
     def _run_select(self, stmt: Select, params: Sequence) -> ResultSet:
         table = self.table(stmt.table)
-        if stmt.aggregates:
-            return self._run_aggregate(table, stmt, params)
         out_cols = stmt.columns or table.schema.column_names
         for c in out_cols:
             if c not in table.schema:
@@ -367,71 +364,6 @@ class Database:
             rows = rows[: stmt.limit]
 
         return ResultSet({c: table.column(c)[rows].copy() for c in out_cols})
-
-    # -- aggregates ----------------------------------------------------------------
-
-    def _run_aggregate(self, table: Table, stmt: Select, params: Sequence) -> ResultSet:
-        """Execute COUNT/SUM/AVG/MIN/MAX, optionally grouped by one column."""
-        for agg in stmt.aggregates:
-            if agg.column is not None and agg.column not in table.schema:
-                raise KeyError(f"unknown column {agg.column!r} in aggregate")
-            if agg.column is not None and agg.func != "COUNT":
-                if table.schema[agg.column].ctype.dtype == object:
-                    raise TypeError(
-                        f"{agg.func} over TEXT column {agg.column!r} is not supported"
-                    )
-        if stmt.group_by is not None and stmt.group_by not in table.schema:
-            raise KeyError(f"unknown GROUP BY column {stmt.group_by!r}")
-        if stmt.order_by is not None and stmt.order_by != stmt.group_by:
-            raise KeyError("aggregate queries can only ORDER BY the group column")
-
-        rows = self._plan_where(table, stmt.where, params)
-
-        def compute(agg: Aggregate, sel: np.ndarray):
-            if agg.func == "COUNT":
-                return int(sel.size)
-            values = table.column(agg.column)[sel]
-            if values.size == 0:
-                return 0.0 if agg.func in ("SUM",) else float("nan")
-            if agg.func == "SUM":
-                return float(values.sum())
-            if agg.func == "AVG":
-                return float(values.mean())
-            if agg.func == "MIN":
-                return _to_python(values.min())
-            return _to_python(values.max())
-
-        if stmt.group_by is None:
-            data = {
-                agg.output_name: np.array([compute(agg, rows)])
-                for agg in stmt.aggregates
-            }
-            return ResultSet(data)
-
-        keys = table.column(stmt.group_by)[rows]
-        uniques, inverse = np.unique(keys, return_inverse=True)
-        per_group = [rows[inverse == g] for g in range(len(uniques))]
-        out: dict[str, list] = {stmt.group_by: list(uniques)}
-        for agg in stmt.aggregates:
-            out[agg.output_name] = [compute(agg, sel) for sel in per_group]
-        # preserve the select-list ordering of output columns
-        ordered: dict[str, np.ndarray] = {}
-        for item in stmt.columns:
-            name = item if isinstance(item, str) else item.output_name
-            values = out[name]
-            ordered[name] = (
-                np.array(values, dtype=object)
-                if name == stmt.group_by and table.schema[name].ctype.dtype == object
-                else np.asarray(values)
-            )
-        order = np.argsort(ordered[stmt.group_by]) if stmt.group_by in ordered else None
-        if order is not None and stmt.descending:
-            order = order[::-1]
-        if order is not None:
-            ordered = {k: v[order] for k, v in ordered.items()}
-        if stmt.limit is not None:
-            ordered = {k: v[: stmt.limit] for k, v in ordered.items()}
-        return ResultSet(ordered)
 
     # -- planner / filter ---------------------------------------------------------
 

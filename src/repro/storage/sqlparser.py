@@ -6,12 +6,9 @@ Supported grammar (case-insensitive keywords)::
     create      := CREATE TABLE name '(' coldef (',' coldef)* ')'
     coldef      := name type [INDEXED]
     insert      := INSERT INTO name ['(' names ')'] VALUES tuple (',' tuple)*
-    select      := SELECT ('*' | items) FROM name
-                   [WHERE expr] [GROUP BY name]
+    select      := SELECT ('*' | names) FROM name [WHERE expr]
                    [ORDER BY name [ASC|DESC]] [LIMIT int]
-    items       := item (',' item)*
-    item        := name | agg
-    agg         := (COUNT|SUM|AVG|MIN|MAX) '(' ('*' | name) ')' 
+    names       := name (',' name)*
     expr        := or_expr
     or_expr     := and_expr (OR and_expr)*
     and_expr    := not_expr (AND not_expr)*
@@ -49,7 +46,6 @@ __all__ = [
     "Select",
     "Insert",
     "CreateTable",
-    "Aggregate",
 ]
 
 
@@ -110,32 +106,13 @@ Expr = Union[Comparison, Between, InList, Not, And, Or]
 
 
 @dataclass(frozen=True)
-class Aggregate:
-    """One aggregate select item, e.g. COUNT(*) or AVG(duration)."""
-
-    func: str  # COUNT | SUM | AVG | MIN | MAX
-    column: str | None  # None only for COUNT(*)
-
-    @property
-    def output_name(self) -> str:
-        return f"{self.func.lower()}_{self.column}" if self.column else "count"
-
-
-@dataclass(frozen=True)
 class Select:
     table: str
-    columns: tuple | None  # tuple of str | Aggregate; None means '*'
+    columns: tuple[str, ...] | None  # None means '*'
     where: Expr | None = None
     order_by: str | None = None
     descending: bool = False
     limit: int | None = None
-    group_by: str | None = None
-
-    @property
-    def aggregates(self) -> tuple:
-        if self.columns is None:
-            return ()
-        return tuple(c for c in self.columns if isinstance(c, Aggregate))
 
 
 @dataclass(frozen=True)
@@ -169,7 +146,6 @@ _KEYWORDS = {
     "SELECT", "FROM", "WHERE", "ORDER", "BY", "ASC", "DESC", "LIMIT",
     "INSERT", "INTO", "VALUES", "CREATE", "TABLE", "AND", "OR", "NOT",
     "BETWEEN", "IN", "INDEXED", "INTEGER", "REAL", "TEXT",
-    "COUNT", "SUM", "AVG", "MIN", "MAX", "GROUP",
 }
 
 
@@ -314,40 +290,19 @@ class _Parser:
         raise SQLSyntaxError(f"expected a predicate after column {col!r} at {tok.pos}")
 
     # statements
-    def parse_select_item(self):
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text in ("COUNT", "SUM", "AVG", "MIN", "MAX"):
-            self.advance()
-            self.expect("punct", "(")
-            if self.accept("punct", "*"):
-                if tok.text != "COUNT":
-                    raise SQLSyntaxError(f"{tok.text}(*) is not supported")
-                col = None
-            else:
-                col = self.expect("name").text
-            self.expect("punct", ")")
-            return Aggregate(tok.text, col)
-        return self.expect("name").text
-
     def parse_select(self) -> Select:
         self.expect("keyword", "SELECT")
-        columns: tuple | None
-        if self.accept("punct", "*"):
-            columns = None
-        else:
-            items = [self.parse_select_item()]
+        columns: tuple[str, ...] | None = None
+        if not self.accept("punct", "*"):
+            names = [self.expect("name").text]
             while self.accept("punct", ","):
-                items.append(self.parse_select_item())
-            columns = tuple(items)
+                names.append(self.expect("name").text)
+            columns = tuple(names)
         self.expect("keyword", "FROM")
         table = self.expect("name").text
         where = None
         if self.accept("keyword", "WHERE"):
             where = self.parse_expr()
-        group_by = None
-        if self.accept("keyword", "GROUP"):
-            self.expect("keyword", "BY")
-            group_by = self.expect("name").text
         order_by, descending = None, False
         if self.accept("keyword", "ORDER"):
             self.expect("keyword", "BY")
@@ -364,27 +319,7 @@ class _Parser:
             limit = int(tok.text)
             if limit < 0:
                 raise SQLSyntaxError("LIMIT must be non-negative")
-        stmt = Select(table, columns, where, order_by, descending, limit, group_by)
-        self._validate_select(stmt)
-        return stmt
-
-    @staticmethod
-    def _validate_select(stmt: Select) -> None:
-        aggs = stmt.aggregates
-        if stmt.group_by is not None and not aggs:
-            raise SQLSyntaxError("GROUP BY requires at least one aggregate")
-        if not aggs:
-            return
-        if stmt.columns is None:
-            raise SQLSyntaxError("cannot mix * with aggregates")
-        plain = [c for c in stmt.columns if isinstance(c, str)]
-        if stmt.group_by is None and plain:
-            raise SQLSyntaxError("plain columns beside aggregates need GROUP BY")
-        for c in plain:
-            if c != stmt.group_by:
-                raise SQLSyntaxError(
-                    f"column {c!r} must appear in GROUP BY to be selected"
-                )
+        return Select(table, columns, where, order_by, descending, limit)
 
     def parse_insert(self) -> Insert:
         self.expect("keyword", "INSERT")

@@ -7,15 +7,12 @@ pipeline runs against any system, and the paper's own generality claim
 (§III: "can be seamlessly configured and deployed in other HPC
 systems") becomes something the repo can measure.
 
-The contract is deliberately *unit-annotated*: every abstract method
-carries the same ``# unit:`` def annotation its implementations must
-repeat, so the flow tier's flops/bytes/seconds fixpoint resolves method
-units by bare name **through the abstraction boundary** — a consumer
-holding any ``SystemModel`` still gets ``flops`` out of
-``flops_from_counters``.  The contract tests in ``tests/systems`` check
-that every registered system implements the full contract with matching
-signatures and matching ``# unit:`` annotations, which is what keeps the
-harvest sound.
+Every abstract method documents its units in a ``# unit:`` comment on
+its ``def`` line, and implementations repeat it verbatim, so a reader
+holding any ``SystemModel`` sees that ``flops_from_counters`` returns
+flops.  The contract tests in ``tests/systems`` check that every
+registered system implements the full contract with matching signatures
+and matching ``# unit:`` comments.
 
 Concrete systems register themselves with
 :func:`repro.systems.registry.register_system`; every construction site
@@ -28,7 +25,6 @@ from __future__ import annotations
 import abc
 
 from repro.roofline.model import Roofline
-from repro.roofline.multiceiling import MultiCeilingRoofline
 
 __all__ = ["SystemModel"]
 
@@ -68,10 +64,6 @@ class SystemModel(abc.ABC):
         """Node peak at a requested frequency (knees scale with the clock)."""
 
     @abc.abstractmethod
-    def ceilings(self):
-        """Bandwidth ceilings, fastest first, as roofline ``Ceiling`` objects."""
-
-    @abc.abstractmethod
     def workload_config(self, *, scale, seed):
         """This system's synthetic workload mix as a ``WorkloadConfig``."""
 
@@ -108,10 +100,6 @@ class SystemModel(abc.ABC):
     def roofline(self) -> Roofline:
         """The single-ceiling node roofline (Eq. 1)."""
         return Roofline(self.peak_gflops_node, self.peak_membw_gbs)
-
-    def multi_ceiling(self) -> MultiCeilingRoofline:
-        """The multi-ceiling roofline over every declared bandwidth ceiling."""
-        return MultiCeilingRoofline(self.peak_gflops_node, self.ceilings())
 
     def counter_transform(self):
         """``perf2..perf5 -> (#flops, #moved_bytes)`` for the characterizer."""

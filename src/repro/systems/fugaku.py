@@ -15,7 +15,6 @@ from repro.fugaku.counters import (
     moved_bytes_from_counters,
 )
 from repro.fugaku.system import FUGAKU
-from repro.roofline.multiceiling import Ceiling
 from repro.systems.base import SystemModel
 from repro.systems.registry import register_system
 
@@ -54,10 +53,6 @@ class FugakuSystem(SystemModel):
     def peak_gflops_at(self, frequency_ghz):  # unit: frequency_ghz=1 -> gflops/s
         """Node peak at a requested frequency (knees scale with the clock)."""
         return FUGAKU.peak_gflops_node * (frequency_ghz / FUGAKU.frequencies_ghz[-1])
-
-    def ceilings(self):
-        """Bandwidth ceilings, fastest first, as roofline ``Ceiling`` objects."""
-        return (Ceiling("hbm2", FUGAKU.peak_membw_gbs),)
 
     def workload_config(self, *, scale, seed):
         """This system's synthetic workload mix as a ``WorkloadConfig``."""

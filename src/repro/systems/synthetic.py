@@ -3,8 +3,8 @@
 Two machines modeled on the workload-dataset papers in PAPERS.md:
 
 - :class:`SupercloudSystem` — an MIT-Supercloud-like ML/AI datacenter
-  node: fat x86 nodes, high compute peak against commodity DDR + a slow
-  secondary fabric ceiling, so the ridge sits at 4.375 Flops/Byte (vs
+  node: fat x86 nodes, high compute peak against commodity DDR, so the
+  ridge sits at 4.375 Flops/Byte (vs
   Fugaku's 3.30) and a workload dominated by training / inference /
   notebook jobs.
 - :class:`IN2P3System` — an IN2P3-CC-like high-throughput computing
@@ -29,7 +29,6 @@ from repro.fugaku.counters import (
     flops_from_counters,
     moved_bytes_from_counters,
 )
-from repro.roofline.multiceiling import Ceiling
 from repro.systems.base import SystemModel
 from repro.systems.registry import register_system
 from repro.systems.spec import MachineSpec
@@ -240,13 +239,6 @@ class SupercloudSystem(SystemModel):
         """Node peak at a requested frequency (piecewise knee ladder)."""
         return self.machine.peak_gflops_at(frequency_ghz)
 
-    def ceilings(self):
-        """DDR main memory plus the slow inter-node fabric ceiling."""
-        return (
-            Ceiling("ddr", self.machine.peak_membw_gbs),
-            Ceiling("fabric", 25.0),
-        )
-
     def workload_config(self, *, scale, seed):
         """ML/AI mix; ~0.66 M jobs at full scale, early-January downtime."""
         from repro.fugaku.workload import WorkloadConfig
@@ -292,13 +284,6 @@ class IN2P3System(SystemModel):
     def peak_gflops_at(self, frequency_ghz):  # unit: frequency_ghz=1 -> gflops/s
         """Node peak at a requested frequency (three-step clock ladder)."""
         return self.machine.peak_gflops_at(frequency_ghz)
-
-    def ceilings(self):
-        """DDR4 main memory plus the shared-storage I/O ceiling."""
-        return (
-            Ceiling("ddr4", self.machine.peak_membw_gbs),
-            Ceiling("io", 12.0),
-        )
 
     def workload_config(self, *, scale, seed):
         """HTC/HEP mix; ~1.1 M jobs at full scale, late-February downtime."""

@@ -1,10 +1,9 @@
 """Integration tests: the full MCBound pipeline over its real components.
 
 These mirror the paper's deployment story end-to-end: generate a trace,
-load it into the relational store, run the Training Workflow through a
-cron schedule over several simulated days, run the Inference Workflow on
-each day's submissions, and score predictions against the Roofline ground
-truth.
+load it into the relational store, run the Training Workflow every β days
+over several simulated days, run the Inference Workflow on each day's
+submissions, and score predictions against the Roofline ground truth.
 """
 
 import numpy as np
@@ -14,8 +13,6 @@ from repro.core import (
     InferenceWorkflow,
     MCBound,
     MCBoundConfig,
-    Scheduler,
-    SimClock,
     TrainingWorkflow,
     load_trace_into_db,
 )
@@ -44,18 +41,19 @@ class TestScheduledDeployment:
     def test_online_period_with_cron(self, deployed):
         fw = deployed
         start = 40 * DAY_SECONDS
-        clock = SimClock(start)
-        sched = Scheduler(clock)
         tw = TrainingWorkflow(fw)
         iw = InferenceWorkflow(fw)
-        sched.every(fw.config.beta_days, tw.run)
-        sched.every(1.0, lambda t: iw.run_window(t - DAY_SECONDS, t), offset_days=1.0)
-        # run_until excludes the end instant, so the day-6 inference (which
-        # would cover day 5) fires on a horizon of 6 days + epsilon
-        sched.run_until(start + 6 * DAY_SECONDS + 1.0)
+        # the cron of Fig. 1: retrain at the start of every β-th day on the
+        # α days before it, then predict that day's submissions, so no day
+        # is predicted by a model trained on it
+        for day in range(6):
+            now = start + day * DAY_SECONDS
+            if day % int(fw.config.beta_days) == 0:
+                tw.run(now)
+            iw.run_window(now, now + DAY_SECONDS)
 
-        # beta=2: retrains at days 0, 2, 4 and at the 6d+eps horizon
-        assert len(tw.history) == 4
+        # beta=2: retrains at days 0, 2 and 4
+        assert len(tw.history) == 3
         assert len(iw.history) == 6
         assert len(iw.predictions) > 50
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.mlcore.forest import RandomForestClassifier
-from repro.mlcore.knn import KNeighborsClassifier, KNeighborsRegressor
+from repro.mlcore.knn import KNeighborsClassifier
 from repro.mlcore.persistence import (
     ModelRegistry,
     load_model,
@@ -104,16 +104,12 @@ def _training_matrix(model):
     return model._rows[model._row_index]
 
 
-@pytest.fixture(params=["classifier", "regressor"])
-def fitted(request):
-    """A KNN classifier or regressor fitted on :func:`repeated_rows`, and
-    its queries."""
+@pytest.fixture(params=["classifier"])
+def fitted():
+    """A KNN classifier fitted on :func:`repeated_rows`, and its queries."""
     X, Q = repeated_rows()
-    if request.param == "classifier":
-        y = (X.sum(axis=1) > 0).astype(int)
-        return KNeighborsClassifier(5).fit(X, y), Q
-    y = X @ np.array([0.5, -1.0, 2.0, 0.25])
-    return KNeighborsRegressor(5).fit(X, y), Q
+    y = (X.sum(axis=1) > 0).astype(int)
+    return KNeighborsClassifier(5).fit(X, y), Q
 
 
 class TestKNNRoundTrip:
@@ -150,14 +146,11 @@ class TestKNNRoundTrip:
         # written as float32; a nudge below float32 precision keeps float64
         X, _ = repeated_rows()
         X[0, 0] = 1.0 + nudge
-        for model in (
-            KNeighborsClassifier(5).fit(X, np.arange(len(X)) % 2),
-            KNeighborsRegressor(5).fit(X, X[:, 0]),
-        ):
-            path = save_model(model, tmp_path / type(model).__name__)
-            with np.load(path / "arrays.npz", allow_pickle=False) as z:
-                assert z["rows"].dtype == dtype
-            assert _training_matrix(load_model(path)).tobytes() == X.tobytes()
+        model = KNeighborsClassifier(5).fit(X, np.arange(len(X)) % 2)
+        path = save_model(model, tmp_path / "m")
+        with np.load(path / "arrays.npz", allow_pickle=False) as z:
+            assert z["rows"].dtype == dtype
+        assert _training_matrix(load_model(path)).tobytes() == X.tobytes()
 
     def test_archive_stores_one_row_per_distinct_byte_pattern(self, fitted, tmp_path):
         model, _ = fitted
@@ -199,15 +192,14 @@ class TestKNNArchiveWrittenBeforeDistinctRows:
         assert np.array_equal(loaded.predict(Q), knn.predict(Q))
 
     def test_regressor(self, tmp_path):
-        X, Q = repeated_rows()
-        reg = KNeighborsRegressor(5).fit(X, X[:, 0] * 2.0)
+        """The k-NN regressor is gone, so its archives no longer load."""
+        X, _ = repeated_rows()
         self._write(
             tmp_path / "m", "KNeighborsRegressor", {**self.META, "weights": "uniform"},
-            {"X": X, "targets": reg._targets},
+            {"X": X, "targets": X[:, 0] * 2.0},
         )
-        loaded = load_model(tmp_path / "m")
-        assert _training_matrix(loaded).tobytes() == X.tobytes()
-        assert np.array_equal(loaded.predict(Q), reg.predict(Q))
+        with pytest.raises(TypeError, match="unknown model class 'KNeighborsRegressor'"):
+            load_model(tmp_path / "m")
 
 
 class TestKNNArchiveWithSearchOptions:

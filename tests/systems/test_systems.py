@@ -39,7 +39,6 @@ CONTRACT_METHODS = [
     "moved_bytes_from_counters",
     "counters_from_flops_bytes",
     "peak_gflops_at",
-    "ceilings",
     "workload_config",
 ]
 
@@ -96,8 +95,8 @@ class TestContract:
     @pytest.mark.parametrize("name", available_systems())
     def test_members_match_contract_signatures(self, name):
         """Same parameter names and kinds, property-ness and ``# unit:``
-        convention as the abstract member — the ABC only checks that an
-        override exists, and the flow tier harvests units by bare name."""
+        comment as the abstract member — the ABC only checks that an
+        override exists."""
         cls = type(get_system(name))
         for member in sorted(SystemModel.__abstractmethods__):
             contract, impl = getattr(SystemModel, member), getattr(cls, member)
@@ -126,9 +125,6 @@ class TestContract:
         system = get_system(name)
         roofline = system.roofline()
         assert roofline.ridge_point == pytest.approx(system.ridge_point)
-        multi = system.multi_ceiling()
-        assert len(multi.ceilings) == len(system.ceilings())
-        assert multi.peak_gflops == system.peak_gflops_node
 
     @pytest.mark.parametrize("name", available_systems())
     def test_peak_gflops_at_is_monotone(self, name):

@@ -3,8 +3,7 @@
 Not a paper figure — operational context for the correctness tooling:
 the linter runs on every CI push and inside the tier-1 gate, so its
 cold-parse cost, its warm-cache speedup, and the marginal price of the
-flow tier (CFGs + resource fixpoints) and the perf tier (hot-path
-derivation + the vectorization walk) are worth tracking release over
+flow tier (CFGs + resource fixpoints) are worth tracking release over
 release.
 The project is synthetic so the numbers measure the engine, not the
 repo's current line count; every run rewrites ``BENCH_staticcheck.json``
@@ -12,14 +11,13 @@ at the repo root as the second committed trajectory next to
 ``BENCH_mlcore.json``, except a run that fails the ratchet below.
 
 Ratcheting: absolute wall times vary across machines, so the committed
-baseline is ratcheted on *ratios measured within one run* — the
-warm-cache speedup, and the cold/warm overhead of each analysis tier
-relative to the same engine with that tier's rules ignored.  With
-``REPRO_PERF_RATCHET=1`` (the CI benchmark job) the final test fails if
-the warm-cache speedup drops below its hard floor, if a warm-run tier
-overhead leaves its hard band (the cache stores findings, so a warm run
-must get the perf tier for ~free), or if the warm speedup regresses more
-than 40% relative to the committed baseline.
+baseline is ratcheted on *ratios measured within one run*: the
+warm-cache speedup, and the flow tier's cold overhead relative to the
+same engine with its rules ignored.  With ``REPRO_PERF_RATCHET=1`` (the
+CI benchmark job) the final test fails if the warm-cache speedup drops
+below its hard floor or regresses more than 40% relative to the
+committed baseline.  A warm run redoes no analysis: every file is a
+cache hit and no CFG is built, which the warm section asserts.
 """
 
 from __future__ import annotations
@@ -36,30 +34,17 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_staticcheck.json"
 
 #: The flow-sensitive tier; ignoring these skips CFG + fixpoint work.
 FLOW_RULES = ("resource-leak", "double-release")
-#: The perf tier; ignoring these skips hot-path derivation and the
-#: vectorization walk.
-PERF_RULES = (
-    "scalar-loop",
-    "per-item-call",
-    "loop-alloc",
-    "quadratic-growth",
-    "hidden-copy",
-)
 NUM_FILES = 24
 
 #: hard floor: a fully-warm cache must be at least this much faster than
 #: a cold run of the same rule set
 WARM_SPEEDUP_FLOOR = 3.0
-#: hard band: a warm run with a tier's rules enabled may cost at most
-#: this factor over a warm run with them ignored — cached entries hold
-#: the findings, so re-enabling a tier must not redo its analysis
-WARM_TIER_OVERHEAD_CAP = 1.25
 #: the warm speedup may regress at most 40% vs the committed baseline
 #: (ratio-of-wall-times wobbles more than the mlcore speedup ratios)
 RATCHET_TOLERANCE = 0.60
 
 MODULE = '''\
-"""Synthetic module {i}: roofline math, resource churn, numpy hot path."""
+"""Synthetic module {i}: roofline math, resource churn, numpy scaling."""
 
 import numpy as np
 
@@ -84,13 +69,6 @@ def _churn_{i}(path):
     return data
 
 
-def _predict_{i}(X, w):  # hotpath: synthetic serve path, keeps the perf tier busy
-    scores = X @ w
-    probs = 1.0 / (1.0 + np.exp(-scores))
-    labels = probs > 0.5
-    return np.where(labels, probs, 1.0 - probs)
-
-
 def _scale_{i}(n):
     base = np.zeros((n, 4), dtype=np.float32)
     return base * np.float32(0.5)
@@ -113,7 +91,6 @@ def results():
         "meta": {
             "num_files": NUM_FILES + 1,
             "flow_rules": list(FLOW_RULES),
-            "perf_rules": list(PERF_RULES),
         }
     }
 
@@ -142,9 +119,6 @@ def test_cold_runs(results, project, tmp_path):
         "no_flow_s": _cold_time(
             project, tmp_path, resolve_rules(ignore=list(FLOW_RULES)), "noflow"
         ),
-        "no_perf_s": _cold_time(
-            project, tmp_path, resolve_rules(ignore=list(PERF_RULES)), "noperf"
-        ),
     }
     results["cold"]["files_per_s"] = throughput(
         NUM_FILES + 1, results["cold"]["all_s"]
@@ -152,24 +126,17 @@ def test_cold_runs(results, project, tmp_path):
 
 
 def test_warm_runs(results, project, tmp_path):
-    """Fully-warm cache: every file served without re-analysis, so both
-    tiers cost ~nothing (their findings live in the cached entries)."""
-    caches = {
-        "all": (tmp_path / "warm-all.json", resolve_rules()),
-        "no_perf": (tmp_path / "warm-noperf.json", resolve_rules(ignore=list(PERF_RULES))),
-    }
-    warm = {}
-    for tag, (cache, rules) in caches.items():
-        _check(project, cache, rules)  # prime
-        warm[tag] = best_time(lambda: _check(project, cache, rules))
-        result = _check(project, cache, rules)
-        assert result.stats.cache_hits == NUM_FILES + 1
-        assert result.stats.flow_cfgs == 0
-        assert result.stats.perf_hot_functions == 0
+    """Fully-warm cache: every file served without re-analysis, so the
+    flow tier costs nothing (its findings live in the cached entries)."""
+    cache, rules = tmp_path / "warm-all.json", resolve_rules()
+    _check(project, cache, rules)  # prime
+    warm_s = best_time(lambda: _check(project, cache, rules))
+    result = _check(project, cache, rules)
+    assert result.stats.cache_hits == NUM_FILES + 1
+    assert result.stats.flow_cfgs == 0
     results["warm"] = {
-        "all_s": warm["all"],
-        "no_perf_s": warm["no_perf"],
-        "files_per_s": throughput(NUM_FILES + 1, warm["all"]),
+        "all_s": warm_s,
+        "files_per_s": throughput(NUM_FILES + 1, warm_s),
     }
 
 
@@ -206,8 +173,6 @@ def test_write_bench_json(results):
     ratios = {
         "warm_speedup": cold["all_s"] / warm["all_s"],
         "flow_cold_overhead": cold["all_s"] / cold["no_flow_s"],
-        "perf_cold_overhead": cold["all_s"] / cold["no_perf_s"],
-        "perf_warm_overhead": warm["all_s"] / warm["no_perf_s"],
     }
     results["ratios"] = ratios
 
@@ -217,12 +182,6 @@ def test_write_bench_json(results):
             failures.append(
                 f"warm-cache speedup {ratios['warm_speedup']:.2f}x < "
                 f"floor {WARM_SPEEDUP_FLOOR}x"
-            )
-        if ratios["perf_warm_overhead"] > WARM_TIER_OVERHEAD_CAP:
-            failures.append(
-                f"perf tier costs {ratios['perf_warm_overhead']:.2f}x on a warm "
-                f"cache (cap {WARM_TIER_OVERHEAD_CAP}x): cached entries are "
-                "being recomputed"
             )
         if baseline and "ratios" in baseline:
             old = baseline["ratios"].get("warm_speedup")

@@ -1,15 +1,13 @@
 """Classification Model component (paper §III-D).
 
 A thin polymorphic wrapper: the object is created with the *name* of the
-prediction algorithm to employ ("KNN" or "RF" in the paper; any registered
-algorithm here) and exposes the paper's two methods, ``training`` and
+prediction algorithm to employ ("KNN" or "RF" in the paper, and "NB"
+here) and exposes the paper's two methods, ``training`` and
 ``inference``.  ``inference`` refuses to run before ``training`` — exactly
 the contract described in §III-D.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -21,24 +19,11 @@ from repro.mlcore.naive_bayes import GaussianNBClassifier
 __all__ = ["ClassificationModel"]
 
 
-def _make_knn(**params) -> KNeighborsClassifier:
-    return KNeighborsClassifier(**params)
-
-
-def _make_rf(**params) -> RandomForestClassifier:
-    return RandomForestClassifier(**params)
-
-
-#: Registered algorithm factories.  New algorithms (neural networks,
-#: heuristics, ...) plug in via :meth:`ClassificationModel.register`.
-def _make_nb(**params) -> GaussianNBClassifier:
-    return GaussianNBClassifier(**params)
-
-
-_ALGORITHMS: dict[str, Callable] = {
-    "KNN": _make_knn,
-    "RF": _make_rf,
-    "NB": _make_nb,
+#: Algorithm name -> estimator class.
+_ALGORITHMS = {
+    "KNN": KNeighborsClassifier,
+    "RF": RandomForestClassifier,
+    "NB": GaussianNBClassifier,
 }
 
 
@@ -48,34 +33,21 @@ class ClassificationModel:
     Parameters
     ----------
     algorithm:
-        Registered algorithm name (case-insensitive): "KNN" or "RF" out of
-        the box.
+        Algorithm name (case-insensitive): "KNN", "RF" or "NB".
     **params:
-        Forwarded to the algorithm factory (e.g. ``n_estimators=25``).
+        Forwarded to the estimator's constructor (e.g. ``n_estimators=25``).
     """
 
     def __init__(self, algorithm: str, /, **params) -> None:
         key = algorithm.upper()
         if key not in _ALGORITHMS:
             raise ValueError(
-                f"unknown algorithm {algorithm!r}; registered: {sorted(_ALGORITHMS)}"
+                f"unknown algorithm {algorithm!r}; known: {sorted(_ALGORITHMS)}"
             )
         self.algorithm = key
         self.params = dict(params)
         self.model = _ALGORITHMS[key](**params)
         self._trained = False
-
-    @classmethod
-    def register(cls, name: str, factory: Callable) -> None:
-        """Register a new algorithm factory under ``name``."""
-        key = name.upper()
-        if key in _ALGORITHMS:
-            raise ValueError(f"algorithm {name!r} already registered")
-        _ALGORITHMS[key] = factory
-
-    @classmethod
-    def registered_algorithms(cls) -> tuple[str, ...]:
-        return tuple(sorted(_ALGORITHMS))
 
     # -- the paper's two methods --------------------------------------------------
 
@@ -99,21 +71,13 @@ class ClassificationModel:
         self._trained = True
         return self
 
-    def inference(self, encoded_jobs) -> np.ndarray:  # hotpath: model predict behind every /predict batch
+    def inference(self, encoded_jobs) -> np.ndarray:
         """Predict labels for encoded jobs; only valid after training."""
         if not self._trained:
             raise NotFittedError(
                 "ClassificationModel.inference called before training"
             )
         return self.model.predict(np.asarray(encoded_jobs))
-
-    def inference_proba(self, encoded_jobs) -> np.ndarray:
-        """Class probabilities (vote shares / tree-vote averages)."""
-        if not self._trained:
-            raise NotFittedError(
-                "ClassificationModel.inference called before training"
-            )
-        return self.model.predict_proba(np.asarray(encoded_jobs))
 
     @property
     def is_trained(self) -> bool:

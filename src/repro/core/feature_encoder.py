@@ -80,7 +80,7 @@ class FeatureEncoder:
 
     # -- string construction -----------------------------------------------------
 
-    def feature_string(self, record: Mapping) -> str:  # hotpath: per-record serialization behind encode()
+    def feature_string(self, record: Mapping) -> str:
         """The comma-separated feature string of one raw job record.
 
         A record that cannot be encoded raises :class:`MissingFeature` or

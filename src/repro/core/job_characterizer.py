@@ -93,7 +93,7 @@ class JobCharacterizer:
 
     # -- array-level API (Equations 1-3) --------------------------------------------
 
-    def generate_labels(self, flops, duration, nodes_alloc, moved_memory_bytes) -> np.ndarray:  # hotpath: ridge-point labelling behind characterize()
+    def generate_labels(self, flops, duration, nodes_alloc, moved_memory_bytes) -> np.ndarray:
         """Labels from the four execution metrics the paper lists (§III-C)."""
         _, _, _, labels = characterize_jobs(
             flops, moved_memory_bytes, duration, nodes_alloc, self.roofline

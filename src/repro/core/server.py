@@ -13,10 +13,12 @@ the operations of the framework"; here the same API runs on
   ``{"jobs": [records with counters]}`` → ground-truth labels
 - ``GET  /models``          published model versions + latest
 
-Malformed input — a body that is not a JSON object, a non-numeric time
-or id, a job that is not an object, lacks a feature or counter, or holds
-text that is not valid Unicode — gets a 400, and an unknown job id a 404;
-only a fault of the service itself is a 5xx.
+Malformed input — a body that is not a JSON object, a non-numeric time,
+window or counter, a job id that is not an integer, a job that is not an
+object, lacks a feature or counter, or holds text that is not valid
+Unicode — gets a 400, and an unknown job id a 404; only a fault of the
+service itself is a 5xx.  JSON ``true`` and ``false`` are not numbers,
+although Python counts them as the ints 1 and 0.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from repro.web.app import App, HTTPError
 __all__ = ["build_app"]
 
 
-def _label_payload(job_ids, labels) -> dict:  # hotpath: response assembly for /predict and /characterize
+def _label_payload(job_ids, labels) -> dict:
     return {
         "job_ids": [int(j) for j in job_ids],
         "labels": [int(l) for l in labels],
@@ -51,12 +53,25 @@ def _json_object(request) -> dict:
 def _finite(value, name: str) -> float:
     """``value`` as a finite float, or a 400 naming the field."""
     try:
-        number = float(value)
+        number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not math.isfinite(number):
         raise HTTPError(400, f"{name!r} must be a finite number")
     return number
+
+
+def _job_id(value) -> int:
+    """``value`` as an integral job id, or a 400: ``1`` and ``1.0`` are
+    job 1, but ``1.5`` or ``true`` name no job."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise HTTPError(400, "'job_id' must be an integer")
 
 
 def _window(body: dict) -> tuple[float, float]:
@@ -119,10 +134,7 @@ def build_app(framework: MCBound) -> App:
                     raise HTTPError(400, str(exc.args[0])) from exc
                 return _label_payload(range(len(records)), labels)
             if "job_id" in body:
-                try:
-                    job_id = int(body["job_id"])
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise HTTPError(400, "'job_id' must be an integer") from exc
+                job_id = _job_id(body["job_id"])
                 return _label_payload([job_id], [framework.predict_job(job_id)])
             if "start_time" in body and "end_time" in body:
                 job_ids, labels = framework.predict_window(*_window(body))

@@ -31,7 +31,7 @@ def check_random_state(seed) -> np.random.Generator:
     raise TypeError(f"cannot seed an rng from {type(seed).__name__}")
 
 
-def check_array(X, *, dtype=np.float64, name: str = "X") -> np.ndarray:  # hotpath: validates every predict/encode batch
+def check_array(X, *, dtype=np.float64, name: str = "X") -> np.ndarray:
     """Validate a 2-D finite numeric array."""
     X = np.asarray(X, dtype=dtype)
     if X.ndim != 2:
@@ -54,7 +54,7 @@ def check_X_y(X, y, *, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def check_is_fitted(estimator, attribute: str) -> None:  # hotpath: guards every predict call
+def check_is_fitted(estimator, attribute: str) -> None:
     """Raise :class:`NotFittedError` unless the estimator carries ``attribute``."""
     if getattr(estimator, attribute, None) is None:
         raise NotFittedError(

@@ -66,7 +66,7 @@ class _PackedForest:
         self.leaf_proba = values / values.sum(axis=1, keepdims=True)
         self.n_trees = len(trees)
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:  # hotpath: fused ensemble traversal
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Soft-vote probabilities, one fused narrowing sweep for the ensemble."""
         nq = X.shape[0]
         # flat (tree-major) pair layout: pair p = (tree p // nq, sample p % nq)

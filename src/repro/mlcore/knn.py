@@ -206,7 +206,7 @@ class KNeighborsClassifier:
             dist[lo:hi] = rd**0.5
         return dist, idx
 
-    def _search(self, q: np.ndarray, k: int):  # hotpath: per-chunk search behind kneighbors()
+    def _search(self, q: np.ndarray, k: int):
         """Squared distances and training indices of the k nearest points
         to each query row, nearest first.
 

@@ -366,7 +366,7 @@ class DecisionTreeClassifier:
 
     # -- prediction ----------------------------------------------------------------
 
-    def apply(self, X) -> np.ndarray:  # hotpath: narrowing node sweep behind predict()
+    def apply(self, X) -> np.ndarray:
         """Leaf index reached by each sample."""
         check_is_fitted(self, "classes_")
         X = np.asarray(X, dtype=np.float32)

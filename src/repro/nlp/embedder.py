@@ -203,7 +203,7 @@ class SentenceEmbedder:
         out[empty, 0] = 1.0  # canonical vector for empty strings
         return out
 
-    def _embed_batch(self, texts: list[str]) -> np.ndarray:  # hotpath: batched projection behind encode()
+    def _embed_batch(self, texts: list[str]) -> np.ndarray:
         """Embed strings together, bit-for-bit like the per-token loop,
         :data:`CHUNK_STRINGS` at a time; see the module docstring."""
         out = np.empty((len(texts), self.dim), dtype=np.float32)

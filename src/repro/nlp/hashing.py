@@ -76,12 +76,12 @@ def hash_token(token: str, seed: int = 0) -> int:
     return _mix64(fnv1a64(token.encode("utf-8"), seed))
 
 
-def fnv1a64_states(prefix: bytes, seeds) -> np.ndarray:  # hotpath: prefix states of every embedded batch
+def fnv1a64_states(prefix: bytes, seeds) -> np.ndarray:
     """FNV-1a states after ``prefix``, one row per seed: shape ``(len(seeds), 1)``."""
     return np.array([[fnv1a64(prefix, s)] for s in seeds], dtype=np.uint64)
 
 
-def utf8_units(cp: np.ndarray) -> np.ndarray:  # hotpath: UTF-8 bytes of every embedded code point
+def utf8_units(cp: np.ndarray) -> np.ndarray:
     """The UTF-8 bytes of code points ``cp``, one row per byte position.
 
     Row ``t`` holds byte ``t`` of each code point, as uint64, and 0 where
@@ -111,7 +111,7 @@ def _utf8_bytes(units: np.ndarray) -> bytes:
     return units.T[used.T].astype(np.uint8).tobytes()
 
 
-def fnv1a64_runs(states: np.ndarray, units: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:  # hotpath: hashes every word of an embedded batch
+def fnv1a64_runs(states: np.ndarray, units: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """FNV-1a states after feeding each run of code points into ``states``.
 
     ``states`` is ``(S, 1)``, one start state per seed (see
@@ -161,7 +161,7 @@ def fnv1a64_runs(states: np.ndarray, units: np.ndarray, starts: np.ndarray, leng
     return out.T
 
 
-def fnv1a64_prefixes(states: np.ndarray, units: np.ndarray, n: int):  # hotpath: hashes every n-gram of an embedded batch
+def fnv1a64_prefixes(states: np.ndarray, units: np.ndarray, n: int):
     """Yield, for ``j = 1 .. n``, the FNV-1a state of the ``j`` code points
     starting at every position of ``units``.
 
@@ -186,7 +186,7 @@ def fnv1a64_prefixes(states: np.ndarray, units: np.ndarray, n: int):  # hotpath:
         yield h
 
 
-def mix64(h: np.ndarray) -> np.ndarray:  # hotpath: finishes every token hash of an embedded batch
+def mix64(h: np.ndarray) -> np.ndarray:
     """The splitmix64 finalizer of :func:`hash_token`, on a uint64 array."""
     h = h ^ (h >> _SHIFT)
     h *= _MIX1

@@ -78,7 +78,7 @@ def job_operational_intensity(flops, moved_bytes, *, floor_bytes: float = 1.0): 
     return out if out.ndim else float(out)
 
 
-def characterize_jobs(  # hotpath: Eq. 1-3 pipeline behind /characterize
+def characterize_jobs(
     flops,  # unit: flops=flops, moved_bytes=bytes, duration=s, nodes_alloc=1
     moved_bytes,
     duration,

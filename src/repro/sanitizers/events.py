@@ -47,7 +47,7 @@ _events_lock = threading.Lock()
 _seq = 0
 
 
-def record(kind: str, **details) -> SanitizerEvent:  # hotpath: sanitizer probes fire in the serve path
+def record(kind: str, **details) -> SanitizerEvent:
     """Append one event to the in-process log and return it."""
     global _seq
     with _events_lock:

@@ -28,7 +28,7 @@ from repro.sanitizers.runtime import enabled
 __all__ = ["check_finite", "numeric_trap"]
 
 
-def check_finite(site: str, array) -> None:  # hotpath: sanitizer probe in the serve path
+def check_finite(site: str, array) -> None:
     """Record a ``non-finite`` event if ``array`` contains NaN or Inf."""
     if not enabled():
         return
@@ -46,7 +46,7 @@ def check_finite(site: str, array) -> None:  # hotpath: sanitizer probe in the s
 
 
 @contextmanager
-def numeric_trap(site: str):  # hotpath: wraps the serve-path model math
+def numeric_trap(site: str):
     """Trap numpy FP errors (divide/overflow/invalid) inside the block."""
     if not enabled():
         yield

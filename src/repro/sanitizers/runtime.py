@@ -20,7 +20,7 @@ ENABLE_ENV = "REPRO_SANITIZE"
 _forced = threading.local()
 
 
-def enabled() -> bool:  # hotpath: gate checked by every sanitizer probe
+def enabled() -> bool:
     """Is sanitizing active on this thread right now?"""
     if getattr(_forced, "depth", 0) > 0:
         return True

@@ -1,7 +1,7 @@
 """repro.staticcheck — AST-based project linter with MCBound-specific rules.
 
 A self-contained static-analysis engine (stdlib only) for what the test
-suite cannot see.  It runs four tiers:
+suite cannot see.  It runs three tiers:
 
 * single-file rules, each module alone: replayable randomness, monotonic
   timing, tolerance-based float comparisons at the roofline boundary, no
@@ -10,18 +10,16 @@ suite cannot see.  It runs four tiers:
 * the flow tier (:mod:`repro.staticcheck.flow`): resources leaked on an
   exception path (``resource-leak``) or released twice
   (``double-release``);
-* the perf tier (:mod:`repro.staticcheck.perf`): devectorized code on
-  serve-path hot functions (``scalar-loop``, ``per-item-call``,
-  ``loop-alloc``, ``quadratic-growth``, ``hidden-copy``);
 * project rules, every module at once through the import and call
   graphs: no circular runtime imports, call sites that match their
   intra-package callee's signature (``contract-drift``), no
   unseeded-RNG/wall-clock values flowing into persisted models or
   reports (``tainted-persistence``), no ``__all__`` exports nothing
-  imports (``dead-export``), the concurrency rules
-  (``unguarded-shared-write``, ``blocking-under-lock``) and
-  ``hot-path-gap``, which keeps the perf tier's view of hot functions
-  whole across modules.
+  imports (``dead-export``) and the concurrency rules
+  (``unguarded-shared-write``, ``blocking-under-lock``).
+
+How much work the served hot calls do is not linted: the work-budget
+tests (``tests/budgets``) count it.
 
 Runs are incremental: with a cache path set, unchanged files skip
 parsing and the single-file rules entirely, and cold files can be parsed

@@ -32,8 +32,7 @@ __all__ = ["AnalysisCache", "file_digest"]
 # depend on cross-file ``# unit:`` annotations — entries from schema 3
 # would be silently missing those findings, so they must not be served);
 # 5 added the perf tier (per-file perf-work counters and the summaries'
-# ``hotpaths`` table — schema-4 summaries lack the ``# hotpath:`` facts
-# the hot-path-gap rule reads, so they must not be served);
+# table of annotated hot functions, which schema-4 summaries lack);
 # 6 added the procs tier (per-file procs-work counters and the summaries'
 # ``procs`` table — schema-5 summaries carry no process-boundary facts,
 # so serving them would silence every procs rule on warm runs);
@@ -58,8 +57,12 @@ __all__ = ["AnalysisCache", "file_digest"]
 # facts.  Entries stopped recording their import-graph dependencies'
 # hashes under the same schema: no single-file rule reads another module,
 # so an entry depends only on its own content and the rule set, and
-# entries written either way stay valid for engines of either kind.
-CACHE_SCHEMA = 11
+# entries written either way stay valid for engines of either kind;
+# 12 removed the perf tier and the summaries' scheduler-registration
+# facts — schema-11 entries cache findings of the five vectorization
+# rules, per-file perf-work counters, and summaries that carry the
+# annotated-hot-function table and ``registrations`` lists.
+CACHE_SCHEMA = 12
 
 
 def file_digest(data: bytes) -> str:

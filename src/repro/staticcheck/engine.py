@@ -128,8 +128,6 @@ class CheckStats:
     flow_cfgs: int = 0
     flow_blocks: int = 0
     flow_iterations: int = 0
-    #: perf-tier effort, same cold-files-only accounting.
-    perf_hot_functions: int = 0
 
 
 @dataclass
@@ -272,12 +270,11 @@ def _analyze_file(task: tuple[str, tuple[str, ...] | None]) -> dict:
     tuple pickles cheaply across process boundaries; ``None`` means the
     full registry.
     """
-    from repro.staticcheck import flow, perf
+    from repro.staticcheck import flow
     from repro.staticcheck.project.summary import build_summary, module_name_for_path
 
     path_str, rule_ids = task
     flow_before = flow.snapshot_counters()
-    perf_before = perf.snapshot_counters()
     path = Path(path_str)
     source = path.read_text(encoding="utf-8")
     if rule_ids is None:
@@ -310,14 +307,12 @@ def _analyze_file(task: tuple[str, tuple[str, ...] | None]) -> dict:
     active, suppressed = _partition(raw, index)
     summary = build_summary(path_str, source, tree, module_name, is_package)
     flow_after = flow.snapshot_counters()
-    perf_after = perf.snapshot_counters()
     entry.update(
         {
             "findings": [f.to_dict() for f in sorted(active)],
             "suppressed": [f.to_dict() for f in sorted(suppressed)],
             "summary": summary.to_dict(),
             "flow": {k: flow_after[k] - flow_before[k] for k in flow_after},
-            "perf": {k: perf_after[k] - perf_before[k] for k in perf_after},
         }
     )
     return entry
@@ -607,12 +602,9 @@ def check_paths(
         cache.save(keep_only=set(file_keys) | reference_keys)
 
     flow_totals = {"cfgs": 0, "blocks": 0, "iterations": 0}
-    perf_totals = {"hot_functions": 0}
     for key in cold:
         for counter, value in entries[key].get("flow", {}).items():
             flow_totals[counter] = flow_totals.get(counter, 0) + value
-        for counter, value in entries[key].get("perf", {}).items():
-            perf_totals[counter] = perf_totals.get(counter, 0) + value
 
     stats = CheckStats(
         files_checked=len(files),
@@ -624,7 +616,6 @@ def check_paths(
         flow_cfgs=flow_totals["cfgs"],
         flow_blocks=flow_totals["blocks"],
         flow_iterations=flow_totals["iterations"],
-        perf_hot_functions=perf_totals["hot_functions"],
     )
     result = CheckResult(
         findings=sorted(findings),

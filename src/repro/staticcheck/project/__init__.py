@@ -21,11 +21,9 @@ from repro.staticcheck.project.dead_exports import DeadExportRule
 from repro.staticcheck.project.graph import CallGraph, ImportGraph, ProjectContext
 from repro.staticcheck.project.summary import ModuleSummary, build_summary, module_name_for_path
 from repro.staticcheck.project.taint import TaintedPersistenceRule
-from repro.staticcheck.perf.hotpath import HotPathGapRule
 
 __all__ = [
     "BlockingUnderLockRule",
-    "HotPathGapRule",
     "CallGraph",
     "ConcurrencyModel",
     "ContractDriftRule",

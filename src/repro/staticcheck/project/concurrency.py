@@ -9,9 +9,9 @@ facts (:class:`~repro.staticcheck.project.summary.ModuleSummary`
 ``concurrency``):
 
 * ``unguarded-shared-write`` — an attribute or module global is mutated
-  from two or more distinct thread-boundary entry points (HTTP handlers,
-  ``threading.Thread`` targets, scheduler-registered callbacks) with no
-  lock common to every write site.
+  from two or more distinct thread-boundary entry points (HTTP handlers
+  and ``threading.Thread`` targets) with no lock common to every write
+  site.
 * ``blocking-under-lock`` — I/O, ``parallel_map`` fan-out,
   or model (re)training invoked while a lock is held, stalling every
   competing thread for the duration.
@@ -164,9 +164,8 @@ class ConcurrencyModel:
         """Entry points that run on their own thread of control.
 
         Maps the function's full name to a human-readable side label:
-        ``handler:`` for request handlers (each runs on a server thread),
-        ``thread:`` for ``threading.Thread``/``Timer`` targets, and
-        ``scheduled:`` for scheduler-registered callbacks.
+        ``handler:`` for request handlers (each runs on a server thread)
+        and ``thread:`` for ``threading.Thread``/``Timer`` targets.
         """
         roots: dict[str, str] = {}
         for full in sorted(self.funcs):
@@ -177,10 +176,6 @@ class ConcurrencyModel:
                 target = self.resolve_callee(name, full, local_receiver=True)
                 if target is not None:
                     roots.setdefault(target, f"thread:{target.rsplit('.', 1)[-1]}")
-            for name, _line in facts.get("registrations", []):
-                target = self.resolve_callee(name, full, local_receiver=True)
-                if target is not None:
-                    roots.setdefault(target, f"scheduled:{target.rsplit('.', 1)[-1]}")
         return roots
 
     def _reachability(self) -> dict[str, set[str]]:
@@ -222,8 +217,7 @@ class UnguardedSharedWriteRule(ProjectRule):
     id = "unguarded-shared-write"
     description = (
         "shared state is mutated from two or more thread-boundary entry "
-        "points (handlers, thread targets, scheduled callbacks) with no "
-        "common lock"
+        "points (handlers, thread targets) with no common lock"
     )
 
     def check(self, project) -> Iterator[Finding]:

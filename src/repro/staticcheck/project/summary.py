@@ -77,10 +77,6 @@ LOCK_FACTORIES = frozenset(
 #: Constructors that hand a callable to another thread of control.
 _THREAD_FACTORIES = frozenset({"threading.Thread", "threading.Timer"})
 
-#: Method names that register a callback with a scheduler/event loop; any
-#: plain-name argument of such a call becomes a scheduled entry point.
-_SCHEDULER_REGISTRATIONS = frozenset({"every", "add_job", "schedule"})
-
 
 def module_name_for_path(path: Path) -> tuple[str, bool]:
     """Dotted module name for a file, plus whether it is a package init.
@@ -226,9 +222,6 @@ class ModuleSummary:
     #: lock/thread facts for the concurrency rules (see _ConcurrencyWalker):
     #: {"locks": {id: [kind, line]}, "functions": {qual: {...}}}
     concurrency: dict = field(default_factory=dict)
-    #: function qualname -> ``# hotpath:`` annotation text, for the perf
-    #: tier's cross-module hot-path-gap rule.
-    hotpaths: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -246,7 +239,6 @@ class ModuleSummary:
             "function_taint": self.function_taint,
             "directives": self.directives,
             "concurrency": self.concurrency,
-            "hotpaths": self.hotpaths,
         }
 
     @classmethod
@@ -268,7 +260,6 @@ class ModuleSummary:
             function_taint=doc["function_taint"],
             directives=doc["directives"],
             concurrency=doc.get("concurrency", {}),
-            hotpaths=doc.get("hotpaths", {}),
         )
 
 
@@ -623,8 +614,8 @@ class _ConcurrencyWalker:
       subscript stores and in-place mutator methods like ``.update()``);
     * ``calls`` — every call site, with a flag marking receivers that are
       plain local names (candidates for unique-method resolution);
-    * ``thread_targets`` / ``registrations`` — callables handed to
-      ``threading.Thread``/``Timer`` or scheduler ``.every()``-style APIs;
+    * ``thread_targets`` — callables handed to ``threading.Thread`` or
+      ``Timer``;
     * ``roles`` — ``["handler"]`` for ``@app.route(...)``-decorated defs.
 
     Lock identity is name-based: ``self._lock`` in class ``C`` of module
@@ -664,7 +655,6 @@ class _ConcurrencyWalker:
                 "writes": [],
                 "calls": [],
                 "thread_targets": [],
-                "registrations": [],
             },
         )
 
@@ -707,8 +697,6 @@ class _ConcurrencyWalker:
             fn["calls"].append([callee, call.lineno, list(held), local_receiver])
             if callee in _THREAD_FACTORIES:
                 self._record_thread_target(call, fn)
-            if callee.rsplit(".", 1)[-1] in _SCHEDULER_REGISTRATIONS and "." in callee:
-                self._record_registrations(call, fn)
         if isinstance(call.func, ast.Attribute):
             if call.func.attr == "acquire":
                 lock = self._lock_id(call.func.value, qual, cls, local_locks)
@@ -734,13 +722,6 @@ class _ConcurrencyWalker:
             name = dotted_name(expr, self.imports)
             if name:
                 fn["thread_targets"].append([name, call.lineno])
-
-    def _record_registrations(self, call: ast.Call, fn: dict) -> None:
-        for expr in list(call.args) + [kw.value for kw in call.keywords]:
-            if isinstance(expr, (ast.Name, ast.Attribute)):
-                name = dotted_name(expr, self.imports)
-                if name:
-                    fn["registrations"].append([name, call.lineno])
 
     def _record_expr(self, expr: ast.AST, qual: str, cls: str, held: list[str], local_locks: dict[str, str]) -> None:
         for node in ast.walk(expr):
@@ -905,11 +886,6 @@ def build_summary(path: str, source: str, tree: ast.Module, module_name: str | N
     _collect_symbol_refs(summary, tree)
     _ScopeWalker(summary).walk_module(tree)
     _ConcurrencyWalker(summary).walk(tree)
-    # Deferred import: perf.hotpath registers a project rule on import,
-    # and pulling it in at module scope would tangle package init order.
-    from repro.staticcheck.perf.hotpath import annotated_quals
-
-    summary.hotpaths = annotated_quals(tree, source)
     summary.directives = [
         {"line": d.line, "rules": sorted(d.rule_ids), "covers": list(d.covers)}
         for d in parse_directives(source)

@@ -45,7 +45,6 @@ def render_statistics(stats: CheckStats) -> str:
         f"  flow CFGs built:  {stats.flow_cfgs}",
         f"  flow blocks:      {stats.flow_blocks}",
         f"  flow iterations:  {stats.flow_iterations}",
-        f"  perf hot funcs:   {stats.perf_hot_functions}",
     ]
     if stats.findings_per_rule:
         lines.append("  findings by rule:")

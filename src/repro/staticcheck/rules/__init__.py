@@ -1,13 +1,6 @@
 """Built-in MCBound rules; importing this package registers all of them."""
 
 from repro.staticcheck.flow.resources import DoubleReleaseRule, ResourceLeakRule
-from repro.staticcheck.perf.vectorization import (
-    HiddenCopyRule,
-    LoopAllocRule,
-    PerItemCallRule,
-    QuadraticGrowthRule,
-    ScalarLoopRule,
-)
 from repro.staticcheck.rules.defaults import MutableDefaultRule
 from repro.staticcheck.rules.exceptions import SilentExceptRule
 from repro.staticcheck.rules.exports import ExportDriftRule
@@ -20,13 +13,8 @@ __all__ = [
     "DoubleReleaseRule",
     "ExportDriftRule",
     "FloatEqualityRule",
-    "HiddenCopyRule",
-    "LoopAllocRule",
     "MutableDefaultRule",
-    "PerItemCallRule",
-    "QuadraticGrowthRule",
     "ResourceLeakRule",
-    "ScalarLoopRule",
     "SilentExceptRule",
     "UnorderedIterationRule",
     "UnseededRngRule",

@@ -95,6 +95,11 @@ class HTTPError(Exception):
         self.status = status
         self.message = message
 
+    def response(self) -> Response:
+        """The JSON error response: ``{"error": message, "status": status}``."""
+        body = json.dumps({"error": self.message, "status": self.status}).encode("utf-8")
+        return Response(self.status, {"Content-Type": "application/json"}, body)
+
 
 _PARAM_RE = re.compile(r"<(?:(int|float|str):)?([A-Za-z_][A-Za-z_0-9]*)>")
 
@@ -114,8 +119,7 @@ def _compile_rule(rule: str):
         if name in converters:
             raise ValueError(f"duplicate path parameter {name!r} in {rule!r}")
         converters[name] = _CONVERTERS[kind]
-        segment = r"[^/]+" if kind != "float" else r"[^/]+"
-        pattern += f"(?P<{name}>{segment})"
+        pattern += f"(?P<{name}>[^/]+)"
         pos = m.end()
     pattern += re.escape(rule[pos:])
     return re.compile(f"^{pattern}$"), converters
@@ -127,7 +131,6 @@ class App:
     def __init__(self, name: str = "app") -> None:
         self.name = name
         self._routes: list[tuple[re.Pattern, dict, dict[str, Callable]]] = []
-        self._error_handlers: dict[int, Callable] = {}
 
     def route(self, rule: str, methods: tuple[str, ...] = ("GET",)):
         """Decorator registering a handler for ``rule`` and ``methods``.
@@ -150,15 +153,6 @@ class App:
 
         return decorator
 
-    def error_handler(self, status: int):
-        """Decorator registering a custom renderer for an error status."""
-
-        def decorator(fn: Callable) -> Callable:
-            self._error_handlers[status] = fn
-            return fn
-
-        return decorator
-
     # -- dispatch ------------------------------------------------------------
 
     def handle(self, request: Request) -> Response:
@@ -166,13 +160,13 @@ class App:
         try:
             return self._dispatch(request)
         except HTTPError as exc:
-            return self._render_error(exc.status, exc.message, request)
+            return exc.response()
         except Exception as exc:  # noqa: BLE001 - boundary: never crash the server
             # the traceback goes to the server log; the client gets type and
             # message only, since frames would leak file paths
             _log.exception("unhandled error in %s %s", request.method, request.path)
             detail = f"{type(exc).__name__}: {exc}"
-            return self._render_error(500, f"internal error: {detail}", request)
+            return HTTPError(500, f"internal error: {detail}").response()
 
     def _dispatch(self, request: Request) -> Response:
         path_matched = False
@@ -194,13 +188,6 @@ class App:
         if path_matched:
             raise HTTPError(405, f"method {request.method} not allowed on {request.path}")
         raise HTTPError(404, f"no route for {request.path}")
-
-    def _render_error(self, status: int, message: str, request: Request) -> Response:
-        handler = self._error_handlers.get(status)
-        if handler is not None:
-            return Response.from_handler_result(handler(request, message))
-        body = json.dumps({"error": message, "status": status}).encode("utf-8")
-        return Response(status, {"Content-Type": "application/json"}, body)
 
     # -- convenience --------------------------------------------------------------
 

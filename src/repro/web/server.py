@@ -169,7 +169,7 @@ def _reply(app: App, rfile) -> bytes | None:
             return None
         response = app.handle(request)
     except HTTPError as exc:
-        response = app._render_error(exc.status, exc.message, request)
+        response = exc.response()
     return _encode(response, head_only=request.method == "HEAD")
 
 

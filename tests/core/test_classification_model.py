@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.classification_model import ClassificationModel
 from repro.mlcore.base import NotFittedError
+from repro.mlcore.forest import RandomForestClassifier
+from repro.mlcore.knn import KNeighborsClassifier
 
 
 def data(n=120, seed=0):
@@ -16,8 +18,8 @@ def data(n=120, seed=0):
 
 class TestConstruction:
     def test_knn_and_rf_registered(self):
-        names = ClassificationModel.registered_algorithms()
-        assert "KNN" in names and "RF" in names
+        assert isinstance(ClassificationModel("KNN").model, KNeighborsClassifier)
+        assert isinstance(ClassificationModel("RF").model, RandomForestClassifier)
 
     def test_case_insensitive(self):
         m = ClassificationModel("rf", n_estimators=2)
@@ -52,36 +54,3 @@ class TestTrainInfer:
         X, y = data()
         m = ClassificationModel("KNN", n_neighbors=3).training(X, y)
         assert float(np.mean(m.inference(X) == y)) > 0.9
-
-    def test_proba(self):
-        X, y = data()
-        m = ClassificationModel("RF", n_estimators=5, random_state=0).training(X, y)
-        p = m.inference_proba(X[:10])
-        assert np.allclose(p.sum(axis=1), 1.0)
-
-    def test_proba_requires_training(self):
-        with pytest.raises(NotFittedError):
-            ClassificationModel("KNN").inference_proba(np.zeros((1, 2)))
-
-
-class TestRegistration:
-    def test_register_custom_algorithm(self):
-        class Majority:
-            def fit(self, X, y):
-                vals, counts = np.unique(y, return_counts=True)
-                self.winner = vals[np.argmax(counts)]
-                return self
-
-            def predict(self, X):
-                return np.full(len(X), self.winner)
-
-        name = "MAJORITY_TEST"
-        if name not in ClassificationModel.registered_algorithms():
-            ClassificationModel.register(name, lambda **kw: Majority())
-        X, y = data()
-        m = ClassificationModel(name).training(X, y)
-        assert set(m.inference(X)) == {int(np.bincount(y).argmax())}
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            ClassificationModel.register("RF", lambda **kw: None)

@@ -62,6 +62,12 @@ class TestTrainEndpoint:
         r = client.post("/train", json_body={"now": NOW, "alpha_days": 5})
         assert r.json()["window"][0] == NOW - 5 * DAY_SECONDS
 
+    def test_boolean_alpha_is_a_400(self, client):
+        # Python reads JSON true as 1, which would train a 1-day window
+        r = client.post("/train", json_body={"now": NOW, "alpha_days": True})
+        assert r.status == 400
+        assert "alpha_days" in r.json()["error"]
+
 
 class TestPredictEndpoint:
     def test_predict_before_training_503(self, client):
@@ -93,6 +99,22 @@ class TestPredictEndpoint:
         r = client.post("/predict", json_body={"jobs": [job]})
         assert r.status == 200
         assert len(r.json()["labels"]) == 1
+
+    def test_fractional_job_id_is_a_400(self, client):
+        client.post("/train", json_body={"now": NOW})
+        r = client.post("/predict", json_body={"job_id": 1.5})
+        assert r.status == 400
+        assert "job_id" in r.json()["error"]
+
+    def test_boolean_job_id_is_a_400(self, client):
+        client.post("/train", json_body={"now": NOW})
+        assert client.post("/predict", json_body={"job_id": True}).status == 400
+
+    def test_integral_float_job_id_names_that_job(self, client):
+        client.post("/train", json_body={"now": NOW})
+        as_float = client.post("/predict", json_body={"job_id": 1.0})
+        assert as_float.status == 200
+        assert as_float.json() == client.post("/predict", json_body={"job_id": 1}).json()
 
     def test_predict_unknown_job_404(self, client):
         client.post("/train", json_body={"now": NOW})
@@ -170,6 +192,13 @@ class TestCharacterizeEndpoint:
 
     def test_bad_body(self, client):
         assert client.post("/characterize", json_body={}).status == 400
+
+    def test_boolean_counter_is_a_400(self, client):
+        job = {"perf2": 1e15, "perf3": 1e15, "perf4": 1e10, "perf5": 1e10,
+               "duration": 100.0, "nodes_alloc": True}
+        r = client.post("/characterize", json_body={"jobs": [job]})
+        assert r.status == 400
+        assert "nodes_alloc" in r.json()["error"]
 
 
 class TestModelsEndpoint:

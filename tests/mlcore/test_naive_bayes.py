@@ -70,7 +70,6 @@ class TestIntegration:
     def test_registered_in_classification_model(self):
         from repro.core.classification_model import ClassificationModel
 
-        assert "NB" in ClassificationModel.registered_algorithms()
         X, y = blobs(120)
         m = ClassificationModel("NB").training(X.astype(np.float32), y)
         assert float(np.mean(m.inference(X.astype(np.float32)) == y)) > 0.9

@@ -105,8 +105,8 @@ class TestIncrementalCache:
 
     def test_parallel_cold_parse_matches_serial(self, tmp_path):
         """Spawned workers must hand back everything the serial run sees:
-        findings, and the flow/perf work counters they accumulate in
-        their own module globals."""
+        findings, and the flow work counters they accumulate in their
+        own module globals."""
         pkg = make_project(tmp_path)
         (pkg / "dirty.py").write_text(TRIGGER)
         (pkg / "hot.py").write_text(
@@ -116,15 +116,14 @@ class TestIncrementalCache:
             "    with open(path) as fh:\n"
             "        return fh.read()\n"
             "\n"
-            "def score(X, w):  # hotpath: parity fixture\n"
+            "def score(X, w):\n"
             "    return X @ w + helper()\n"
         )
         serial = check_paths([pkg])
         parallel = check_paths([pkg], jobs=2)
         assert parallel.stats.jobs == 2
         assert render_json(parallel) == render_json(serial)
-        for counter in ("flow_cfgs", "flow_blocks", "flow_iterations",
-                        "perf_hot_functions"):
+        for counter in ("flow_cfgs", "flow_blocks", "flow_iterations"):
             assert getattr(serial.stats, counter) > 0, counter
         unshared = {"jobs", "wall_seconds"}
         for stat in dataclasses.fields(CheckStats):

@@ -7,13 +7,13 @@ runs every tier, exactly as ``python -m repro.staticcheck`` would in CI:
   float-equality boundary, silent handler, export drift or unordered
   iteration in ``src/repro`` fails the build here;
 * the flow tier: a resource leaked on some path, or released twice;
-* the perf tier: a devectorized loop, per-item batched call, loop
-  allocation, quadratic growth or hidden copy on a hot path;
 * the project rules: circular runtime imports, call sites drifting from
   intra-package signatures, tainted values flowing into persistence,
-  ``__all__`` exports nothing imports, unguarded shared writes, blocking
-  calls under a lock, and cross-module hot callees the perf tier cannot
-  see.
+  ``__all__`` exports nothing imports, unguarded shared writes, and
+  blocking calls under a lock.
+
+How much work the served hot calls do is the work-budget tests' job
+(``tests/budgets``), not the linter's.
 """
 
 from pathlib import Path
@@ -45,13 +45,12 @@ def test_repo_is_clean():
 
 def test_project_rules_were_active():
     """The gate runs the whole-program layer, not just single-file rules:
-    the concurrency rules and the perf tier's cross-module half too."""
+    the concurrency rules too."""
     assert {r.id for r in resolve_project_rules()} >= {
         "import-cycle",
         "contract-drift",
         "tainted-persistence",
         "dead-export",
-        "hot-path-gap",
         "unguarded-shared-write",
         "blocking-under-lock",
     }
@@ -63,18 +62,6 @@ def test_flow_rules_were_active():
     assert {r.id for r in resolve_rules()} >= {
         "resource-leak",
         "double-release",
-    }
-
-
-def test_perf_rules_were_active():
-    """The gate runs the perf tier's vectorization rules, which no test
-    replaces: a devectorized hot path returns the same bits, only slower."""
-    assert {r.id for r in resolve_rules()} >= {
-        "scalar-loop",
-        "per-item-call",
-        "loop-alloc",
-        "quadratic-growth",
-        "hidden-copy",
     }
 
 

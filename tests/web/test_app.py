@@ -127,18 +127,6 @@ class TestRequestResponse:
         assert json.loads(r.body) == [1, 2]
 
 
-class TestErrorHandlers:
-    def test_custom_404(self):
-        a = App()
-
-        @a.error_handler(404)
-        def nf(request, message):
-            return {"custom": True, "msg": message}, 404
-
-        r = run(a, "GET", "/ghost")
-        assert r.json()["custom"] is True
-
-
 class TestRuleCompilation:
     def test_rule_must_start_with_slash(self):
         a = App()

@@ -1,8 +1,8 @@
 """Storage streaming throughput: the BENCH_storage.json perf trajectory.
 
 Streaming code must never materialize jobs-scale results; this
-benchmark measures what that buys, and is the third committed
-trajectory next to ``BENCH_mlcore.json`` and ``BENCH_staticcheck.json``.
+benchmark measures what that buys, and is the second committed
+trajectory next to ``BENCH_mlcore.json``.
 Three sections:
 
 * **fetch+characterize at 10^5 jobs** — the windowed Data Fetcher path,

@@ -14,9 +14,10 @@ the operations of the framework"; here the same API runs on
 - ``GET  /models``          published model versions + latest
 
 Malformed input — a body that is not a JSON object, a non-numeric time,
-window or counter, a job id that is not an integer, a job that is not an
-object, lacks a feature or counter, or holds text that is not valid
-Unicode — gets a 400, and an unknown job id a 404; only a fault of the
+window or counter, an ``alpha_days`` that is not positive or puts the
+window start out of range, a job id that is not an integer, a job that
+is not an object, lacks a feature or counter, or holds text that is not
+valid Unicode — gets a 400, and an unknown job id a 404; only a fault of the
 service itself is a 5xx.  JSON ``true`` and ``false`` are not numbers,
 although Python counts them as the ints 1 and 0.
 """
@@ -114,6 +115,11 @@ def build_app(framework: MCBound) -> App:
         alpha = body.get("alpha_days")
         if alpha is not None:
             alpha = _finite(alpha, "alpha_days")
+            # the window is [now - α days, now): α must give it a start
+            if not (alpha > 0 and math.isfinite(now - alpha * 86_400.0)):
+                raise HTTPError(
+                    400, "'alpha_days' must be > 0 and leave a finite window start"
+                )
         try:
             summary = framework.train(now, alpha_days=alpha)
         except ValueError as exc:

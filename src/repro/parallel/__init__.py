@@ -7,23 +7,18 @@ soup.
 
 - :mod:`repro.parallel.chunking` — balanced partitioning of index ranges
   (the building block of every data-parallel loop here).
-- :mod:`repro.parallel.executor` — ordered parallel map over chunks with
-  thread/process/serial backends and automatic fallback on a single core;
-  process workers are always spawned.
+- :mod:`repro.parallel.executor` — ordered map over contiguous shards,
+  on a thread pool or serially; the forest's ``n_jobs`` is its one user.
 """
 
 from repro.parallel.chunking import chunk_bounds
 from repro.parallel.executor import (
-    ensure_picklable,
-    parallel_map,
     parallel_map_sharded,
     ExecutorConfig,
 )
 
 __all__ = [
     "chunk_bounds",
-    "ensure_picklable",
-    "parallel_map",
     "parallel_map_sharded",
     "ExecutorConfig",
 ]

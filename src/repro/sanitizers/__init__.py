@@ -1,19 +1,23 @@
-"""Opt-in runtime sanitizers: dynamic oracles for the static concurrency rules.
+"""Opt-in runtime sanitizers for the retrain/serve loop.
 
-A static report of :mod:`repro.staticcheck.project.concurrency` can be
-confirmed (or a fix validated) by running the real code instrumented,
-and lock-order inversions, which no lint rule checks, are caught here:
+Training and serving share ``MCBound``'s model and predict memo across
+threads.  These checks run the real code instrumented and record what
+tier-1 would otherwise not see:
 
-=======================  ==========================================
-hazard                   runtime check
-=======================  ==========================================
-lock-order inversion     :func:`new_lock` / :class:`TrackedLock`
-                         feed a process-wide lock-order graph
-``unguarded-shared-write``  :class:`StateGuard` seqlock checkpoints
-                         detect torn reads across the boundary
-(numeric hygiene)        :func:`numeric_trap` / :func:`check_finite`
-                         trap NaN/Inf/overflow in model hot paths
-=======================  ==========================================
+==========================  ==========================================
+hazard                      runtime check
+==========================  ==========================================
+lock-order inversion        :func:`new_lock` / :class:`TrackedLock`
+                            feed a process-wide lock-order graph
+                            (``lock-order-cycle``)
+write without its lock      :class:`StateGuard` writes check the lock
+                            of the guard's name is held
+                            (``unguarded-write``)
+torn read                   :class:`StateGuard` seqlock checkpoints
+                            (``torn-read``)
+(numeric hygiene)           :func:`numeric_trap` / :func:`check_finite`
+                            trap NaN/Inf/overflow in model hot paths
+==========================  ==========================================
 
 Everything is off by default and costs one flag check per probe; set
 ``REPRO_SANITIZE=1`` (or enter :func:`sanitize`) to arm it, and point

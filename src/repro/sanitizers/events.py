@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import atexit
 import json
-import multiprocessing
 import os
 import threading
 from dataclasses import dataclass, field
@@ -78,28 +77,15 @@ def clear_events() -> None:
         _events.clear()
 
 
-def _in_child_process() -> bool:
-    """Are we a spawned worker process rather than the main one?"""
-    return multiprocessing.parent_process() is not None
-
-
 def flush_log() -> None:
     """Write the event log to ``REPRO_SANITIZE_LOG`` as JSON Lines.
 
-    Runs automatically at interpreter exit.  A child process writes to
-    ``<path>.<pid>`` instead — and only when it has events — so a pool of
-    clean workers neither clobbers the parent's log nor sprays empty
-    files.  Parent-side readers glob for ``<path>.*`` to collect the
-    children's hazards.
+    Runs automatically at interpreter exit.
     """
     path = os.environ.get(LOG_ENV)
     if not path:
         return
     snapshot = events()
-    if _in_child_process():
-        if not snapshot:
-            return
-        path = f"{path}.{os.getpid()}"
     with open(path, "w", encoding="utf-8") as handle:
         for event in snapshot:
             handle.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")

@@ -21,7 +21,7 @@ import threading
 from repro.sanitizers.events import record
 from repro.sanitizers.runtime import enabled
 
-__all__ = ["TrackedLock", "clear_lock_graph", "lock_graph", "new_lock"]
+__all__ = ["TrackedLock", "clear_lock_graph", "held_locks", "lock_graph", "new_lock"]
 
 #: lock name -> names acquired while it was held (process-wide)
 _edges: dict[str, set[str]] = {}
@@ -35,6 +35,14 @@ def _held_stack() -> list[str]:
         stack = []
         _held.stack = stack
     return stack
+
+
+def held_locks() -> tuple[str, ...]:
+    """Names of the tracked locks the current thread holds, outermost first.
+
+    Only acquisitions made while sanitizing was on are tracked.
+    """
+    return tuple(_held_stack())
 
 
 def lock_graph() -> dict[str, list[str]]:
@@ -136,7 +144,7 @@ def new_lock(name: str, factory=threading.RLock) -> TrackedLock:
     """Create a named, sanitizer-aware lock.
 
     This is the factory the code base uses for every lock that guards
-    cross-thread state; :data:`repro.staticcheck.project.summary.LOCK_FACTORIES`
-    recognizes it, so the static rules see these locks too.
+    cross-thread state.  A :class:`~repro.sanitizers.StateGuard` of the
+    same name checks that its writers hold this lock.
     """
     return TrackedLock(name, factory=factory)

@@ -1,16 +1,22 @@
-"""Torn-read sanitizer: the dynamic oracle for ``unguarded-shared-write``.
+"""Shared-state sanitizer: torn reads, and writes made without their lock.
 
 :class:`StateGuard` is a seqlock-style version counter attached to a
 piece of shared state (the MCBound model and predict memo handed
 between the retraining workflow and the serving path).  Writers bump the counter
 to odd on entry and back to even on exit; readers snapshot it around
 their critical section.  A reader that observes an odd counter, or a
-counter that moved, overlapped a write — exactly the torn read the
-static rule predicts when the common lock is missing.
+counter that moved, overlapped a write: a ``torn-read`` event.
+
+A guard pairs with the :func:`~repro.sanitizers.new_lock` of its own
+name: ``StateGuard("repro.core.MCBound.state")`` with
+``new_lock("repro.core.MCBound.state")``.  A write entered while the
+writer does not hold that lock is an ``unguarded-write`` event, even
+when no reader happens to overlap it.  The pairing is by name alone; a
+guard whose name no lock carries records every write it sees.
 
 The guard *observes*; it does not serialize.  Pair it with a real lock
-in production code (the guard then proves the lock is sufficient) or use
-it alone in tests to demonstrate a race.
+in production code (the guard then proves the lock is held and
+sufficient) or use it alone in tests to demonstrate a race.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import threading
 from contextlib import contextmanager
 
 from repro.sanitizers.events import record
+from repro.sanitizers.lockorder import held_locks
 from repro.sanitizers.runtime import enabled
 
 __all__ = ["StateGuard"]
@@ -39,10 +46,20 @@ class StateGuard:
 
     @contextmanager
     def writing(self):
-        """Mark a write in progress; always bumps back to stable on exit."""
+        """Mark a write in progress; always bumps back to stable on exit.
+
+        Records an ``unguarded-write`` event when the writing thread does
+        not hold the lock named like this guard.
+        """
         if not enabled():
             yield
             return
+        if self.name not in held_locks():
+            record(
+                "unguarded-write",
+                guard=self.name,
+                reason=f"write entered without holding the lock {self.name!r}",
+            )
         self._bump()
         try:
             yield

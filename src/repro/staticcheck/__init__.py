@@ -1,29 +1,26 @@
 """repro.staticcheck — AST-based project linter with MCBound-specific rules.
 
 A self-contained static-analysis engine (stdlib only) for what the test
-suite cannot see.  It runs three tiers:
+suite cannot see.  It runs two tiers:
 
 * single-file rules, each module alone: replayable randomness, monotonic
   timing, tolerance-based float comparisons at the roofline boundary, no
   swallowed exceptions in the serving loop, honest ``__all__`` surfaces,
   and order-stable iteration into feature encoding;
-* the flow tier (:mod:`repro.staticcheck.flow`): resources leaked on an
-  exception path (``resource-leak``) or released twice
-  (``double-release``);
 * project rules, every module at once through the import and call
   graphs: no circular runtime imports, call sites that match their
   intra-package callee's signature (``contract-drift``), no
   unseeded-RNG/wall-clock values flowing into persisted models or
-  reports (``tainted-persistence``), no ``__all__`` exports nothing
-  imports (``dead-export``) and the concurrency rules
-  (``unguarded-shared-write``, ``blocking-under-lock``).
+  reports (``tainted-persistence``) and no ``__all__`` exports nothing
+  imports (``dead-export``).
 
-How much work the served hot calls do is not linted: the work-budget
-tests (``tests/budgets``) count it.
-
-Runs are incremental: with a cache path set, unchanged files skip
-parsing and the single-file rules entirely, and cold files can be parsed
-in parallel.
+What tier-1 tests already hold is not linted.  The work-budget tests
+(``tests/budgets``) count how much work the served hot calls do.  A
+handle left open on an error path fails tier-1, which turns
+``ResourceWarning`` into an error, and the fault-injection tests raise
+inside the writers.  A train that blocks ``/predict`` fails
+``tests/core/test_train_serve.py``, and a write to ``MCBound``'s shared
+state without its lock is a sanitizer event (:mod:`repro.sanitizers`).
 
 Programmatic use::
 
@@ -33,7 +30,7 @@ Programmatic use::
 
 Command line::
 
-    python -m repro.staticcheck --format json --cache --statistics
+    python -m repro.staticcheck --format json --statistics
 
 Suppress a single finding inline, with a justification::
 

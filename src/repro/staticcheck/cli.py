@@ -4,7 +4,6 @@
 
     python -m repro.staticcheck [paths ...] [--format text|json|sarif]
                                 [--select ID[,ID]] [--ignore ID[,ID]]
-                                [--cache [PATH]] [--jobs N]
                                 [--reference PATH ...] [--statistics]
                                 [--baseline write|check] [--baseline-file PATH]
                                 [--list-rules]
@@ -12,12 +11,10 @@
 With no paths the engine checks ``src/repro`` when run from the repo root
 (falling back to the installed package directory) and harvests import
 usage from ``tests``, ``benchmarks`` and ``examples`` for the
-``dead-export`` rule.  ``--cache`` (optionally with a path, default
-``.staticcheck-cache.json``) turns on the incremental engine; a warm run
-re-parses only files whose content changed.
-``--statistics`` prints cache and per-rule counters to stderr, keeping
-stdout byte-stable.  Exit status: 0 clean, 1 findings, 2 usage or I/O
-error — so CI can gate on it directly.
+``dead-export`` rule.  ``--statistics`` prints file, per-rule and
+wall-time counters to stderr, keeping stdout byte-stable.  Exit status:
+0 clean, 1 findings, 2 usage or I/O error — so CI can gate on it
+directly.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_ERROR = 2
 
-DEFAULT_CACHE = ".staticcheck-cache.json"
 DEFAULT_BASELINE = ".staticcheck-baseline.json"
 
 #: Directories harvested for import usage when linting the default paths.
@@ -72,22 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to skip",
     )
     parser.add_argument(
-        "--cache",
-        nargs="?",
-        const=DEFAULT_CACHE,
-        default=None,
-        metavar="PATH",
-        help="enable the incremental cache, optionally naming its file "
-        f"(default when enabled: {DEFAULT_CACHE})",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parse cold files with N parallel worker processes",
-    )
-    parser.add_argument(
         "--reference",
         action="append",
         default=None,
@@ -99,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--statistics",
         action="store_true",
-        help="print run statistics (cache hits/misses, findings per rule, "
-        "wall time) to stderr",
+        help="print run statistics (files, findings per rule, wall time) "
+        "to stderr",
     )
     parser.add_argument(
         "--baseline",
@@ -171,8 +151,6 @@ def main(argv: list[str] | None = None) -> int:
             rules=rules,
             project_rules=project_rules,
             reference_paths=references,
-            cache_path=args.cache,
-            jobs=max(1, args.jobs),
         )
     except (UsageError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,13 +5,8 @@ rules see a :class:`ModuleContext` with the parsed tree, the raw source,
 and shared helpers (import-alias resolution, dotted-name rendering) so
 each rule stays a pure AST visitor.  Project rules see a
 :class:`~repro.staticcheck.project.graph.ProjectContext` assembled from
-per-module summaries.
-
-Incremental operation: with ``cache_path`` set, every file's parse,
-single-file findings and module summary are keyed on its content hash
-in an on-disk JSON cache, so a warm run re-parses only what changed — see
-:mod:`repro.staticcheck.cache`.  With ``jobs > 1`` cold files are parsed
-through :func:`repro.parallel.parallel_map` on the process backend.
+per-module summaries.  Every run parses every file, in process: a cold
+lint of the whole repository takes well under two seconds.
 """
 
 from __future__ import annotations
@@ -22,8 +17,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.staticcheck.cache import AnalysisCache, file_digest, rule_fingerprint
 from repro.staticcheck.findings import Finding
+from repro.staticcheck.project.graph import ProjectContext
+from repro.staticcheck.project.summary import (
+    ModuleSummary,
+    build_import_table,
+    build_summary,
+    dotted_name,
+    module_name_for_path,
+    resolve_relative,
+)
 from repro.staticcheck.registry import (
     ProjectRule,
     Rule,
@@ -32,12 +35,7 @@ from repro.staticcheck.registry import (
     resolve_project_rules,
     resolve_rules,
 )
-from repro.staticcheck.suppressions import (
-    WILDCARD,
-    Directive,
-    SuppressionIndex,
-    parse_directives,
-)
+from repro.staticcheck.suppressions import WILDCARD, Directive, SuppressionIndex
 
 __all__ = [
     "CheckResult",
@@ -89,8 +87,6 @@ class ModuleContext:
         maps ``enc -> repro.core.encoder.enc``).
         """
         if self._imports is None:
-            from repro.staticcheck.project.summary import build_import_table
-
             self._imports = build_import_table(self.tree, self.module_name, self.is_package)
         return self._imports
 
@@ -118,16 +114,8 @@ class CheckStats:
 
     files_checked: int = 0
     reference_files: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    jobs: int = 1
     wall_seconds: float = 0.0
     findings_per_rule: dict[str, int] = field(default_factory=dict)
-    #: CFG/fixpoint effort actually spent this run (cold files only —
-    #: cache hits did no flow work, which is the point of the cache).
-    flow_cfgs: int = 0
-    flow_blocks: int = 0
-    flow_iterations: int = 0
 
 
 @dataclass
@@ -145,9 +133,9 @@ class CheckResult:
         return not self.findings
 
     def to_dict(self) -> dict:
-        # Deliberately excludes ``stats`` (wall time is never
-        # reproducible) so warm-cache reports are byte-identical to cold
-        # ones.
+        # Deliberately excludes ``stats``: wall time is never
+        # reproducible, and two runs over one tree must report the same
+        # bytes.
         return {
             "version": 2,
             "files_checked": self.files_checked,
@@ -213,24 +201,7 @@ def check_source(
 ) -> CheckResult:
     """Run the single-file rule set over one source string."""
     rules = list(rules) if rules is not None else resolve_rules()
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        finding = Finding(
-            path=path,
-            line=exc.lineno or 1,
-            col=(exc.offset or 1) - 1,
-            rule_id=SYNTAX_ERROR_ID,
-            message=f"file does not parse: {exc.msg}",
-        )
-        return CheckResult(findings=[finding], suppressed=[], files_checked=1)
-
-    module = ModuleContext(path=path, source=source, tree=tree)
-    directives = parse_directives(source)
-    index = SuppressionIndex.from_directives(directives)
-    raw = [finding for rule in rules for finding in rule.check(module)]
-    raw.extend(_directive_findings(path, directives, _known_rule_ids(r.id for r in rules)))
-    active, suppressed = _partition(raw, index)
+    active, suppressed, _ = _analyze(source, path, rules)
     return CheckResult(findings=sorted(active), suppressed=sorted(suppressed), files_checked=1)
 
 
@@ -260,80 +231,50 @@ def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
 
 
 # ---------------------------------------------------------------------------
-# per-file analysis (top-level so the process backend can pickle it)
+# per-file analysis
 
 
-def _analyze_file(task: tuple[str, tuple[str, ...] | None]) -> dict:
-    """Parse one file and run the single-file layer; returns a cache entry.
+def _analyze(
+    source: str,
+    path: str,
+    rules: Sequence[Rule],
+    module_name: str = "",
+    is_package: bool = False,
+) -> tuple[list[Finding], list[Finding], ModuleSummary | None]:
+    """Parse one module, run the single-file rules and build its summary.
 
-    ``task`` is ``(path, rule_ids)`` — ids rather than instances so the
-    tuple pickles cheaply across process boundaries; ``None`` means the
-    full registry.
+    Returns the active and suppressed findings and the summary, which is
+    None when the source does not parse.
     """
-    from repro.staticcheck import flow
-    from repro.staticcheck.project.summary import build_summary, module_name_for_path
-
-    path_str, rule_ids = task
-    flow_before = flow.snapshot_counters()
-    path = Path(path_str)
-    source = path.read_text(encoding="utf-8")
-    if rule_ids is None:
-        rules: list[Rule] = resolve_rules()
-    else:  # may be empty: project-rules-only runs select no file rules
-        registry = all_rules()
-        rules = [registry[rule_id]() for rule_id in rule_ids]
-    entry: dict = {"hash": file_digest(source.encode("utf-8"))}
     try:
-        tree = ast.parse(source, filename=path_str)
+        tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
         finding = Finding(
-            path=path_str,
+            path=path,
             line=exc.lineno or 1,
             col=(exc.offset or 1) - 1,
             rule_id=SYNTAX_ERROR_ID,
             message=f"file does not parse: {exc.msg}",
         )
-        entry.update({"findings": [finding.to_dict()], "suppressed": [], "summary": None})
-        return entry
+        return [finding], [], None
 
-    module_name, is_package = module_name_for_path(path)
     module = ModuleContext(
-        path=path_str, source=source, tree=tree, module_name=module_name, is_package=is_package
+        path=path, source=source, tree=tree, module_name=module_name, is_package=is_package
     )
-    directives = parse_directives(source)
-    index = SuppressionIndex.from_directives(directives)
+    summary = build_summary(path, source, tree, module_name, is_package)
     raw = [finding for rule in rules for finding in rule.check(module)]
-    raw.extend(_directive_findings(path_str, directives, _known_rule_ids(r.id for r in rules)))
-    active, suppressed = _partition(raw, index)
-    summary = build_summary(path_str, source, tree, module_name, is_package)
-    flow_after = flow.snapshot_counters()
-    entry.update(
-        {
-            "findings": [f.to_dict() for f in sorted(active)],
-            "suppressed": [f.to_dict() for f in sorted(suppressed)],
-            "summary": summary.to_dict(),
-            "flow": {k: flow_after[k] - flow_before[k] for k in flow_after},
-        }
-    )
-    return entry
+    raw.extend(_directive_findings(path, summary.directives, _known_rule_ids(r.id for r in rules)))
+    active, suppressed = _partition(raw, SuppressionIndex.from_directives(summary.directives))
+    return active, suppressed, summary
 
 
-def _harvest_reference(path_str: str) -> dict:
+def _harvest_reference(path: Path) -> dict:
     """Usage facts (imports, star imports, dotted refs) of one reference file."""
-    from repro.staticcheck.project.summary import (
-        build_import_table,
-        dotted_name,
-        module_name_for_path,
-        resolve_relative,
-    )
-
-    path = Path(path_str)
     source = path.read_text(encoding="utf-8")
-    entry = {"hash": file_digest(source.encode("utf-8")), "uses": [], "stars": []}
     try:
-        tree = ast.parse(source, filename=path_str)
+        tree = ast.parse(source, filename=str(path))
     except SyntaxError:
-        return entry
+        return {"uses": [], "stars": []}
     module_name, is_package = module_name_for_path(path)
     imports = build_import_table(tree, module_name, is_package)
     uses = {origin for origin in imports.values() if "." in origin}
@@ -351,30 +292,15 @@ def _harvest_reference(path_str: str) -> dict:
             )
             if origin:
                 stars.add(origin)
-    entry["uses"] = sorted(uses)
-    entry["stars"] = sorted(stars)
-    return entry
-
-
-def _finding_from_dict(doc: dict) -> Finding:
-    return Finding(
-        path=doc["path"],
-        line=doc["line"],
-        col=doc["col"],
-        rule_id=doc["rule"],
-        message=doc["message"],
-        suppressed=doc.get("suppressed", False),
-    )
+    return {"uses": sorted(uses), "stars": sorted(stars)}
 
 
 def _run_project_rules(
     project_rules: Sequence[ProjectRule],
-    summaries: dict,
+    summaries: dict[str, ModuleSummary],
     reference_usage: list[dict],
     indexes: dict[str, SuppressionIndex],
 ) -> tuple[list[Finding], list[Finding]]:
-    from repro.staticcheck.project.graph import ProjectContext
-
     project = ProjectContext(summaries=summaries, reference_usage=reference_usage)
     active: list[Finding] = []
     suppressed: list[Finding] = []
@@ -454,15 +380,11 @@ def check_paths(
     project_rules: Sequence[ProjectRule] | None = None,
     *,
     reference_paths: Iterable[str | Path] = (),
-    cache_path: str | Path | None = None,
-    jobs: int = 1,
 ) -> CheckResult:
     """Run single-file and project rules over every ``.py`` under ``paths``.
 
     ``reference_paths`` are parsed for import-usage facts only (they feed
-    the ``dead-export`` rule) and are never linted.  ``cache_path``
-    enables the incremental cache; ``jobs > 1`` parses cold files in
-    parallel on the process backend.
+    the ``dead-export`` rule) and are never linted.
     """
     started = time.perf_counter()
     rules = list(rules) if rules is not None else resolve_rules()
@@ -470,97 +392,29 @@ def check_paths(
         list(project_rules) if project_rules is not None else resolve_project_rules()
     )
     files = iter_python_files(paths)
-    file_keys = [str(f) for f in files]
-    reference_files = [
-        f for f in iter_python_files(reference_paths) if str(f) not in set(file_keys)
-    ]
+    file_keys = {str(f) for f in files}
+    reference_files = [f for f in iter_python_files(reference_paths) if str(f) not in file_keys]
 
-    rule_ids = tuple(sorted(r.id for r in rules))
-    registry_backed = set(rule_ids) <= set(all_rules())
-    fingerprint = rule_fingerprint(list(rule_ids), sorted(r.id for r in project_rules))
-    cache = AnalysisCache.load(cache_path, fingerprint) if cache_path is not None else None
-
-    digests = {str(f): file_digest(f.read_bytes()) for f in files}
-
-    entries: dict[str, dict] = {}
-    cold: list[str] = []
-    for key in file_keys:
-        entry = cache.lookup(key, digests[key]) if cache is not None else None
-        if entry is not None:
-            entries[key] = entry
-        else:
-            cold.append(key)
-
-    if cold:
-        worker_rule_ids = rule_ids if registry_backed else None
-        if jobs > 1 and registry_backed:
-            from repro.parallel.executor import ExecutorConfig, parallel_map
-
-            tasks = [(key, worker_rule_ids) for key in cold]
-            fresh = parallel_map(
-                _analyze_file, tasks, config=ExecutorConfig(backend="process", n_workers=jobs)
-            )
-            entries.update(zip(cold, fresh))
-        elif registry_backed:
-            for key in cold:
-                entries[key] = _analyze_file((key, worker_rule_ids))
-        else:
-            # Custom rule instances cannot be rebuilt from ids: run them
-            # in-process against each cold file.
-            from repro.staticcheck.project.summary import build_summary
-
-            for key in cold:
-                source = Path(key).read_text(encoding="utf-8")
-                result = check_source(source, path=key, rules=rules)
-                try:
-                    tree = ast.parse(source, filename=key)
-                    summary = build_summary(key, source, tree).to_dict()
-                except SyntaxError:
-                    summary = None
-                entries[key] = {
-                    "hash": digests[key],
-                    "findings": [f.to_dict() for f in result.findings],
-                    "suppressed": [f.to_dict() for f in result.suppressed],
-                    "summary": summary,
-                }
-
-    # -- reference usage ----------------------------------------------------
-    reference_usage: list[dict] = []
-    for f in reference_files:
-        key = str(f)
-        digest = file_digest(f.read_bytes())
-        entry = cache.lookup_reference(key, digest) if cache is not None else None
-        if entry is None:
-            entry = _harvest_reference(key)
-            if cache is not None:
-                cache.store_reference(key, entry)
-        reference_usage.append({"uses": entry["uses"], "stars": entry["stars"]})
-
-    # -- assemble project context and run project rules ---------------------
-    from repro.staticcheck.project.summary import ModuleSummary
-
+    findings: list[Finding] = []
+    suppressed: list[Finding] = []
     summaries: dict[str, ModuleSummary] = {}
     indexes: dict[str, SuppressionIndex] = {}
     directives_by_path: dict[str, list[Directive]] = {}
-    for key in file_keys:
-        summary_doc = entries[key].get("summary")
-        if summary_doc is None:
+    for path in files:
+        module_name, is_package = module_name_for_path(path)
+        file_active, file_suppressed, summary = _analyze(
+            path.read_text(encoding="utf-8"), str(path), rules, module_name, is_package
+        )
+        findings.extend(file_active)
+        suppressed.extend(file_suppressed)
+        if summary is None:
             continue
-        summary = ModuleSummary.from_dict(summary_doc)
         summaries[summary.module] = summary
-        directives_by_path[key] = [
-            Directive(line=d["line"], rule_ids=frozenset(d["rules"]), covers=tuple(d["covers"]))
-            for d in summary.directives
-        ]
-        indexes[key] = SuppressionIndex.from_directives(directives_by_path[key])
+        directives_by_path[summary.path] = summary.directives
+        indexes[summary.path] = SuppressionIndex.from_directives(summary.directives)
 
-    findings = [
-        _finding_from_dict(doc) for key in file_keys for doc in entries[key]["findings"]
-    ]
-    suppressed = [
-        _finding_from_dict(doc) for key in file_keys for doc in entries[key]["suppressed"]
-    ]
     if project_rules:
+        reference_usage = [_harvest_reference(f) for f in reference_files]
         project_active, project_suppressed = _run_project_rules(
             project_rules, summaries, reference_usage, indexes
         )
@@ -568,10 +422,10 @@ def check_paths(
         suppressed.extend(project_suppressed)
 
     # -- stale-suppression audit (after every layer has had its say) ---------
-    ran_ids = set(rule_ids) | {r.id for r in project_rules} | {UNKNOWN_SUPPRESSION_ID}
-    full_run = registry_backed and set(rule_ids) == set(all_rules()) and {
-        r.id for r in project_rules
-    } == set(all_project_rules())
+    rule_ids = {r.id for r in rules}
+    project_rule_ids = {r.id for r in project_rules}
+    ran_ids = rule_ids | project_rule_ids | {UNKNOWN_SUPPRESSION_ID}
+    full_run = rule_ids == set(all_rules()) and project_rule_ids == set(all_project_rules())
     for unused in _unused_suppression_findings(directives_by_path, suppressed, ran_ids, full_run):
         # Only an *explicit* ignore[unused-suppression] silences the audit:
         # letting ignore[*] swallow its own staleness report would make
@@ -594,37 +448,18 @@ def check_paths(
         else:
             findings.append(unused)
 
-    # -- persist the cache ---------------------------------------------------
-    if cache is not None:
-        for key in file_keys:
-            cache.store(key, entries[key])
-        reference_keys = {str(f) for f in reference_files}
-        cache.save(keep_only=set(file_keys) | reference_keys)
-
-    flow_totals = {"cfgs": 0, "blocks": 0, "iterations": 0}
-    for key in cold:
-        for counter, value in entries[key].get("flow", {}).items():
-            flow_totals[counter] = flow_totals.get(counter, 0) + value
-
-    stats = CheckStats(
-        files_checked=len(files),
-        reference_files=len(reference_files),
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else len(cold),
-        jobs=jobs,
-        wall_seconds=time.perf_counter() - started,
-        flow_cfgs=flow_totals["cfgs"],
-        flow_blocks=flow_totals["blocks"],
-        flow_iterations=flow_totals["iterations"],
-    )
     result = CheckResult(
         findings=sorted(findings),
         suppressed=sorted(suppressed),
         files_checked=len(files),
-        stats=stats,
     )
     counts: dict[str, int] = {}
     for finding in result.findings:
         counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
-    stats.findings_per_rule = counts
+    result.stats = CheckStats(
+        files_checked=len(files),
+        reference_files=len(reference_files),
+        wall_seconds=time.perf_counter() - started,
+        findings_per_rule=counts,
+    )
     return result

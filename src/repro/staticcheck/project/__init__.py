@@ -2,19 +2,13 @@
 
 Importing this package registers every built-in project rule, mirroring
 how :mod:`repro.staticcheck.rules` registers the single-file rules.  The
-layer is summary-driven: each module contributes a serializable
-:class:`~repro.staticcheck.project.summary.ModuleSummary` (served from
-the incremental cache when the file is unchanged), and the rules
+layer is summary-driven: each module contributes a
+:class:`~repro.staticcheck.project.summary.ModuleSummary`, and the rules
 reason over the assembled
 :class:`~repro.staticcheck.project.graph.ProjectContext` — import graph,
 approximate call graph, and every summary at once.
 """
 
-from repro.staticcheck.project.concurrency import (
-    BlockingUnderLockRule,
-    ConcurrencyModel,
-    UnguardedSharedWriteRule,
-)
 from repro.staticcheck.project.contracts import ContractDriftRule
 from repro.staticcheck.project.cycles import ImportCycleRule
 from repro.staticcheck.project.dead_exports import DeadExportRule
@@ -23,9 +17,7 @@ from repro.staticcheck.project.summary import ModuleSummary, build_summary, modu
 from repro.staticcheck.project.taint import TaintedPersistenceRule
 
 __all__ = [
-    "BlockingUnderLockRule",
     "CallGraph",
-    "ConcurrencyModel",
     "ContractDriftRule",
     "DeadExportRule",
     "ImportCycleRule",
@@ -33,7 +25,6 @@ __all__ = [
     "ModuleSummary",
     "ProjectContext",
     "TaintedPersistenceRule",
-    "UnguardedSharedWriteRule",
     "build_summary",
     "module_name_for_path",
 ]

@@ -3,11 +3,9 @@
 A :class:`ModuleSummary` is everything the project rules need to know
 about one module — resolved imports, import-graph edges, ``__all__``
 exports, statically known callable signatures, call sites, taint facts
-and suppression directives — extracted in a single AST pass and fully
-JSON-serializable, so the incremental cache can serve it without
-re-parsing the file.  Nothing in this module touches other modules: all
-cross-module reasoning lives in :mod:`repro.staticcheck.project.graph`
-and the project rules.
+and suppression directives — extracted from one parsed tree.  Nothing in
+this module touches other modules: all cross-module reasoning lives in
+:mod:`repro.staticcheck.project.graph` and the project rules.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.staticcheck.suppressions import parse_directives
+from repro.staticcheck.suppressions import Directive, parse_directives
 
 __all__ = [
     "ModuleSummary",
@@ -58,25 +56,6 @@ TAINT_SOURCES = frozenset(
 
 #: Unseeded ``default_rng()`` is a taint source only when called bare.
 _SEEDABLE_FACTORY = "numpy.random.default_rng"
-
-#: Calls that create a mutual-exclusion primitive.  ``new_lock`` is the
-#: sanitizer-aware factory from :mod:`repro.sanitizers`, which wraps the
-#: same primitives — code that migrates to it must keep its lock facts.
-LOCK_FACTORIES = frozenset(
-    {
-        "threading.Lock",
-        "threading.RLock",
-        "threading.Condition",
-        "threading.Semaphore",
-        "threading.BoundedSemaphore",
-        "repro.sanitizers.new_lock",
-        "repro.sanitizers.lockorder.new_lock",
-    }
-)
-
-#: Constructors that hand a callable to another thread of control.
-_THREAD_FACTORIES = frozenset({"threading.Thread", "threading.Timer"})
-
 
 def module_name_for_path(path: Path) -> tuple[str, bool]:
     """Dotted module name for a file, plus whether it is a package init.
@@ -175,28 +154,10 @@ class SignatureInfo:
     kind: str = "function"  # "function" | "class"
     checkable: bool = True  # False when decorators/bases hide the contract
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "args": self.args,
-            "n_required": self.n_required,
-            "vararg": self.vararg,
-            "kwonly": self.kwonly,
-            "kwonly_required": self.kwonly_required,
-            "kwarg": self.kwarg,
-            "kind": self.kind,
-            "checkable": self.checkable,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SignatureInfo":
-        return cls(**doc)
-
 
 @dataclass
 class ModuleSummary:
-    """Cacheable whole-module facts for project-level rules."""
+    """Whole-module facts for project-level rules."""
 
     module: str
     path: str
@@ -217,50 +178,8 @@ class ModuleSummary:
     symbol_refs: list[str] = field(default_factory=list)
     #: function qualname -> {"direct": source-or-None, "returns_calls": [...]}
     function_taint: dict[str, dict] = field(default_factory=dict)
-    #: suppression directives: {line, rules, covers}
-    directives: list[dict] = field(default_factory=list)
-    #: lock/thread facts for the concurrency rules (see _ConcurrencyWalker):
-    #: {"locks": {id: [kind, line]}, "functions": {qual: {...}}}
-    concurrency: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "is_package": self.is_package,
-            "imports": self.imports,
-            "star_imports": self.star_imports,
-            "import_edges": [list(edge) for edge in self.import_edges],
-            "exports": [list(e) for e in self.exports] if self.exports is not None else None,
-            "defined_names": self.defined_names,
-            "functions": {q: sig.to_dict() for q, sig in self.functions.items()},
-            "calls": self.calls,
-            "symbol_refs": self.symbol_refs,
-            "function_taint": self.function_taint,
-            "directives": self.directives,
-            "concurrency": self.concurrency,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ModuleSummary":
-        return cls(
-            module=doc["module"],
-            path=doc["path"],
-            is_package=doc["is_package"],
-            imports=doc["imports"],
-            star_imports=doc["star_imports"],
-            import_edges=[tuple(edge) for edge in doc["import_edges"]],
-            exports=(
-                [tuple(e) for e in doc["exports"]] if doc["exports"] is not None else None
-            ),
-            defined_names=doc["defined_names"],
-            functions={q: SignatureInfo.from_dict(s) for q, s in doc["functions"].items()},
-            calls=doc["calls"],
-            symbol_refs=doc["symbol_refs"],
-            function_taint=doc["function_taint"],
-            directives=doc["directives"],
-            concurrency=doc.get("concurrency", {}),
-        )
+    #: the module's suppression directives
+    directives: list[Directive] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -580,300 +499,6 @@ def _collect_symbol_refs(summary: ModuleSummary, tree: ast.Module) -> None:
     summary.symbol_refs = sorted(refs)
 
 
-# ---------------------------------------------------------------------------
-# concurrency facts
-
-
-#: Receiver methods that mutate their receiver in place; a call like
-#: ``self.cache.update(...)`` is a shared-state write exactly like
-#: ``self.cache[k] = v``.
-_MUTATOR_METHODS = frozenset(
-    {
-        "append",
-        "extend",
-        "update",
-        "add",
-        "clear",
-        "pop",
-        "popitem",
-        "setdefault",
-        "remove",
-        "discard",
-        "insert",
-    }
-)
-
-
-class _ConcurrencyWalker:
-    """Single pass collecting lock/thread facts for the concurrency rules.
-
-    Per function (dotted qualname, ``""`` for module level) the walker
-    records, with the *candidate* lock set held at each site:
-
-    * ``writes`` — stores to ``self.attr`` / declared globals (including
-      subscript stores and in-place mutator methods like ``.update()``);
-    * ``calls`` — every call site, with a flag marking receivers that are
-      plain local names (candidates for unique-method resolution);
-    * ``thread_targets`` — callables handed to ``threading.Thread`` or
-      ``Timer``;
-    * ``roles`` — ``["handler"]`` for ``@app.route(...)``-decorated defs.
-
-    Lock identity is name-based: ``self._lock`` in class ``C`` of module
-    ``M`` is ``M.C._lock``; a module-level ``LOCK`` is ``M.LOCK``; a lock
-    local to function ``f`` is ``M.f.<name>``.  Everything here is a
-    *candidate* — the rules keep only identities that match a recorded
-    lock creation somewhere in the project, so ``with self._shm:`` never
-    masquerades as a lock acquisition.  Held-lock tracking is
-    flow-insensitive within a function: ``with`` scopes nest exactly,
-    ``.acquire()`` holds until ``.release()`` or the end of the function.
-    """
-
-    def __init__(self, summary: ModuleSummary):
-        self.summary = summary
-        self.imports = summary.imports
-        self.module = summary.module
-        self.facts: dict = {"locks": {}, "functions": {}}
-        self._module_names = set(summary.defined_names)
-
-    def walk(self, tree: ast.Module) -> None:
-        self._walk_body(tree.body, qual="", cls="", held=[], local_locks={}, global_names=set())
-        functions = {
-            qual: {k: v for k, v in fn.items() if v}
-            for qual, fn in self.facts["functions"].items()
-        }
-        self.facts["functions"] = {q: fn for q, fn in functions.items() if fn}
-        if self.facts["locks"] or self.facts["functions"]:
-            self.summary.concurrency = self.facts
-
-    # -- bookkeeping -------------------------------------------------------
-
-    def _fn(self, qual: str) -> dict:
-        return self.facts["functions"].setdefault(
-            qual,
-            {
-                "roles": [],
-                "writes": [],
-                "calls": [],
-                "thread_targets": [],
-            },
-        )
-
-    def _lock_id(self, expr: ast.AST, qual: str, cls: str, local_locks: dict[str, str]) -> str | None:
-        """Candidate lock identity for a Name / single-level attribute."""
-        if isinstance(expr, ast.Name):
-            if expr.id in local_locks:
-                return local_locks[expr.id]
-            origin = self.imports.get(expr.id)
-            if origin and "." in origin:
-                return origin
-            return f"{self.module}.{expr.id}"
-        if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
-            if expr.value.id == "self" and cls:
-                return f"{self.module}.{cls}.{expr.attr}"
-            root = self.imports.get(expr.value.id)
-            if root:
-                return f"{root}.{expr.attr}"
-        return None
-
-    # -- calls -------------------------------------------------------------
-
-    def _record_call(self, call: ast.Call, qual: str, cls: str, held: list[str], local_locks: dict[str, str]) -> None:
-        callee = dotted_name(call.func, self.imports)
-        fn = self._fn(qual)
-        if callee is not None:
-            base = call.func
-            while isinstance(base, ast.Attribute):
-                base = base.value
-            root = base.id if isinstance(base, ast.Name) else ""
-            # A dotted call on a plain local name (``framework.train(...)``)
-            # cannot be resolved through imports; mark it as a candidate
-            # for unique-method-name resolution in the rules.
-            local_receiver = (
-                "." in callee
-                and root != "self"
-                and root not in self.imports
-                and root not in self._module_names
-            )
-            fn["calls"].append([callee, call.lineno, list(held), local_receiver])
-            if callee in _THREAD_FACTORIES:
-                self._record_thread_target(call, fn)
-        if isinstance(call.func, ast.Attribute):
-            if call.func.attr == "acquire":
-                lock = self._lock_id(call.func.value, qual, cls, local_locks)
-                if lock is not None:
-                    held.append(lock)
-            elif call.func.attr == "release":
-                lock = self._lock_id(call.func.value, qual, cls, local_locks)
-                if lock is not None and lock in held:
-                    held.remove(lock)
-            elif call.func.attr in _MUTATOR_METHODS:
-                target = self._write_target_of(call.func.value, qual, cls)
-                if target is not None:
-                    fn["writes"].append([target, call.lineno, list(held)])
-
-    def _record_thread_target(self, call: ast.Call, fn: dict) -> None:
-        candidates: list[ast.AST] = []
-        for kw in call.keywords:
-            if kw.arg in ("target", "function"):
-                candidates.append(kw.value)
-        if not candidates and len(call.args) >= 2:
-            candidates.append(call.args[1])  # Timer(interval, fn)
-        for expr in candidates:
-            name = dotted_name(expr, self.imports)
-            if name:
-                fn["thread_targets"].append([name, call.lineno])
-
-    def _record_expr(self, expr: ast.AST, qual: str, cls: str, held: list[str], local_locks: dict[str, str]) -> None:
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Call):
-                self._record_call(node, qual, cls, held, local_locks)
-
-    # -- writes ------------------------------------------------------------
-
-    def _write_target_of(self, node: ast.AST, qual: str, cls: str) -> str | None:
-        """Shared-state identity of a store/mutation receiver, if any."""
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            if node.value.id == "self" and cls:
-                return f"{self.module}.{cls}.{node.attr}"
-            return None
-        if isinstance(node, ast.Name) and qual and node.id in self._module_names:
-            return f"{self.module}.{node.id}"
-        return None
-
-    def _record_writes(self, target: ast.AST, line: int, qual: str, cls: str, held: list[str], global_names: set[str]) -> None:
-        fn = self._fn(qual)
-        seen: set[str] = set()
-        for node in ast.walk(target):
-            tid: str | None = None
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                if node.value.id == "self" and cls:
-                    tid = f"{self.module}.{cls}.{node.attr}"
-            elif isinstance(node, ast.Subscript):
-                tid = self._write_target_of(node.value, qual, cls)
-            elif isinstance(node, ast.Name) and node.id in global_names:
-                tid = f"{self.module}.{node.id}"
-            if tid is not None and tid not in seen:
-                seen.add(tid)
-                fn["writes"].append([tid, line, list(held)])
-
-    # -- statements --------------------------------------------------------
-
-    def _walk_body(
-        self,
-        body: list[ast.stmt],
-        qual: str,
-        cls: str,
-        held: list[str],
-        local_locks: dict[str, str],
-        global_names: set[str],
-    ) -> None:
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner = f"{qual}.{stmt.name}" if qual else stmt.name
-                fn = self._fn(inner)
-                for dec in stmt.decorator_list:
-                    target = dec.func if isinstance(dec, ast.Call) else dec
-                    name = dotted_name(target, self.imports)
-                    if name and name.rsplit(".", 1)[-1] == "route":
-                        fn["roles"].append("handler")
-                    self._record_expr(dec, qual, cls, held, local_locks)
-                inner_globals = {
-                    n
-                    for node in ast.walk(stmt)
-                    if isinstance(node, ast.Global)
-                    for n in node.names
-                }
-                self._walk_body(stmt.body, inner, cls, [], dict(local_locks), inner_globals)
-            elif isinstance(stmt, ast.ClassDef):
-                inner = f"{qual}.{stmt.name}" if qual else stmt.name
-                for expr in stmt.bases + [kw.value for kw in stmt.keywords] + stmt.decorator_list:
-                    self._record_expr(expr, qual, cls, held, local_locks)
-                self._walk_body(stmt.body, inner, stmt.name, held, dict(local_locks), global_names)
-            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                self._walk_with(stmt, qual, cls, held, local_locks, global_names)
-            elif isinstance(stmt, (ast.If, ast.While)):
-                self._record_expr(stmt.test, qual, cls, held, local_locks)
-                self._walk_body(stmt.body, qual, cls, held, local_locks, global_names)
-                self._walk_body(stmt.orelse, qual, cls, held, local_locks, global_names)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self._record_expr(stmt.iter, qual, cls, held, local_locks)
-                self._record_writes(stmt.target, stmt.lineno, qual, cls, held, global_names)
-                self._walk_body(stmt.body, qual, cls, held, local_locks, global_names)
-                self._walk_body(stmt.orelse, qual, cls, held, local_locks, global_names)
-            elif isinstance(stmt, ast.Try):
-                self._walk_body(stmt.body, qual, cls, held, local_locks, global_names)
-                for handler in stmt.handlers:
-                    self._walk_body(handler.body, qual, cls, held, local_locks, global_names)
-                self._walk_body(stmt.orelse, qual, cls, held, local_locks, global_names)
-                self._walk_body(stmt.finalbody, qual, cls, held, local_locks, global_names)
-            else:
-                self._walk_simple(stmt, qual, cls, held, local_locks, global_names)
-
-    def _walk_with(
-        self,
-        stmt: ast.With | ast.AsyncWith,
-        qual: str,
-        cls: str,
-        held: list[str],
-        local_locks: dict[str, str],
-        global_names: set[str],
-    ) -> None:
-        acquired: list[str] = []
-        for item in stmt.items:
-            self._record_expr(item.context_expr, qual, cls, held, local_locks)
-            if isinstance(item.context_expr, (ast.Name, ast.Attribute)):
-                lock = self._lock_id(item.context_expr, qual, cls, local_locks)
-                if lock is not None:
-                    held.append(lock)
-                    acquired.append(lock)
-        self._walk_body(stmt.body, qual, cls, held, local_locks, global_names)
-        for lock in reversed(acquired):
-            if lock in held:
-                held.remove(lock)
-
-    def _walk_simple(
-        self,
-        stmt: ast.stmt,
-        qual: str,
-        cls: str,
-        held: list[str],
-        local_locks: dict[str, str],
-        global_names: set[str],
-    ) -> None:
-        self._record_expr(stmt, qual, cls, held, local_locks)
-        if not isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            return
-        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        value = stmt.value
-        factory = None
-        if isinstance(value, ast.Call):
-            name = dotted_name(value.func, self.imports)
-            if name in LOCK_FACTORIES:
-                factory = name
-        if factory is not None:
-            kind = factory.rsplit(".", 1)[-1]
-            for target in targets:
-                lock_id: str | None = None
-                if isinstance(target, ast.Name):
-                    if qual:
-                        lock_id = f"{self.module}.{qual}.{target.id}"
-                        local_locks[target.id] = lock_id
-                    else:
-                        lock_id = f"{self.module}.{target.id}"
-                elif (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                    and cls
-                ):
-                    lock_id = f"{self.module}.{cls}.{target.attr}"
-                if lock_id is not None:
-                    self.facts["locks"].setdefault(lock_id, [kind, stmt.lineno])
-            return
-        for target in targets:
-            self._record_writes(target, stmt.lineno, qual, cls, held, global_names)
-
-
 def build_summary(path: str, source: str, tree: ast.Module, module_name: str | None = None, is_package: bool | None = None) -> ModuleSummary:
     """Extract the whole :class:`ModuleSummary` for one parsed module."""
     if module_name is None or is_package is None:
@@ -885,9 +510,5 @@ def build_summary(path: str, source: str, tree: ast.Module, module_name: str | N
     _collect_exports(summary, tree)
     _collect_symbol_refs(summary, tree)
     _ScopeWalker(summary).walk_module(tree)
-    _ConcurrencyWalker(summary).walk(tree)
-    summary.directives = [
-        {"line": d.line, "rules": sorted(d.rule_ids), "covers": list(d.covers)}
-        for d in parse_directives(source)
-    ]
+    summary.directives = parse_directives(source)
     return summary

@@ -8,10 +8,10 @@ registry, importing :mod:`repro.staticcheck.project` the project one —
 both as a side effect.
 
 Single-file :class:`Rule` subclasses see one
-:class:`~repro.staticcheck.engine.ModuleContext` at a time and run under
-the incremental cache; :class:`ProjectRule` subclasses see the whole
+:class:`~repro.staticcheck.engine.ModuleContext` at a time;
+:class:`ProjectRule` subclasses see the whole
 :class:`~repro.staticcheck.project.graph.ProjectContext` (import graph,
-call graph, every module summary) and run on every invocation.
+call graph, every module summary).
 """
 
 from __future__ import annotations

@@ -32,19 +32,13 @@ def render_statistics(stats: CheckStats) -> str:
     """Human-readable run statistics, one ``key: value`` per line.
 
     Printed to stderr by the CLI so machine-readable stdout stays
-    byte-identical between cold and warm runs.
+    byte-identical from run to run.
     """
     lines = [
         "statistics:",
         f"  files checked:    {stats.files_checked}",
         f"  reference files:  {stats.reference_files}",
-        f"  cache hits:       {stats.cache_hits}",
-        f"  cache misses:     {stats.cache_misses}",
-        f"  parallel jobs:    {stats.jobs}",
         f"  wall time:        {stats.wall_seconds:.3f}s",
-        f"  flow CFGs built:  {stats.flow_cfgs}",
-        f"  flow blocks:      {stats.flow_blocks}",
-        f"  flow iterations:  {stats.flow_iterations}",
     ]
     if stats.findings_per_rule:
         lines.append("  findings by rule:")

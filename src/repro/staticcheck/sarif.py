@@ -5,8 +5,8 @@ format code-scanning UIs ingest (GitHub code scanning, VS Code SARIF
 viewer, ...).  One run, one tool driver, one result per active finding;
 suppressed and baselined findings are emitted with a ``suppressions``
 entry so viewers show them struck through rather than losing them.
-Output is deterministic (sorted keys, sorted rules) so warm-cache runs
-reproduce cold runs byte for byte.
+Output is deterministic (sorted keys, sorted rules), so two runs over
+one tree give the same bytes.
 """
 
 from __future__ import annotations

@@ -6,6 +6,9 @@ different generator parameters build their own.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -44,3 +47,27 @@ def jobs_db(tiny_trace):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(99)
+
+
+@pytest.fixture()
+def open_files_under():
+    """``open_files_under(root)``: the files under ``root`` this process
+    holds open, read from ``/proc/self/fd`` (a test using it runs on
+    Linux only)."""
+    fd_dir = Path("/proc/self/fd")
+    if not fd_dir.is_dir():
+        pytest.skip("needs /proc/self/fd")
+
+    def under(root) -> list[str]:
+        prefix = str(Path(root).resolve())
+        targets = []
+        for fd in os.listdir(fd_dir):
+            try:
+                target = os.readlink(fd_dir / fd)
+            except OSError:  # closed since the listing
+                continue
+            if target.startswith(prefix):
+                targets.append(target)
+        return sorted(targets)
+
+    return under

@@ -68,6 +68,25 @@ class TestTrainEndpoint:
         assert r.status == 400
         assert "alpha_days" in r.json()["error"]
 
+    def test_negative_alpha_is_a_400(self, client):
+        # it was a 409: the window ended before it started
+        r = client.post("/train", json_body={"now": NOW, "alpha_days": -5})
+        assert r.status == 400
+        assert "alpha_days" in r.json()["error"]
+
+    def test_zero_alpha_is_a_400(self, client):
+        # it was a 409: an empty window holds no jobs
+        r = client.post("/train", json_body={"now": NOW, "alpha_days": 0})
+        assert r.status == 400
+        assert "alpha_days" in r.json()["error"]
+
+    def test_alpha_overflowing_the_window_start_is_a_400(self, client):
+        # 1e308 days is finite, but the window would start at -inf
+        r = client.post("/train", json_body={"now": NOW, "alpha_days": 1e308})
+        assert r.status == 400
+        assert "alpha_days" in r.json()["error"]
+        assert client.get("/models").json()["latest"] is None
+
 
 class TestPredictEndpoint:
     def test_predict_before_training_503(self, client):

@@ -1,5 +1,6 @@
 """Tests for pickle-free persistence and the model registry."""
 
+import gc
 import json
 import os
 from pathlib import Path
@@ -79,6 +80,32 @@ class TestSaveLoad:
         f2 = load_model(tmp_path / "f")
         assert len(f2.estimators_) == 4
         assert np.allclose(f.predict_proba(X), f2.predict_proba(X))
+
+
+class TestSaveFailure:
+    def test_archive_write_failing_mid_archive_leaves_no_open_handle(
+        self, tmp_path, monkeypatch, open_files_under
+    ):
+        t, _ = fitted_tree()
+        write_array = np.lib.format.write_array
+        written = []
+
+        def fail_on_second_array(fp, array, *args, **kwargs):
+            written.append(array.shape)
+            if len(written) == 2:
+                fp.write(b"\x93NUMPY")
+                raise OSError("disk full")
+            return write_array(fp, array, *args, **kwargs)
+
+        monkeypatch.setattr(np.lib.format, "write_array", fail_on_second_array)
+        with pytest.raises(OSError, match="disk full") as failure:
+            save_model(t, tmp_path / "m")
+        assert len(written) == 2  # it failed inside the archive
+        # the traceback keeps the failed call's locals alive, so a handle
+        # only its frame held would still be open here
+        assert open_files_under(tmp_path) == []
+        del failure
+        gc.collect()  # a leaked file warns when it is collected
 
 
 def repeated_rows():

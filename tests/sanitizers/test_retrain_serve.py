@@ -1,9 +1,10 @@
-"""The fixed retrain/serve loop runs clean under full instrumentation.
+"""The retrain/serve loop runs clean under full instrumentation.
 
-This is the dynamic half of the acceptance story: the static rules no
-longer flag :class:`repro.core.framework.MCBound`, and here the runtime
-oracles confirm the fix — concurrent training and inference produce no
-lock-order inversions and no torn reads.
+Training and inference race over :class:`repro.core.framework.MCBound`'s
+model and predict memo.  Here the runtime sanitizers check that they
+produce no lock-order inversion, no write to that state without
+``MCBound._state_lock`` and no torn read.  The test arms the sanitizers
+itself, so plain tier-1 runs it instrumented.
 """
 
 import threading
@@ -52,4 +53,5 @@ class TestRetrainServeRace:
 
         assert errors == []
         assert events("lock-order-cycle") == []
+        assert events("unguarded-write") == []
         assert events("torn-read") == []

@@ -1,13 +1,10 @@
-"""Incremental engine: warm reuse, dependency invalidation, baselines,
-SARIF output and parallel cold parsing."""
+"""Baselines and SARIF output."""
 
-import dataclasses
 import json
 
 import pytest
 
 from repro.staticcheck import (
-    CheckStats,
     apply_baseline,
     check_paths,
     check_source,
@@ -16,125 +13,8 @@ from repro.staticcheck import (
     render_sarif,
     write_baseline,
 )
-from repro.staticcheck.cache import AnalysisCache, file_digest, rule_fingerprint
 
 TRIGGER = "import time\nt0 = time.time()\n"
-
-
-def make_project(tmp_path):
-    """pkg.a -> pkg.b (import edge); pkg.c standalone."""
-    pkg = tmp_path / "pkg"
-    pkg.mkdir()
-    (pkg / "__init__.py").write_text("")
-    (pkg / "a.py").write_text("from pkg.b import helper\nX = helper()\n")
-    (pkg / "b.py").write_text("__all__ = ['helper']\ndef helper():\n    return 1\n")
-    (pkg / "c.py").write_text("Y = 2\n")
-    return pkg
-
-
-class TestIncrementalCache:
-    def test_warm_run_hits_every_file_and_reproduces_output(self, tmp_path):
-        pkg = make_project(tmp_path)
-        cache = tmp_path / "cache.json"
-        cold = check_paths([pkg], cache_path=cache)
-        assert cache.is_file()
-        assert cold.stats.cache_misses == 4 and cold.stats.cache_hits == 0
-        warm = check_paths([pkg], cache_path=cache)
-        assert warm.stats.cache_hits == 4 and warm.stats.cache_misses == 0
-        assert render_json(warm) == render_json(cold)
-
-    def test_mutating_one_module_reparses_only_it(self, tmp_path):
-        """After a warm run, mutate one module and verify the other files,
-        its importer included, are served from the cache."""
-        pkg = make_project(tmp_path)
-        cache = tmp_path / "cache.json"
-        check_paths([pkg], cache_path=cache)
-        (pkg / "b.py").write_text(
-            "import time\n__all__ = ['helper']\ndef helper():\n    return time.time()\n"
-        )
-        result = check_paths([pkg], cache_path=cache)
-        # only b goes cold: analyzing a reads no other file, so b's new
-        # content cannot change a's entry
-        assert result.stats.cache_misses == 1
-        assert result.stats.cache_hits == 3
-        assert [f.rule_id for f in result.findings] == ["wallclock-timing"]
-        assert result.findings[0].path.endswith("b.py")
-
-    def test_rule_set_change_invalidates_the_fingerprint(self, tmp_path):
-        pkg = make_project(tmp_path)
-        cache = tmp_path / "cache.json"
-        check_paths([pkg], cache_path=cache)
-        from repro.staticcheck import resolve_rules
-
-        narrowed = check_paths(
-            [pkg], rules=resolve_rules(select=["wallclock-timing"]), cache_path=cache
-        )
-        assert narrowed.stats.cache_misses == 4  # different fingerprint: no reuse
-        assert rule_fingerprint(["a"], []) != rule_fingerprint(["a"], ["b"])
-
-    def test_corrupt_cache_file_is_discarded_not_fatal(self, tmp_path):
-        pkg = make_project(tmp_path)
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json")
-        result = check_paths([pkg], cache_path=cache)
-        assert result.stats.cache_misses == 4
-        doc = json.loads(cache.read_text())  # rewritten as a valid document
-        assert len(doc["files"]) == 4
-
-    def test_deleted_files_are_pruned_on_save(self, tmp_path):
-        pkg = make_project(tmp_path)
-        cache = tmp_path / "cache.json"
-        check_paths([pkg], cache_path=cache)
-        (pkg / "c.py").unlink()
-        check_paths([pkg], cache_path=cache)
-        doc = json.loads(cache.read_text())
-        assert not any(key.endswith("c.py") for key in doc["files"])
-
-    def test_reference_files_are_cached_too(self, tmp_path):
-        pkg = make_project(tmp_path)
-        tests_dir = tmp_path / "tests"
-        tests_dir.mkdir()
-        (tests_dir / "test_a.py").write_text("from pkg.a import X\n")
-        cache = tmp_path / "cache.json"
-        cold = check_paths([pkg], reference_paths=[tests_dir], cache_path=cache)
-        assert cold.stats.reference_files == 1
-        doc = json.loads(cache.read_text())
-        assert len(doc["references"]) == 1
-        warm = check_paths([pkg], reference_paths=[tests_dir], cache_path=cache)
-        assert render_json(warm) == render_json(cold)
-
-    def test_parallel_cold_parse_matches_serial(self, tmp_path):
-        """Spawned workers must hand back everything the serial run sees:
-        findings, and the flow work counters they accumulate in their
-        own module globals."""
-        pkg = make_project(tmp_path)
-        (pkg / "dirty.py").write_text(TRIGGER)
-        (pkg / "hot.py").write_text(
-            "from pkg.b import helper\n"
-            "\n"
-            "def load(path):\n"
-            "    with open(path) as fh:\n"
-            "        return fh.read()\n"
-            "\n"
-            "def score(X, w):\n"
-            "    return X @ w + helper()\n"
-        )
-        serial = check_paths([pkg])
-        parallel = check_paths([pkg], jobs=2)
-        assert parallel.stats.jobs == 2
-        assert render_json(parallel) == render_json(serial)
-        for counter in ("flow_cfgs", "flow_blocks", "flow_iterations"):
-            assert getattr(serial.stats, counter) > 0, counter
-        unshared = {"jobs", "wall_seconds"}
-        for stat in dataclasses.fields(CheckStats):
-            if stat.name not in unshared:
-                assert getattr(parallel.stats, stat.name) == getattr(
-                    serial.stats, stat.name
-                ), stat.name
-
-    def test_file_digest_is_content_addressed(self):
-        assert file_digest(b"x") == file_digest(b"x")
-        assert file_digest(b"x") != file_digest(b"y")
 
 
 class TestBaseline:
@@ -214,13 +94,3 @@ class TestSarif:
         a = render_sarif(check_source(TRIGGER, path="mod.py"))
         b = render_sarif(check_source(TRIGGER, path="mod.py"))
         assert a == b
-
-
-class TestCacheObject:
-    def test_fingerprint_mismatch_starts_empty(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = AnalysisCache.load(path, "fp-one")
-        cache.store("a.py", {"hash": "h", "findings": [], "suppressed": [], "summary": None})
-        cache.save()
-        again = AnalysisCache.load(path, "fp-two")
-        assert again.files == {}

@@ -75,21 +75,6 @@ class TestOutput:
 
 
 class TestCacheAndBaselineFlags:
-    def test_cache_flag_creates_cache_and_warm_run_matches(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        write(tmp_path, "bad.py", TRIGGER)
-        assert main(["bad.py", "--cache", "--format", "json"]) == EXIT_FINDINGS
-        cold = capsys.readouterr().out
-        assert (tmp_path / ".staticcheck-cache.json").is_file()
-        assert main(["bad.py", "--cache", "--format", "json"]) == EXIT_FINDINGS
-        assert capsys.readouterr().out == cold
-
-    def test_explicit_cache_path(self, tmp_path, capsys):
-        path = write(tmp_path, "ok.py", CLEAN)
-        cache = tmp_path / "custom-cache.json"
-        assert main([path, "--cache", str(cache)]) == EXIT_CLEAN
-        assert cache.is_file()
-
     def test_baseline_write_then_check_ratchets(self, tmp_path, capsys):
         bad = write(tmp_path, "bad.py", TRIGGER)
         baseline = str(tmp_path / "baseline.json")
@@ -112,12 +97,7 @@ class TestParser:
     def test_build_parser_defaults(self):
         args = build_parser().parse_args([])
         assert args.format == "text"
-        assert args.cache is None and args.jobs == 1
         assert args.baseline is None and args.statistics is False
-
-    def test_bare_cache_flag_uses_default_path(self):
-        args = build_parser().parse_args(["--cache"])
-        assert args.cache == ".staticcheck-cache.json"
 
 
 class TestModuleEntryPoint:

@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("evaluate", help="run the online prediction algorithm")
     e.add_argument("trace", help="trace path prefix from 'generate'")
-    e.add_argument("--algorithm", choices=("KNN", "RF", "NB"), default="RF")
+    e.add_argument("--algorithm", choices=("KNN", "RF"), default="RF")
     e.add_argument("--alpha", type=float, default=None,
                    help="training window in days (default: the model's best)")
     e.add_argument("--beta", type=float, default=1.0, help="retraining period in days")
@@ -96,8 +96,6 @@ def _cmd_evaluate(args) -> int:
     evaluator = OnlineEvaluator(trace)
     if args.algorithm == "KNN":
         spec = ModelSpec("KNN", "KNN", {"n_neighbors": 5})
-    elif args.algorithm == "NB":
-        spec = ModelSpec("NB", "NB", {})
     else:
         spec = ModelSpec("RF", "RF", {
             "n_estimators": args.trees, "max_depth": 16,

@@ -1,8 +1,8 @@
 """Classification Model component (paper §III-D).
 
 A thin polymorphic wrapper: the object is created with the *name* of the
-prediction algorithm to employ ("KNN" or "RF" in the paper, and "NB"
-here) and exposes the paper's two methods, ``training`` and
+prediction algorithm to employ ("KNN" or "RF", the two the paper
+evaluates) and exposes the paper's two methods, ``training`` and
 ``inference``.  ``inference`` refuses to run before ``training`` — exactly
 the contract described in §III-D.
 """
@@ -14,7 +14,6 @@ import numpy as np
 from repro.mlcore.base import NotFittedError
 from repro.mlcore.forest import RandomForestClassifier
 from repro.mlcore.knn import KNeighborsClassifier
-from repro.mlcore.naive_bayes import GaussianNBClassifier
 
 __all__ = ["ClassificationModel"]
 
@@ -23,7 +22,6 @@ __all__ = ["ClassificationModel"]
 _ALGORITHMS = {
     "KNN": KNeighborsClassifier,
     "RF": RandomForestClassifier,
-    "NB": GaussianNBClassifier,
 }
 
 
@@ -33,7 +31,7 @@ class ClassificationModel:
     Parameters
     ----------
     algorithm:
-        Algorithm name (case-insensitive): "KNN", "RF" or "NB".
+        Algorithm name (case-insensitive): "KNN" or "RF".
     **params:
         Forwarded to the estimator's constructor (e.g. ``n_estimators=25``).
     """

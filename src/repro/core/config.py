@@ -3,12 +3,16 @@
 The paper stresses that MCBound "can be seamlessly configured and deployed
 in other HPC systems": the machine ceilings, feature set, embedding model
 and classification algorithm are all configuration, not code.  This module
-is that configuration surface.
+is that configuration surface, and the one source of the machine model:
+a node's peak performance and memory bandwidth (§III-C).  The other
+system-specific part, the counter mapping of Eqs. 4-5, is the
+``counter_transform`` of :class:`repro.core.JobCharacterizer`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 from repro.fugaku.system import FUGAKU
 
@@ -49,13 +53,6 @@ class MCBoundConfig:
         Paper's best: α=15 β=1 for RF, α=30 β=1 for KNN.
     embedder_seed:
         Seed of the hashed embedding projection.
-    use_idf:
-        Whether the encoder weights tokens by online IDF.
-    system:
-        Registered system-model name (``repro.systems``) supplying the
-        counter→flops/bytes transform.  The peak ceilings above stay
-        independent so a deployment can override them, but
-        :meth:`for_system` derives all three from one registry entry.
     predict_memo:
         Capacity of the serve-path prediction memo (submission string →
         label); 0 disables it.  Users submit batches of identical jobs
@@ -74,34 +71,28 @@ class MCBoundConfig:
     alpha_days: float = 15.0
     beta_days: float = 1.0
     embedder_seed: int = 17
-    use_idf: bool = False
-    system: str = "fugaku"
     predict_memo: int = 4096
     train_reservoir: int = 50_000
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.peak_gflops_node <= 0 or self.peak_membw_gbs <= 0:
             raise ValueError("machine ceilings must be positive")
         if not self.feature_set:
             raise ValueError("feature_set must not be empty")
         if self.alpha_days <= 0:
             raise ValueError("alpha_days must be positive")
+        if not math.isfinite(self.alpha_days * 86_400.0):
+            raise ValueError("alpha_days must leave a finite window length in seconds")
         if self.beta_days <= 0:
             raise ValueError("beta_days must be positive")
         if self.predict_memo < 0:
             raise ValueError("predict_memo must be non-negative")
         if self.train_reservoir <= 0:
             raise ValueError("train_reservoir must be positive")
-
-    @classmethod
-    def for_system(cls, name: str, **overrides) -> "MCBoundConfig":
-        """Config for a registered system: its peaks, its transform."""
-        from repro.systems import get_system
-
-        system = get_system(name)
-        overrides.setdefault("peak_gflops_node", system.peak_gflops_node)
-        overrides.setdefault("peak_membw_gbs", system.peak_membw_gbs)
-        return cls(system=name, **overrides)
 
     def to_dict(self) -> dict:
         """JSON-friendly dump (used by the /config endpoint and ModelStore)."""
@@ -115,8 +106,6 @@ class MCBoundConfig:
             "alpha_days": self.alpha_days,
             "beta_days": self.beta_days,
             "embedder_seed": self.embedder_seed,
-            "use_idf": self.use_idf,
-            "system": self.system,
             "predict_memo": self.predict_memo,
             "train_reservoir": self.train_reservoir,
         }

@@ -5,10 +5,17 @@ Classification Model instance.  The paper's Fugaku implementation also
 reuses characterizations and encodings across workflow triggers (§V-A):
 here the embedder caches encodings, and characterizations are recomputed,
 one vectorized pass per batch, which costs less than keeping them.
+
+The machine model and the embedder both come from the one
+:class:`MCBoundConfig`.  The embedder is built once and learns nothing,
+so an encoding depends only on its string and the configuration; a
+stored model version made with another embedder is refused on load, not
+served with encodings it was not trained on.
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from pathlib import Path
 
@@ -24,7 +31,6 @@ from repro.mlcore.base import NotFittedError
 from repro.nlp.embedder import SentenceEmbedder
 from repro.sanitizers import StateGuard, check_finite, new_lock
 from repro.storage.engine import SCAN_BATCH_ROWS, Database
-from repro.systems import get_system
 
 __all__ = ["MCBound", "UnknownJob"]
 
@@ -36,6 +42,34 @@ class UnknownJob(KeyError):
 def _concat(arrays) -> np.ndarray:
     """Concatenate int64 arrays; an empty sequence gives an empty array."""
     return np.concatenate([np.empty(0, dtype=np.int64), *arrays])
+
+
+#: the embedder settings a vector depends on; ``cache_size`` only bounds memory
+_VECTOR_FIELDS = ("dim", "n_hashes", "seed", "ngram_range")
+
+
+def _check_embedder(version: int, stored: dict | None, live: dict) -> None:
+    """Refuse a stored version whose encodings ``live`` would not reproduce.
+
+    ``stored`` is the embedder config published beside the version (None
+    for a version published without one, which loads as it is).  A
+    version whose embedder weighted tokens by an online IDF
+    (``use_idf``) is refused too: this embedder has no such weights.
+    """
+    if not stored:
+        return
+    if stored.get("use_idf"):
+        raise NotFittedError(
+            f"model version {version} was trained with use_idf=True, "
+            "which this embedder does not support"
+        )
+    for name in _VECTOR_FIELDS:
+        if stored.get(name) != live[name]:
+            raise NotFittedError(
+                f"model version {version} was trained with embedder "
+                f"{name}={stored.get(name)!r}, this framework embeds with "
+                f"{name}={live[name]!r}"
+            )
 
 
 class MCBound:
@@ -68,18 +102,10 @@ class MCBound:
         self.fetcher = DataFetcher(db)
         self.encoder = FeatureEncoder(
             config.feature_set,
-            SentenceEmbedder(
-                config.embedding_dim,
-                seed=config.embedder_seed,
-                use_idf=config.use_idf,
-            ),
+            SentenceEmbedder(config.embedding_dim, seed=config.embedder_seed),
         )
-        #: the registered physical model behind the counter transform
-        self.system = get_system(config.system)
         self.characterizer = JobCharacterizer(
-            config.peak_gflops_node,
-            config.peak_membw_gbs,
-            counter_transform=self.system.counter_transform(),
+            config.peak_gflops_node, config.peak_membw_gbs
         )
         self.store = ModelStore(model_store_root) if model_store_root else None
         self.model: ClassificationModel | None = None
@@ -144,12 +170,16 @@ class MCBound:
         leave the reservoir; the fit gets the distinct rows and one row
         index per job, never an n x d matrix.  Windows smaller than the
         reservoir are used whole, in submit order, exactly as the
-        pre-streaming path did.  With ``use_idf`` the IDF table updates
-        per batch (online semantics) rather than once up front, so a
-        submission seen in two batches gets an id, and a row, per batch.
+        pre-streaming path did.  A window whose start is not finite is
+        refused with a ``ValueError``.
         """
         alpha = alpha_days if alpha_days is not None else self.config.alpha_days
         start = now - alpha * 86_400.0
+        if not math.isfinite(start):
+            raise ValueError(
+                f"training window start {start} is not finite "
+                f"(now={now}, alpha_days={alpha})"
+            )
         cap = self.config.train_reservoir
         ids_res = np.empty(cap, dtype=np.int64)
         y_res = np.empty(cap, dtype=np.int64)
@@ -165,13 +195,7 @@ class MCBound:
         for batch in self.fetcher.fetch_batches(start, now):
             _job_ids, labels = self._characterize_batch(batch)
             labels = np.asarray(labels, dtype=np.int64)
-            if self.config.use_idf:
-                known = {}  # each partial_fit_idf moves every encoding
             ids, strings = self.encoder.submission_ids(batch, known, first_id=next_id)
-            if self.config.use_idf:
-                self.encoder.embedder.partial_fit_idf(
-                    [strings[i] for i in (ids - next_id).tolist()]
-                )
             unique, counts = np.unique(labels, return_counts=True)
             for u, c in zip(unique.tolist(), counts.tolist()):
                 class_counts[int(u)] = class_counts.get(int(u), 0) + int(c)
@@ -239,8 +263,8 @@ class MCBound:
         }
 
     def _require_model(self) -> ClassificationModel:
-        """The live model, else the store's latest with the embedder
-        (IDF state included) published beside it."""
+        """The live model, else the store's latest, if this framework's
+        embedder reproduces the encodings it was trained on."""
         with self._state_lock, self._state_guard.reading():
             model = self.model
         if model is not None:
@@ -251,13 +275,13 @@ class MCBound:
                 "MCBound has no trained model; run the Training Workflow first"
             )
         # disk I/O stays outside the lock
-        loaded, _ = self.store.load(version)
-        embedder = self.store.load_embedder(version)
+        loaded, metadata = self.store.load(version)
+        _check_embedder(
+            version, metadata.get("embedder"), self.encoder.embedder.config_dict()
+        )
         with self._state_lock, self._state_guard.writing():
             if self.model is None:
                 self.model = loaded
-                if embedder is not None:
-                    self.encoder.embedder = embedder
             return self.model
 
     # -- inference ------------------------------------------------------------------------

@@ -8,6 +8,7 @@ exceeds ``op_r``, *memory-bound* otherwise (Equations 1-3).
 The mapping from system-specific performance counters to ``#flops`` /
 ``#moved_memory_bytes`` is a pluggable transform;
 :class:`FugakuCounterTransform` implements the A64FX one (Equations 4-5).
+Another system is configured by its two peaks and its own transform.
 """
 
 from __future__ import annotations
@@ -73,18 +74,6 @@ class JobCharacterizer:
     ) -> None:
         self.roofline = Roofline(peak_performance, peak_memory_bandwidth)
         self.counter_transform = counter_transform or FugakuCounterTransform()
-
-    @classmethod
-    def for_system(cls, system) -> "JobCharacterizer":
-        """Characterizer for a registered system model: its peaks, its
-        counter transform (``system`` is any
-        :class:`repro.systems.base.SystemModel`; duck-typed so this
-        module never imports the registry)."""
-        return cls(
-            system.peak_gflops_node,
-            system.peak_membw_gbs,
-            counter_transform=system.counter_transform(),
-        )
 
     @property
     def ridge_point(self) -> float:

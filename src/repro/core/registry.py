@@ -1,9 +1,10 @@
 """Versioned store of trained Classification Model instances (§III-E).
 
 Wraps :class:`repro.mlcore.persistence.ModelRegistry` with MCBound-level
-metadata: algorithm name and params, the training window, and the encoder
-configuration that produced the training matrix (so a reloaded model is
-always paired with a compatible encoder).
+metadata: algorithm name and params, the training window, and the
+embedder configuration that produced the training matrix, which
+:class:`repro.core.MCBound` checks against its own embedder before it
+serves a reloaded model.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ __all__ = ["ModelStore"]
 
 
 class ModelStore:
-    """Publish/load (ClassificationModel, embedder config) pairs."""
+    """Publish/load (ClassificationModel, metadata) pairs."""
 
     def __init__(self, root: str | Path) -> None:
         self.registry = ModelRegistry(root)
@@ -64,11 +65,3 @@ class ModelStore:
         model.model = estimator
         model._trained = True
         return model, metadata
-
-    def load_embedder(self, version: int | None = None) -> SentenceEmbedder | None:
-        """Reconstruct the embedder recorded with a version (None if absent)."""
-        v = self.registry.latest_version if version is None else version
-        if v is None:
-            raise FileNotFoundError("model store is empty")
-        cfg = self.registry.metadata(v).get("embedder")
-        return SentenceEmbedder.from_config_dict(cfg) if cfg else None

@@ -2,15 +2,14 @@
 
 - :mod:`repro.evaluation.online` — the one day-by-day online loop, over
   labels and encodings from one pass of the ``MCBound`` batch path: a
-  retrain policy (every β days, drift-adaptive or never) and a model
+  retrain policy (every β days or drift-adaptive) and a model
   factory (classifier or lookup baseline) predict each day's submissions;
   macro-F1 is scored over the whole test period.
 - :mod:`repro.evaluation.experiments` — the three experiments of §V-B/C:
   the α×β sweep (Fig. 6 + Figs. 7-8 timings), the α+ growing-window
   comparison, and the θ subsampling study (Figs. 9-10), plus the lookup
   baseline comparison.
-- :mod:`repro.evaluation.drift` / :mod:`~repro.evaluation.crosssystem` —
-  adaptive retraining; per-system runs and the cross-system transfer.
+- :mod:`repro.evaluation.drift` — adaptive retraining.
 - :mod:`repro.evaluation.timing` — wall-clock measurement helpers.
 - :mod:`repro.evaluation.reporting` — text tables, ASCII series plots and
   CSV dumps for the benchmark harness.
@@ -30,13 +29,6 @@ from repro.evaluation.drift import (
     EmbeddingDriftDetector,
     population_stability_index,
 )
-from repro.evaluation.crosssystem import (
-    TransferResult,
-    evaluate_all,
-    evaluate_system,
-    evaluator_for_system,
-    transfer_evaluation,
-)
 from repro.evaluation.timing import Timer, time_call
 from repro.evaluation.reporting import format_table, ascii_series, ascii_heatmap, results_to_csv
 
@@ -52,11 +44,6 @@ __all__ = [
     "AdaptiveRetrainingPolicy",
     "EmbeddingDriftDetector",
     "population_stability_index",
-    "TransferResult",
-    "evaluate_all",
-    "evaluate_system",
-    "evaluator_for_system",
-    "transfer_evaluation",
     "Timer",
     "time_call",
     "format_table",

@@ -5,9 +5,8 @@ day-by-day on the following month, by one day loop: on each test day ``d``
 
 - a retrain policy picks the training rows, if any: the last α days'
   jobs every β days (optionally a θ-subsample, at random or by most
-  recent completion — §V-C.c), the same window when an
-  :class:`~repro.evaluation.drift.AdaptiveRetrainingPolicy` fires, or
-  never (the cross-system transfer's model is fitted elsewhere);
+  recent completion — §V-C.c), or the same window when an
+  :class:`~repro.evaluation.drift.AdaptiveRetrainingPolicy` fires;
 - a model factory fits a fresh model on them: a ``ClassificationModel``
   on the encodings, or the §V-C.a lookup baseline on ``(job_name,
   cores_req)`` keys;
@@ -177,10 +176,8 @@ class OnlineEvaluator:
     ----------
     trace:
         The full job trace (training history + test period), sorted by
-        submit time.
-    config:
-        Framework configuration whose encoder and characterizer label and
-        encode the trace; defaults to the paper's (Fugaku) configuration.
+        submit time.  The paper's (Fugaku) configuration labels and
+        encodes it.
     test_start_day / test_end_day:
         Test window in day indices; defaults to February 2024 (days 62-91
         of the trace), the paper's test month.
@@ -190,7 +187,6 @@ class OnlineEvaluator:
         self,
         trace: JobTrace,
         *,
-        config: MCBoundConfig | None = None,
         test_start_day: int = FEB_1,
         test_end_day: int = MAR_1,
     ) -> None:
@@ -207,9 +203,8 @@ class OnlineEvaluator:
 
         # one pass of the facade's batch path labels every job and encodes
         # every distinct submission once
-        framework = MCBound(config or MCBoundConfig(), load_trace_into_db(trace))
-        self.characterizer = framework.characterizer
-        encoder = framework.encoder
+        framework = MCBound(MCBoundConfig(), load_trace_into_db(trace))
+        characterizer, encoder = framework.characterizer, framework.encoder
         #: job i's encoding is rows[row_index[i]]
         self.row_index = np.empty(len(trace), dtype=np.int64)
         self.y = np.empty(len(trace), dtype=np.int64)
@@ -220,7 +215,7 @@ class OnlineEvaluator:
             jobs = slice(n, n + len(batch))
             if not np.array_equal(batch.column("job_id"), trace["job_id"][jobs]):
                 raise RuntimeError(f"facade batch at row {n} leaves the trace's job order")
-            self.y[jobs] = self.characterizer.labels_from_result(batch)
+            self.y[jobs] = characterizer.labels_from_result(batch)
             t0 = time.perf_counter()
             self.row_index[jobs], strings = encoder.submission_ids(batch, known)
             blocks.append(encoder.embedder.encode(strings))
@@ -267,9 +262,10 @@ class OnlineEvaluator:
 
     # -- the loop -------------------------------------------------------------------
 
-    def _replay(self, factory, policy, *, model=None, **fields) -> OnlineRunResult:
-        """The day loop of the module docstring; a ``None`` policy keeps
-        ``model``, and ``fields`` describe the run in its result."""
+    def _replay(self, factory, policy, **fields) -> OnlineRunResult:
+        """The day loop of the module docstring; ``fields`` describe the
+        run in its result."""
+        model = None
         train_times: list[float] = []
         train_sizes: list[int] = []
         predict_times: list[float] = []
@@ -279,7 +275,7 @@ class OnlineEvaluator:
 
         for day in range(self.test_start_day, self.test_end_day):
             test_idx = self._day_indices[day]
-            idx = policy.window(day, test_idx) if policy else None
+            idx = policy.window(day, test_idx)
             if idx is not None and np.unique(self.y[idx]).size >= factory.min_classes:
                 candidate = factory.new()
                 t0 = time.perf_counter()

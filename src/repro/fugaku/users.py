@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fugaku.apps import AppArchetype, APP_CATALOG, catalog_weights
+from repro.fugaku.apps import APP_CATALOG, catalog_weights
 
 __all__ = ["UserProfile", "UserPopulation"]
 
@@ -48,8 +48,7 @@ class UserPopulation:
         trace).
     rng:
         Source of randomness; the population is fully determined by it.
-    catalog:
-        Application archetypes users draw their workloads from.
+        Users draw their workloads from :data:`APP_CATALOG`.
     boost_prob_memory, boost_prob_compute:
         Population-mean probabilities of requesting boost mode (2.2 GHz)
         for templates whose archetype is typically memory- or compute-bound.
@@ -64,16 +63,14 @@ class UserPopulation:
         n_users: int,
         rng: np.random.Generator,
         *,
-        catalog: tuple[AppArchetype, ...] = APP_CATALOG,
         boost_prob_memory: float = 0.458,
         boost_prob_compute: float = 0.308,
     ) -> None:
         if n_users <= 0:
             raise ValueError("n_users must be positive")
-        self.catalog = catalog
         self._users: list[UserProfile] = []
-        base_weights = catalog_weights(catalog)
-        k = len(catalog)
+        base_weights = catalog_weights(APP_CATALOG)
+        k = len(APP_CATALOG)
 
         # Zipf-ish activity: a few heavy users dominate traffic.
         ranks = np.arange(1, n_users + 1, dtype=np.float64)

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.fugaku.apps import AppArchetype, APP_CATALOG
 from repro.fugaku.counters import counters_from_flops_bytes
-from repro.fugaku.system import FugakuSpec, FUGAKU
+from repro.fugaku.system import FUGAKU
 from repro.fugaku.trace import JobTrace
 from repro.fugaku.users import UserPopulation, UserProfile
 
@@ -90,8 +90,6 @@ class WorkloadConfig:
     #: (job name, #cores) lookup baseline of §V-C.a while the full feature
     #: set (user, environment, nodes, frequency) stays discriminative
     generic_name_prob: float = 0.55
-    #: application catalog to draw from
-    catalog: tuple[AppArchetype, ...] = APP_CATALOG
 
     @property
     def n_jobs(self) -> int:
@@ -171,19 +169,16 @@ class WorkloadGenerator:
     """Build a :class:`JobTrace` from a :class:`WorkloadConfig`.
 
     Generation is deterministic given the config (all randomness flows from
-    ``config.seed``).  The heavy lifting — per-job roofline placement,
-    flops/bytes synthesis and the Eq. 4/5 inversion — is vectorized per
-    template-day batch.
+    ``config.seed``).  Jobs run on Fugaku's nodes (:data:`FUGAKU`) and
+    draw their applications from :data:`APP_CATALOG`.  The heavy lifting —
+    per-job roofline placement, flops/bytes synthesis and the Eq. 4/5
+    inversion — is vectorized per template-day batch.
     """
 
-    def __init__(self, config: WorkloadConfig | None = None, *, spec: "FugakuSpec" = FUGAKU) -> None:
-        # ``spec`` is duck-typed: any machine description with the
-        # FugakuSpec surface (peaks, frequencies, counter constants) works,
-        # e.g. repro.systems.spec.MachineSpec for non-Fugaku systems.
+    def __init__(self, config: WorkloadConfig | None = None) -> None:
         self.config = config or WorkloadConfig()
-        self.spec = spec
         self._rng = np.random.default_rng(self.config.seed)
-        self.users = UserPopulation(self.config.n_users, self._rng, catalog=self.config.catalog)
+        self.users = UserPopulation(self.config.n_users, self._rng)
         self.templates = self._build_templates()
 
     # -- template population ---------------------------------------------------
@@ -224,25 +219,25 @@ class WorkloadGenerator:
         user_idx = rng.choice(len(self.users), size=n_templates, p=weights)
 
         templates: list[JobTemplate] = []
-        ridge_log = np.log10(self.spec.ridge_point)
+        ridge_log = np.log10(FUGAKU.ridge_point)
         for tid in range(n_templates):
             user = self.users[int(user_idx[tid])]
-            app_i = int(rng.choice(len(cfg.catalog), p=user.app_affinity))
-            app = cfg.catalog[app_i]
+            app_i = int(rng.choice(len(APP_CATALOG), p=user.app_affinity))
+            app = APP_CATALOG[app_i]
             nodes = int(rng.choice(app.node_choices, p=app.node_probs))
             # single-node jobs sometimes under-request cores
             if nodes == 1 and rng.random() < 0.35:
                 cores = int(rng.choice([1, 4, 12, 24]))
             else:
-                cores = nodes * self.spec.cores_per_node
+                cores = nodes * FUGAKU.cores_per_node
             op_mu0 = app.op_mu + rng.normal(0.0, app.op_sigma)
             # frequency habit: keyed to the archetype's *typical* side of the
             # ridge, not the job's actual placement -> Fig 5 decorrelation
             typical_compute = op_mu0 > ridge_log
             boost_p = user.boost_prob_compute if typical_compute else user.boost_prob_memory
-            # frequencies_ghz[-1] is the machine's boost mode, [0] its
-            # normal mode (Fugaku: 2.2 / 2.0 GHz)
-            freqs = self.spec.frequencies_ghz
+            # frequencies_ghz[-1] is the boost mode (2.2 GHz), [0] the
+            # normal mode (2.0 GHz)
+            freqs = FUGAKU.frequencies_ghz
             freq = freqs[-1] if rng.random() < boost_p else freqs[0]
             birth = float(rng.uniform(-cfg.template_lifetime_days, cfg.n_days - 1))
             death = birth + float(rng.exponential(cfg.template_lifetime_days))
@@ -309,7 +304,6 @@ class WorkloadGenerator:
 
     def _batch_jobs(self, tpl: JobTemplate, day: int, count: int, rng: np.random.Generator) -> dict:
         """Vectorized synthesis of ``count`` executions of one template on one day."""
-        spec = self.spec
         day_start = day * DAY_SECONDS
         # one batch: clustered submit times within the day
         start = rng.uniform(0.0, DAY_SECONDS * 0.9)
@@ -318,7 +312,7 @@ class WorkloadGenerator:
 
         op_log = tpl.op_mu_at(day) + rng.normal(0.0, tpl.job_sigma, size=count)
         op = 10.0**op_log
-        attainable = np.minimum(spec.peak_gflops_node, spec.peak_membw_gbs * op)
+        attainable = np.minimum(FUGAKU.peak_gflops_node, FUGAKU.peak_membw_gbs * op)
         eff = np.clip(tpl.efficiency * rng.lognormal(0.0, 0.18, size=count), 1e-5, 1.0)
         p_node = eff * attainable          # GFlops/s per node
         mb_node = p_node / op              # GB/s per node
@@ -334,11 +328,11 @@ class WorkloadGenerator:
         flops = p_node * 1e9 * duration * nodes
         moved = mb_node * 1e9 * duration * nodes
         perf2, perf3, perf4, perf5 = counters_from_flops_bytes(
-            flops, moved, spec=spec,
+            flops, moved,
             sve_fraction=tpl.sve_fraction, read_fraction=tpl.read_fraction,
         )
 
-        boost = 1.10 if spec.is_boost(tpl.freq_req_ghz) else 1.0
+        boost = 1.10 if FUGAKU.is_boost(tpl.freq_req_ghz) else 1.0
         power = tpl.power_node_w * nodes * boost * (0.75 + 0.5 * eff)
 
         return {

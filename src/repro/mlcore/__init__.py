@@ -23,7 +23,6 @@ from repro.mlcore.base import NotFittedError, check_is_fitted, check_random_stat
 from repro.mlcore.tree import DecisionTreeClassifier
 from repro.mlcore.forest import RandomForestClassifier
 from repro.mlcore.knn import KNeighborsClassifier
-from repro.mlcore.naive_bayes import GaussianNBClassifier
 from repro.mlcore.baseline import LookupTableBaseline
 from repro.mlcore.metrics import (
     accuracy_score,
@@ -42,7 +41,6 @@ __all__ = [
     "DecisionTreeClassifier",
     "RandomForestClassifier",
     "KNeighborsClassifier",
-    "GaussianNBClassifier",
     "LookupTableBaseline",
     "accuracy_score",
     "confusion_matrix",

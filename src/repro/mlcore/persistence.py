@@ -33,14 +33,12 @@ def _model_classes() -> dict:
     from repro.mlcore.baseline import LookupTableBaseline
     from repro.mlcore.forest import RandomForestClassifier
     from repro.mlcore.knn import KNeighborsClassifier
-    from repro.mlcore.naive_bayes import GaussianNBClassifier
     from repro.mlcore.tree import DecisionTreeClassifier
 
     return {
         "DecisionTreeClassifier": DecisionTreeClassifier,
         "RandomForestClassifier": RandomForestClassifier,
         "KNeighborsClassifier": KNeighborsClassifier,
-        "GaussianNBClassifier": GaussianNBClassifier,
         "LookupTableBaseline": LookupTableBaseline,
     }
 

@@ -19,7 +19,6 @@ measured 2 ms encode time.
 
 from repro.nlp.tokenizer import word_tokens, char_ngrams, feature_tokens
 from repro.nlp.hashing import fnv1a64, hash_token
-from repro.nlp.tfidf import DocumentFrequencyTable
 from repro.nlp.embedder import SentenceEmbedder
 
 __all__ = [
@@ -28,6 +27,5 @@ __all__ = [
     "feature_tokens",
     "fnv1a64",
     "hash_token",
-    "DocumentFrequencyTable",
     "SentenceEmbedder",
 ]

@@ -3,14 +3,16 @@
 Each token (word or character n-gram, see :mod:`repro.nlp.tokenizer`) is
 mapped by ``n_hashes`` independent seeded hashes to ``(dimension, sign)``
 pairs; the sentence vector is the signed sum of its tokens' contributions,
-optionally IDF-weighted, then L2-normalized.  This is a sparse signed
+then L2-normalized.  This is a sparse signed
 random projection of the (virtually infinite) token space into
 ``dim``-dimensional space, so cosine similarity between two sentences
-approximates their weighted token-overlap — the locality property k-NN and
+approximates their token overlap — the locality property k-NN and
 random forests exploit downstream.
 
 Determinism: hashing is FNV-1a with fixed seeds; the embedding of a string
-depends only on (string, dim, n_hashes, seed, idf state).
+depends only on (string, dim, n_hashes, seed, ngram_range).  Like the
+pretrained SBERT it stands in for (§III-B), the embedder learns nothing
+online: it is a pure function of its constructor arguments.
 
 Performance: job feature strings repeat heavily (batches of identical
 jobs), so per-string vectors are memoized in an LRU cache and
@@ -35,9 +37,8 @@ pass with no Python work per token:
   two are bit-for-bit identical.
 
 Bounds: the vector cache holds at most ``cache_size`` strings, and one
-call's working memory is that of one chunk.  One lock guards the cache
-and the IDF table, so concurrent :meth:`encode` calls, and
-:meth:`partial_fit_idf`, never see them half-updated.
+call's working memory is that of one chunk.  One lock guards the cache,
+so concurrent :meth:`encode` calls never see it half-updated.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nlp.hashing import fnv1a64_prefixes, fnv1a64_runs, fnv1a64_states, mix64, utf8_units
-from repro.nlp.tfidf import DocumentFrequencyTable
 from repro.sanitizers import new_lock
 
 __all__ = ["SentenceEmbedder"]
@@ -84,9 +84,6 @@ class SentenceEmbedder:
     seed:
         Seed mixed into every hash; two embedders with different seeds are
         independent projections.
-    use_idf:
-        If True, token contributions are weighted by the online IDF table
-        (fit via :meth:`partial_fit_idf` during the Training Workflow).
     ngram_range:
         Character n-gram sizes fed to the tokenizer.
     cache_size:
@@ -101,7 +98,6 @@ class SentenceEmbedder:
         *,
         n_hashes: int = 2,
         seed: int = 17,
-        use_idf: bool = False,
         ngram_range: tuple[int, int] = (3, 4),
         cache_size: int = 200_000,
     ) -> None:
@@ -114,14 +110,12 @@ class SentenceEmbedder:
         self.dim = int(dim)
         self.n_hashes = int(n_hashes)
         self.seed = int(seed)
-        self.use_idf = bool(use_idf)
         self.ngram_range = (int(ngram_range[0]), int(ngram_range[1]))
         self.cache_size = int(cache_size)
-        self.idf_table = DocumentFrequencyTable()
         self._cache: dict[str, np.ndarray] = {}
         self._lock = new_lock("repro.nlp.SentenceEmbedder")
-        # the projection hashes, then the IDF token id
-        self._seeds = [self.seed * 1000 + k for k in range(self.n_hashes)] + [self.seed]
+        #: one seed per projection hash
+        self._seeds = [self.seed * 1000 + k for k in range(self.n_hashes)]
 
     # -- batch embedding ---------------------------------------------------------
 
@@ -175,11 +169,11 @@ class SentenceEmbedder:
     def _embed_chunk(self, texts: list[str]) -> np.ndarray:
         """Embed one chunk of strings; see the module docstring."""
         k, n, width = self.n_hashes, len(texts), self.dim + 1
-        string, h, n_words = self._tokens(texts, self._seeds[: k + self.use_idf])
+        string, h, n_words = self._tokens(texts, self._seeds)
         # one row per token added, in feature_tokens order (words, the words
         # again, then n-grams), holding the token's k projection hashes
         feed = np.concatenate([np.arange(n_words), np.arange(len(string))])
-        proj = h[:k].T[feed]
+        proj = h.T[feed]
         dims = (proj % np.uint64(self.dim)).astype(np.intp)
         # ``v[dims] += signs * w`` keeps only the last write when two hashes
         # of one token land on one dimension; point the earlier ones at the
@@ -188,10 +182,6 @@ class SentenceEmbedder:
         for a in range(k - 1):
             dims[(dims[:, a : a + 1] == dims[:, a + 1 :]).any(axis=1), a] = self.dim
         weights = np.where(proj >> np.uint64(63), 1.0, -1.0)
-        if self.use_idf:
-            ids, which = np.unique(h[k], return_inverse=True)
-            idf = self.idf_table.idf  # math.log, as the oracle weighs
-            weights *= np.array([idf(i) for i in ids.tolist()], dtype=np.float64)[which[feed], None]
         dims += (string[feed] * width)[:, None]
         M = np.bincount(dims.ravel(), weights=weights.ravel(), minlength=n * width)
         # (an all-empty chunk has no weights, and bincount then counts ints)
@@ -260,27 +250,6 @@ class SentenceEmbedder:
                     self._cache[t] = M[j].copy()
         return out
 
-    def partial_fit_idf(self, texts) -> "SentenceEmbedder":
-        """Update the online IDF table with a batch of strings.
-
-        Each distinct string is tokenized and hashed once, by the pass
-        :meth:`encode` uses.  Every weight may change, so the vector cache
-        empties.
-        """
-        texts = list(texts)
-        with self._lock:
-            distinct = list(dict.fromkeys(texts))
-            ids: dict[str, list[int]] = {}
-            for lo in range(0, len(distinct), CHUNK_STRINGS):
-                chunk = distinct[lo : lo + CHUNK_STRINGS]
-                string, h, _ = self._tokens(chunk, [self.seed])
-                order = np.argsort(string, kind="stable")
-                bounds = np.cumsum(np.bincount(string, minlength=len(chunk)))[:-1]
-                ids.update(zip(chunk, (a.tolist() for a in np.split(h[0, order], bounds))))
-            self.idf_table.partial_fit(ids[t] for t in texts)
-            self._cache.clear()
-        return self
-
     def clear_cache(self) -> None:
         with self._lock:
             self._cache.clear()
@@ -292,28 +261,13 @@ class SentenceEmbedder:
     # -- persistence -------------------------------------------------------------
 
     def config_dict(self) -> dict:
-        """Serializable constructor arguments + IDF state."""
-        with self._lock:
-            idf_state = self.idf_table.state_dict()
+        """The constructor arguments, JSON-serializable: the whole state a
+        vector depends on (``SentenceEmbedder(**config_dict())`` embeds
+        every string the same)."""
         return {
             "dim": self.dim,
             "n_hashes": self.n_hashes,
             "seed": self.seed,
-            "use_idf": self.use_idf,
             "ngram_range": list(self.ngram_range),
             "cache_size": self.cache_size,
-            "idf_state": idf_state,
         }
-
-    @classmethod
-    def from_config_dict(cls, cfg: dict) -> "SentenceEmbedder":
-        emb = cls(
-            cfg["dim"],
-            n_hashes=cfg["n_hashes"],
-            seed=cfg["seed"],
-            use_idf=cfg["use_idf"],
-            ngram_range=tuple(cfg["ngram_range"]),
-            cache_size=cfg["cache_size"],
-        )
-        emb.idf_table = DocumentFrequencyTable.from_state_dict(cfg["idf_state"])
-        return emb

@@ -7,7 +7,7 @@ They tokenize with :func:`repro.nlp.tokenizer.feature_tokens`, project
 each token with the scalar :func:`repro.nlp.hashing.hash_token`
 (memoized within one call only), add ``v[dims] += signs * w`` token by
 token, and normalize with the shared :func:`repro.nlp.embedder.row_norms`;
-the embedder contributes only its configuration and its IDF table.
+the embedder contributes only its configuration.
 ``tests/nlp/test_embedder_equivalence.py`` asserts the batch path matches
 them bit-for-bit, and ``BENCH_mlcore.json`` reports batch-encode speedups
 relative to :func:`encode_scalar`.
@@ -24,8 +24,8 @@ from repro.nlp.tokenizer import feature_tokens
 __all__ = ["embed_one_scalar", "encode_scalar"]
 
 
-def _projection(embedder: SentenceEmbedder, token: str) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(dims, signs, token_id)`` of one token.
+def _projection(embedder: SentenceEmbedder, token: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(dims, signs)`` of one token.
 
     When two hashes land on one dimension only the last is kept, which is
     what ``v[dims] += signs * w`` does with a repeated index.
@@ -37,7 +37,6 @@ def _projection(embedder: SentenceEmbedder, token: str) -> tuple[np.ndarray, np.
     return (
         np.array(list(sign_of), dtype=np.int64),
         np.array(list(sign_of.values()), dtype=np.float64),
-        hash_token(token, seed=embedder.seed),
     )
 
 
@@ -53,9 +52,8 @@ def _embed(embedder: SentenceEmbedder, text: str, memo: dict) -> np.ndarray:
         proj = memo.get(tok)
         if proj is None:
             proj = memo[tok] = _projection(embedder, tok)
-        dims, signs, tok_id = proj
-        w = embedder.idf_table.idf(tok_id) if embedder.use_idf else 1.0
-        v[dims] += signs * w
+        dims, signs = proj
+        v[dims] += signs
     norm = float(row_norms(v))
     if norm > 0:
         v /= norm

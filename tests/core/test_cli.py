@@ -67,11 +67,6 @@ class TestEvaluate:
         assert code == 0
         assert "RF alpha=15" in capsys.readouterr().out
 
-    def test_nb_run(self, trace_path, capsys):
-        code = main(["evaluate", str(trace_path), "--algorithm", "NB", "--beta", "10"])
-        assert code == 0
-        assert "NB" in capsys.readouterr().out
-
 
 class TestServe:
     def test_smoke_deployment(self, trace_path, capsys):

@@ -1,5 +1,7 @@
 """Tests for the framework configuration."""
 
+import math
+
 import pytest
 
 from repro.core.config import DEFAULT_FEATURE_SET, MCBoundConfig
@@ -34,6 +36,30 @@ class TestValidation:
             MCBoundConfig(alpha_days=0)
         with pytest.raises(ValueError):
             MCBoundConfig(beta_days=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("alpha_days", math.inf),
+            ("alpha_days", math.nan),
+            ("beta_days", math.nan),
+            ("beta_days", math.inf),
+            ("peak_gflops_node", math.nan),
+            ("peak_membw_gbs", math.inf),
+        ],
+    )
+    def test_a_float_that_is_not_finite_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            MCBoundConfig(**{field: value})
+
+    def test_alpha_whose_window_overflows_in_seconds_is_refused(self):
+        # finite in days, but 1e308 * 86,400 seconds is inf, so every
+        # training window would start at -inf
+        with pytest.raises(ValueError, match="alpha_days"):
+            MCBoundConfig(alpha_days=1e308)
+
+    def test_a_huge_alpha_with_a_finite_window_length_constructs(self):
+        assert MCBoundConfig(alpha_days=1e303).alpha_days == 1e303
 
 
 class TestSerialization:

@@ -95,16 +95,6 @@ class TestEncodeTrace:
             enc.encode_trace(tiny_trace)
 
 
-class TestIDFIntegration:
-    def test_partial_fit_changes_encodings(self):
-        enc = FeatureEncoder(embedder=SentenceEmbedder(dim=64, use_idf=True))
-        before = enc.encode([RECORD]).copy()
-        batch = [RECORD] * 30 + [{**RECORD, "job_name": "rare.sh"}]
-        enc.embedder.partial_fit_idf([enc.feature_string(r) for r in batch])
-        after = enc.encode([RECORD])
-        assert not np.allclose(before, after)
-
-
 def _batch(rows):
     """A columnar ``ResultSet`` of default-feature rows, typed as the jobs
     table stores them."""

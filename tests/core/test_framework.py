@@ -1,5 +1,7 @@
 """Tests for the MCBound facade."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,28 @@ class TestTraining:
         fw = make_framework(tiny_trace)
         with pytest.raises(ValueError, match="no jobs"):
             fw.train(-100 * DAY_SECONDS, alpha_days=1)
+
+    @pytest.mark.parametrize(
+        "now, alpha_days, config_alpha",
+        [
+            (math.inf, 20.0, 15.0),
+            (math.nan, 20.0, 15.0),
+            (-math.inf, 20.0, 15.0),
+            # both finite, but the start overflows to -inf
+            (-1e308, 1e303, 15.0),
+            # the config's α (8.64e307 s, finite) does the same
+            (-1e308, None, 1e303),
+        ],
+        ids=["now-inf", "now-nan", "now-minus-inf", "start-overflows", "config-alpha"],
+    )
+    def test_a_window_start_that_is_not_finite_is_refused(
+        self, tiny_trace, tmp_path, now, alpha_days, config_alpha
+    ):
+        fw = make_framework(tiny_trace, tmp_path, alpha_days=config_alpha)
+        with pytest.raises(ValueError, match="not finite"):
+            fw.train(now, alpha_days=alpha_days)
+        assert fw.model is None
+        assert fw.store.latest_version is None
 
     @pytest.mark.parametrize(
         "algorithm, params, error",
@@ -129,11 +153,8 @@ class TestInference:
 class TestRestart:
     """A fresh framework on the same store serves what the old one did."""
 
-    @pytest.mark.parametrize("use_idf", [False, True])
-    def test_restart_reproduces_encodings_and_labels(
-        self, tiny_trace, now, tmp_path, use_idf
-    ):
-        cfg = dict(algorithm="KNN", model_params={"n_neighbors": 5}, use_idf=use_idf)
+    def test_restart_reproduces_encodings_and_labels(self, tiny_trace, now, tmp_path):
+        cfg = dict(algorithm="KNN", model_params={"n_neighbors": 5})
         fw = make_framework(tiny_trace, tmp_path, **cfg)
         fw.train(now, alpha_days=20)
         records = fw.fetcher.fetch(start_time=now, end_time=now + 3 * DAY_SECONDS)
@@ -266,11 +287,10 @@ class TestStreamingTrain:
         assert sum(summary["class_counts"].values()) == summary["n_jobs"]
 
     @pytest.mark.parametrize(
-        "use_idf, unique_names, cap",
-        [(False, False, 120), (True, False, 120), (False, True, 120), (False, False, 8)],
+        "unique_names, cap", [(False, 120), (True, 120), (False, 8)]
     )
     def test_large_window_matches_the_dense_reservoir_fold(
-        self, tiny_trace, now, use_idf, unique_names, cap
+        self, tiny_trace, now, unique_names, cap
     ):
         """Above the cap, in many small batches, the fitted KNN holds the
         matrix and labels of a reservoir folded over every job's encoding,
@@ -296,7 +316,7 @@ class TestStreamingTrain:
         batch_rows = 40
         cfg = dict(
             algorithm="KNN", model_params={"n_neighbors": 3},
-            train_reservoir=cap, use_idf=use_idf,
+            train_reservoir=cap,
         )
         fw = make_framework(tiny_trace, **cfg)
         fw.fetcher.fetch_batches = functools.partial(
@@ -317,8 +337,6 @@ class TestStreamingTrain:
         ):
             labels = ref.characterizer.labels_from_result(batch).astype(np.int64)
             strings = ref.encoder.feature_strings_from_result(batch)
-            if use_idf:
-                ref.encoder.embedder.partial_fit_idf(strings)
             Xb = ref.encoder.embedder.encode(strings)
             positions = n_seen + np.arange(len(labels))
             fill = positions < cap

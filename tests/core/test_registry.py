@@ -48,26 +48,10 @@ class TestPublishLoad:
         assert meta["extra"] == {"alpha": 30}
         assert meta["embedder"]["dim"] == 32
 
-    def test_load_embedder(self, tmp_path):
-        store = ModelStore(tmp_path)
-        model, _ = trained_model()
-        emb = SentenceEmbedder(dim=48, seed=5)
-        store.publish(model, embedder=emb)
-        emb2 = store.load_embedder()
-        assert np.array_equal(emb.encode("hello"), emb2.encode("hello"))
-
-    def test_load_embedder_absent(self, tmp_path):
-        store = ModelStore(tmp_path)
-        model, _ = trained_model()
-        store.publish(model)
-        assert store.load_embedder() is None
-
     def test_empty_store_raises(self, tmp_path):
         store = ModelStore(tmp_path)
         with pytest.raises(FileNotFoundError):
             store.load()
-        with pytest.raises(FileNotFoundError):
-            store.load_embedder()
 
     def test_loaded_model_is_trained(self, tmp_path):
         store = ModelStore(tmp_path)

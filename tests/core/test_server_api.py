@@ -1,5 +1,6 @@
 """Tests for the MCBound HTTP API (§III-E)."""
 
+import json
 import random
 import string
 import tracemalloc
@@ -85,6 +86,18 @@ class TestTrainEndpoint:
         r = client.post("/train", json_body={"now": NOW, "alpha_days": 1e308})
         assert r.status == 400
         assert "alpha_days" in r.json()["error"]
+        assert client.get("/models").json()["latest"] is None
+
+    def test_configs_alpha_starting_the_window_at_minus_infinity_is_a_409(
+        self, tiny_trace, tmp_path
+    ):
+        # the request names no alpha_days, and now - 1e303 days overflows
+        cfg = MCBoundConfig(algorithm="KNN", model_params={"n_neighbors": 3}, alpha_days=1e303)
+        fw = MCBound(cfg, load_trace_into_db(tiny_trace), model_store_root=tmp_path / "m")
+        client = TestClient(build_app(fw))
+        r = client.post("/train", json_body={"now": -1e308})
+        assert r.status == 409
+        assert "not finite" in r.json()["error"]
         assert client.get("/models").json()["latest"] is None
 
 
@@ -218,6 +231,81 @@ class TestCharacterizeEndpoint:
         r = client.post("/characterize", json_body={"jobs": [job]})
         assert r.status == 400
         assert "nodes_alloc" in r.json()["error"]
+
+
+class TestRestartCheck:
+    """A restarted service serves the store's latest version only if its
+    own embedder reproduces the encodings the version was trained on."""
+
+    @staticmethod
+    def deploy(tiny_trace, root, **config):
+        cfg = MCBoundConfig(
+            algorithm="KNN", model_params={"n_neighbors": 3}, alpha_days=20.0, **config
+        )
+        fw = MCBound(cfg, load_trace_into_db(tiny_trace), model_store_root=root)
+        return TestClient(build_app(fw))
+
+    @staticmethod
+    def rewrite_metadata(root, edit):
+        path = root / "v00000001" / "metadata.json"
+        metadata = json.loads(path.read_text())
+        edit(metadata)
+        path.write_text(json.dumps(metadata))
+
+    WINDOW = {"start_time": NOW, "end_time": NOW + 3 * DAY_SECONDS}
+
+    def test_a_version_trained_with_idf_is_a_503(self, tiny_trace, tmp_path):
+        root = tmp_path / "m"
+        assert self.deploy(tiny_trace, root).post("/train", json_body={"now": NOW}).status == 201
+        self.rewrite_metadata(root, lambda m: m["embedder"].update(use_idf=True))
+        restarted = self.deploy(tiny_trace, root)
+        r = restarted.post("/predict", json_body={"job_id": 1})
+        assert r.status == 503
+        assert "use_idf" in r.json()["error"]
+        health = restarted.get("/health")
+        assert health.status == 200
+        assert health.json()["model_trained"] is False
+
+    def test_a_version_from_another_embedding_dim_is_a_503(self, tiny_trace, tmp_path):
+        root = tmp_path / "m"
+        first = self.deploy(tiny_trace, root, embedding_dim=64)
+        assert first.post("/train", json_body={"now": NOW}).status == 201
+        r = self.deploy(tiny_trace, root).post("/predict", json_body=self.WINDOW)
+        assert r.status == 503
+        error = r.json()["error"]
+        assert "dim=64" in error and "dim=384" in error
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # the cache size changes no vector
+            lambda m: m["embedder"].update(cache_size=10),
+            # a version published without an embedder record loads as it is
+            lambda m: m.pop("embedder"),
+            # versions published while the embedder had an online IDF
+            # recorded its (unused) flag and table beside the arguments
+            lambda m: m.update(
+                embedder=json.loads(
+                    '{"dim": 384, "n_hashes": 2, "seed": 17, "use_idf": false,'
+                    ' "ngram_range": [3, 4], "cache_size": 200000,'
+                    ' "idf_state": {"n_docs": 0, "df": {}}}'
+                )
+            ),
+        ],
+        ids=["another-cache-size", "no-embedder-record", "older-metadata-shape"],
+    )
+    def test_a_compatible_version_serves_the_same_labels(self, tiny_trace, tmp_path, edit):
+        root = tmp_path / "m"
+        first = self.deploy(tiny_trace, root)
+        assert first.post("/train", json_body={"now": NOW}).status == 201
+        before = first.post("/predict", json_body=self.WINDOW).json()
+        assert len(before["labels"]) > 0
+        self.rewrite_metadata(root, edit)
+        restarted = self.deploy(tiny_trace, root)
+        r = restarted.post("/predict", json_body=self.WINDOW)
+        assert r.status == 200
+        assert r.json() == before
+        assert restarted.get("/health").json()["model_trained"] is True
 
 
 class TestModelsEndpoint:

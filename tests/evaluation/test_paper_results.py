@@ -4,7 +4,7 @@ Each run below replays one experiment of §V-B/C on ``small_trace`` and
 must reproduce the numbers recorded in ``paper_results.json`` with exact
 float equality: the Fig. 6 α/β points, the Figs. 9/10 θ random and
 latest subsamples, the §V-C.b growing window, the drift-adaptive
-schedule, the §V-C.a lookup baseline and the Fugaku→Supercloud transfer.
+schedule and the §V-C.a lookup baseline.
 Any change to the online loop, its feature/label pipeline or the models
 that moves one of them is a behaviour change, not a refactor.
 """
@@ -16,11 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import FeatureEncoder, JobCharacterizer
-from repro.evaluation import (
-    AdaptiveRetrainingPolicy,
-    OnlineEvaluator,
-    transfer_evaluation,
-)
+from repro.evaluation import AdaptiveRetrainingPolicy, OnlineEvaluator
 
 PINNED = json.loads(Path(__file__).with_name("paper_results.json").read_text())
 
@@ -40,9 +36,6 @@ FIXED_SCHEDULE_RUNS = {
     ),
     "knn_plus20": (KNN, dict(alpha=("plus", 20), beta=1)),
 }
-
-#: the cross-system run of tests/evaluation/test_crosssystem.py
-TRANSFER_KW = dict(scale=0.002, alpha=15.0, beta=7.0, model_params={"random_state": 0})
 
 
 @pytest.fixture(scope="module")
@@ -78,15 +71,6 @@ def test_adaptive_schedule(small_trace):
     pinned = PINNED["adaptive_knn_a20"]
     assert_matches(result, pinned)
     assert [None if math.isnan(s) else s for s in scores] == pinned["drift_scores"]
-
-
-def test_transfer():
-    result = transfer_evaluation("fugaku", "supercloud", **TRANSFER_KW)
-    pinned = PINNED["transfer_fugaku_supercloud"]
-    assert result.f1_transfer == pinned["f1_transfer"]
-    assert result.f1_native == pinned["f1_native"]
-    assert result.n_train_jobs == pinned["n_train_jobs"]
-    assert result.n_test_jobs == pinned["n_test_jobs"]
 
 
 def test_features_and_labels_match_the_trace_pipeline(evaluator, small_trace):

@@ -21,11 +21,8 @@ TEXTS = [
 
 
 class TestBatchScalarParity:
-    @pytest.mark.parametrize("use_idf", [False, True])
-    def test_batch_matches_scalar_bit_for_bit(self, use_idf):
-        emb = SentenceEmbedder(dim=96, use_idf=use_idf, cache_size=0)
-        if use_idf:
-            emb.partial_fit_idf(TEXTS * 3)
+    def test_batch_matches_scalar_bit_for_bit(self):
+        emb = SentenceEmbedder(dim=96, cache_size=0)
         batch = emb._embed_batch(list(TEXTS))
         scalar = encode_scalar(emb, TEXTS)
         assert np.array_equal(batch, scalar)
@@ -61,8 +58,7 @@ class TestBatchScalarParity:
         ids=["5000-char-word", "5000-non-ascii", "long-words-among-short"],
     )
     def test_long_inputs_match_scalar(self, text):
-        emb = SentenceEmbedder(dim=64, use_idf=True, cache_size=0)
-        emb.partial_fit_idf([text, text[:100]])
+        emb = SentenceEmbedder(dim=64, cache_size=0)
         batch = [text, "srun gemm", text[::-1]]
         assert np.array_equal(emb.encode(batch), encode_scalar(emb, batch))
 
@@ -99,27 +95,6 @@ class TestLRUCache:
         assert "b2" not in emb._cache
 
 
-class TestPartialFitIdf:
-    def test_batched_tokenization_matches_per_string(self):
-        texts = TEXTS * 2  # duplicates must still count as separate docs
-        one = SentenceEmbedder(dim=48, use_idf=True)
-        one.partial_fit_idf(texts)
-        per = SentenceEmbedder(dim=48, use_idf=True)
-        for t in texts:
-            per.partial_fit_idf([t])
-        assert one.idf_table.state_dict() == per.idf_table.state_dict()
-        assert np.array_equal(one.encode(TEXTS), per.encode(TEXTS))
-
-    def test_idf_update_invalidates_contribution_cache(self):
-        emb = SentenceEmbedder(dim=48, use_idf=True)
-        before = emb.encode(TEXTS).copy()
-        emb.partial_fit_idf(TEXTS * 4)
-        after = emb.encode(TEXTS)
-        # weights changed, so cached contributions must have been recomputed
-        assert not np.array_equal(before, after)
-        assert np.array_equal(after, encode_scalar(emb, TEXTS))
-
-
 #: arbitrary Unicode, plus the corners of the tokenizer and of the batch
 #: pass: non-ASCII digits that ``\d`` matches (2-byte "٣", 4-byte "𝟘"),
 #: "İ" (lowercasing makes it two characters), final sigma (lowercasing
@@ -153,18 +128,5 @@ class TestOracleProperty:
         @settings(max_examples=150, deadline=None)
         def check(texts):
             assert np.array_equal(emb.encode(texts), encode_scalar(emb, texts))
-
-        check()
-
-    def test_encode_is_the_oracle_across_idf_refits(self):
-        emb = SentenceEmbedder(dim=64, use_idf=True)
-
-        @given(_batches, _batches, _batches)
-        @settings(max_examples=100, deadline=None)
-        def check(before, fit, after):
-            assert np.array_equal(emb.encode(before), encode_scalar(emb, before))
-            emb.partial_fit_idf(fit)
-            both = after + before
-            assert np.array_equal(emb.encode(both), encode_scalar(emb, both))
 
         check()

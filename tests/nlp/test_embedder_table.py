@@ -15,9 +15,7 @@ import numpy as np
 
 from repro.core import FeatureEncoder
 from repro.nlp.embedder import CHUNK_STRINGS, SentenceEmbedder
-from repro.nlp.hashing import hash_token
 from repro.nlp.reference import encode_scalar
-from repro.nlp.tokenizer import feature_tokens
 
 BATCH = 16
 #: memory an encoded string may keep alive: its cached vector (1.5 KiB of
@@ -83,17 +81,6 @@ def test_serve_batches_and_a_batch_of_several_chunks_are_the_oracle(small_trace)
     big = strings[1_000:]
     assert len(big) > CHUNK_STRINGS
     emb = SentenceEmbedder(cache_size=0)
-    assert np.array_equal(emb.encode(big), encode_scalar(emb, big))
-
-    # the IDF table learns, a chunk at a time, the ids of the oracle's tokens
-    fit = strings[:CHUNK_STRINGS + 100]
-    emb = SentenceEmbedder(use_idf=True, cache_size=0)
-    emb.partial_fit_idf(fit + fit[:50])
-    df = {}
-    for text in fit + fit[:50]:
-        for i in {hash_token(tok, emb.seed) for tok in feature_tokens(text)}:
-            df[i] = df.get(i, 0) + 1
-    assert emb.idf_table.state_dict() == {"n_docs": len(fit) + 50, "df": df}
     assert np.array_equal(emb.encode(big), encode_scalar(emb, big))
 
 

@@ -47,6 +47,10 @@ def _concat(arrays) -> np.ndarray:
 #: the embedder settings a vector depends on; ``cache_size`` only bounds memory
 _VECTOR_FIELDS = ("dim", "n_hashes", "seed", "ngram_range")
 
+#: rows per inference call when train labels the window's repeated
+#: submissions: a /predict batch, so the search's temporaries stay small
+_WARM_ROWS = 16
+
 
 def _check_embedder(version: int, stored: dict | None, live: dict) -> None:
     """Refuse a stored version whose encodings ``live`` would not reproduce.
@@ -74,6 +78,11 @@ def _check_embedder(version: int, stored: dict | None, live: dict) -> None:
 
 class MCBound:
     """Online memory/compute-bound classification framework.
+
+    Predictions are memoized per submission string for the installed
+    model.  Each publish replaces the memo rather than emptying it: the
+    new model's labels of the submissions its window holds at least
+    twice are installed with it (:meth:`train`).
 
     Parameters
     ----------
@@ -109,10 +118,12 @@ class MCBound:
         )
         self.store = ModelStore(model_store_root) if model_store_root else None
         self.model: ClassificationModel | None = None
-        #: submission string -> predicted label; users submit batches of
-        #: identical jobs (§V-C.c), so the serve path memoizes on the raw
-        #: string and skips encoder+forest for repeats.  Guarded by
-        #: _state_lock; invalidated whenever a new model is published.
+        #: submission string -> _memo_model's label; users submit batches
+        #: of identical jobs, within a day and across days (§V-C.c), so
+        #: the serve path memoizes on the raw string and skips encoder and
+        #: model for repeats.  Guarded by _state_lock, and replaced
+        #: whenever a model is installed: train installs its model's
+        #: labels of the window's repeated submissions.
         self._predict_memo: OrderedDict[str, int] = OrderedDict()
         self._memo_model: ClassificationModel | None = None
         # One lock serializes every cross-thread write to model and the
@@ -172,6 +183,12 @@ class MCBound:
         reservoir are used whole, in submit order, exactly as the
         pre-streaming path did.  A window whose start is not finite is
         refused with a ``ValueError``.
+
+        After the fit, the new model labels every submission the fitted
+        window holds at least twice (:meth:`_warm_memo`), and those
+        labels replace the predict memo in the critical section that
+        installs the model, so the day's recurring jobs are served from
+        the memo from the first request on.
         """
         alpha = alpha_days if alpha_days is not None else self.config.alpha_days
         start = now - alpha * 86_400.0
@@ -183,22 +200,25 @@ class MCBound:
         cap = self.config.train_reservoir
         ids_res = np.empty(cap, dtype=np.int64)
         y_res = np.empty(cap, dtype=np.int64)
-        # store[slot_of[i]] is the encoding of held submission id i
+        pos_res = np.empty(cap, dtype=np.int64)  # each held job's stream position
+        # store[slot_of[i]] is the encoding of held submission id i, and
+        # text_of[i] its feature string
         store = np.empty((cap, self.encoder.dim), dtype=np.float32)
         slot_of: dict[int, int] = {}
+        text_of: dict[int, str] = {}
         free: list[int] = []
         known: dict = {}  # submission key -> id, for the ids slot_of holds
         next_id = 0
         rng = np.random.default_rng(self.config.embedder_seed)
         n_seen = 0
-        class_counts: dict[int, int] = {}
+        class_counts = np.zeros(0, dtype=np.int64)
         for batch in self.fetcher.fetch_batches(start, now):
             _job_ids, labels = self._characterize_batch(batch)
             labels = np.asarray(labels, dtype=np.int64)
             ids, strings = self.encoder.submission_ids(batch, known, first_id=next_id)
-            unique, counts = np.unique(labels, return_counts=True)
-            for u, c in zip(unique.tolist(), counts.tolist()):
-                class_counts[int(u)] = class_counts.get(int(u), 0) + int(c)
+            counts = np.bincount(labels, minlength=class_counts.size)
+            counts[: class_counts.size] += class_counts
+            class_counts = counts
             # Vectorized reservoir fold (Algorithm R shape): absolute
             # stream positions decide admission, so early batches are
             # not privileged over late ones.
@@ -208,24 +228,28 @@ class MCBound:
                 dest = positions[fill]
                 ids_res[dest] = ids[fill]
                 y_res[dest] = labels[fill]
+                pos_res[dest] = dest
             rest = ~fill
             if np.any(rest):
                 slots = rng.integers(0, positions[rest] + 1)
                 hits = slots < cap
                 ids_res[slots[hits]] = ids[rest][hits]
                 y_res[slots[hits]] = labels[rest][hits]
+                pos_res[slots[hits]] = positions[rest][hits]
             n_seen += len(labels)
             # free the slots of ids the fold dropped, encode the new ones
             held = np.unique(ids_res[: min(n_seen, cap)])
             kept = set(held.tolist())
             for i in [i for i in slot_of if i not in kept]:
                 free.append(slot_of.pop(i))
+                del text_of[i]
             fresh = held[held >= next_id].tolist()
             if fresh:
                 X = self.encoder.embedder.encode([strings[i - next_id] for i in fresh])
                 check_finite("MCBound.train.encodings", X)
                 for i in fresh:
                     slot_of[i] = free.pop() if free else len(slot_of)
+                    text_of[i] = strings[i - next_id]
                 store[[slot_of[i] for i in fresh]] = X
             known = {key: i for key, i in known.items() if i in slot_of}
             next_id += len(strings)
@@ -233,13 +257,18 @@ class MCBound:
             raise ValueError(f"no jobs in training window [{start}, {now})")
         n_fit = min(n_seen, cap)
         labels = y_res[:n_fit]
-        if np.unique(labels).size < 2:
+        if labels.min() == labels.max():
             raise ValueError("training window contains a single class")
         held, row_index = np.unique(ids_res[:n_fit], return_inverse=True)
-        rows = store[[slot_of[i] for i in held.tolist()]]
+        held = held.tolist()
+        rows = store[[slot_of[i] for i in held]]
         del store  # the fit's float64 copy of the rows may reuse its memory
         model = ClassificationModel(self.config.algorithm, **self.config.model_params)
         model.training(rows, labels, row_index=row_index)
+        del rows  # the model holds its own copy
+        memo = self._warm_memo(
+            model, row_index, pos_res[:n_fit], [text_of[i] for i in held]
+        )
         # Store first: a publish that raises leaves the previous model
         # serving, so the live model is always one a restart reloads.
         version = None
@@ -250,17 +279,54 @@ class MCBound:
                 trained_at=now,
                 window=(start, now),
             )
-        # Fit and publish happened outside the critical section; only the
-        # swap of the model instance happens under the lock.
+        # Fit, labels and publish happened outside the critical section;
+        # only the swap of the model and its memo happens under the lock.
         with self._state_lock, self._state_guard.writing():
             self.model = model
+            self._memo_model = model
+            self._predict_memo = memo
         return {
             "window": (start, now),
             "n_jobs": n_seen,
-            "class_counts": dict(sorted(class_counts.items())),
+            "class_counts": {
+                int(c): int(n) for c, n in enumerate(class_counts.tolist()) if n
+            },
             "version": version,
             "algorithm": self.config.algorithm,
         }
+
+    def _warm_memo(self, model, row_index, positions, texts) -> OrderedDict[str, int]:
+        """``model``'s predict memo: its label of every submission the
+        fitted jobs hold at least twice, most recently submitted last,
+        at most ``config.predict_memo`` of them.
+
+        Fitted job ``i`` is the submission ``texts[j]`` when
+        ``row_index[i] == j``, submitted at stream position
+        ``positions[i]`` of the window.  A window larger than the
+        reservoir is fitted on its sample, so copies and recency count
+        the sampled jobs: a submission ranks by its latest sampled copy,
+        never by the reservoir slot that holds it.  Each label is what a
+        ``/predict`` of that string computes: its encoding (an embedder
+        cache hit, as train encoded it) through
+        :meth:`ClassificationModel.inference`.  A window of singletons,
+        as parameter sweeps make, labels nothing.  The strings go in
+        slices of ``_WARM_ROWS``, so the search's temporaries do not
+        grow with the window.
+        """
+        cap = self.config.predict_memo
+        counts = np.bincount(row_index)
+        repeated = np.flatnonzero(counts >= 2)
+        if cap == 0 or repeated.size == 0:
+            return OrderedDict()
+        last = np.zeros(counts.size, dtype=np.int64)
+        np.maximum.at(last, row_index, positions)
+        order = repeated[np.argsort(last[repeated], kind="stable")][-cap:]
+        warm = [texts[j] for j in order.tolist()]
+        labels: list[int] = []
+        for lo in range(0, len(warm), _WARM_ROWS):
+            X = self.encoder.embedder.encode(warm[lo : lo + _WARM_ROWS])
+            labels += np.asarray(model.inference(X), dtype=np.int64).tolist()
+        return OrderedDict(zip(warm, labels))
 
     def _require_model(self) -> ClassificationModel:
         """The live model, else the store's latest, if this framework's
@@ -282,6 +348,8 @@ class MCBound:
         with self._state_lock, self._state_guard.writing():
             if self.model is None:
                 self.model = loaded
+                self._memo_model = loaded
+                self._predict_memo = OrderedDict()
             return self.model
 
     # -- inference ------------------------------------------------------------------------
@@ -293,36 +361,45 @@ class MCBound:
         identical jobs (§V-C.c), so repeats — within one call and across
         calls — are served from a bounded LRU memo and only distinct
         misses of a call reach the encoder and the model, together.  The
-        memo empties whenever a new model is published.  It is
-        bit-identical to unmemoized serving: a model labels a job the
-        same alone, in any batch and in a whole day's call (KNN rescores
-        its distances exactly per pair, so the rounding of a batched
-        BLAS product never reaches a label).
+        memo is replaced, not emptied, whenever a new model is
+        published: :meth:`train` installs the new model's labels of its
+        window's repeated submissions.  It is bit-identical to
+        unmemoized serving: a model labels a job the same alone, in any
+        batch and in a whole day's call (KNN rescores its distances
+        exactly per pair, so the rounding of a batched BLAS product
+        never reaches a label).
         """
         model = self._require_model()
         strings = [self.encoder.feature_string(r) for r in records]
         return self._predict_strings(model, strings)
 
     def _predict_strings(self, model, strings: list[str]) -> np.ndarray:
-        """The memoized core behind every prediction path."""
+        """The memoized core behind every prediction path.
+
+        The memo holds the labels of one model, the installed one, and
+        is replaced with it, not emptied: :meth:`train` installs the new
+        model's warm labels.  A call holding any other model (one
+        replaced while the call ran) serves unmemoized, as
+        ``predict_memo == 0`` does, and leaves the memo as installed.
+        """
         if not strings:
             return np.empty(0, dtype=np.int64)
         cap = self.config.predict_memo
-        if cap == 0:
+        hits = None
+        if cap:
+            with self._state_lock:
+                if model is self._memo_model:
+                    memo = self._predict_memo
+                    hits = []
+                    for s in strings:
+                        label = memo.get(s)
+                        if label is not None:
+                            memo.move_to_end(s)
+                        hits.append(label)
+        if hits is None:
             X = self.encoder.embedder.encode(strings)
             check_finite("MCBound.predict_records.encodings", X)
             return np.asarray(model.inference(X), dtype=np.int64)
-        with self._state_lock:
-            if model is not self._memo_model:
-                self._predict_memo.clear()
-                self._memo_model = model
-            memo = self._predict_memo
-            hits = []
-            for s in strings:
-                label = memo.get(s)
-                if label is not None:
-                    memo.move_to_end(s)
-                hits.append(label)
         misses = list(dict.fromkeys(s for s, h in zip(strings, hits) if h is None))
         fresh: dict[str, int] = {}
         if misses:

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.fugaku.counters import flops_from_counters, moved_bytes_from_counters
-from repro.fugaku.system import FugakuSpec, FUGAKU
+from repro.fugaku.system import FUGAKU
 from repro.fugaku.trace import JobTrace
 from repro.roofline.characterize import (
     COMPUTE_BOUND,
@@ -37,12 +37,9 @@ RECORD_COUNTERS = ("perf2", "perf3", "perf4", "perf5", "duration", "nodes_alloc"
 class FugakuCounterTransform:
     """perf2..perf5 -> (#flops, #moved_memory_bytes) for the A64FX (§IV-B)."""
 
-    def __init__(self, spec: FugakuSpec = FUGAKU) -> None:
-        self.spec = spec
-
     def __call__(self, perf2, perf3, perf4, perf5):
-        flops = flops_from_counters(perf2, perf3, spec=self.spec)
-        moved = moved_bytes_from_counters(perf4, perf5, spec=self.spec)
+        flops = flops_from_counters(perf2, perf3)
+        moved = moved_bytes_from_counters(perf4, perf5)
         return flops, moved
 
 

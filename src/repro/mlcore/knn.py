@@ -19,11 +19,13 @@ submission) and hashes nothing.
 
 The search is chunked brute force over the distinct rows.  A BLAS screen
 ``|x|² - 2 q·x`` (``|q - x|²`` less the query's own ``|q|²``) keeps every
-row within a rigorous rounding bound of the k-th screened value, and only
-those are rescored exactly as ``Σ (q - x)²``, the arithmetic of
+row within a rigorous rounding bound of the screened value at which the
+nearest rows' copies reach k, and only those are rescored exactly as
+``Σ (q - x)²``, the arithmetic of
 :func:`repro.mlcore.reference.brute_kneighbors_scalar`, so a query's
 neighbours and distances do not depend on the batch it arrives in
-(DESIGN §10 derives the bound).
+(DESIGN §10 derives the bound).  A query that is a copy of a row holding
+k or more points rescores that row alone.
 """
 
 from __future__ import annotations
@@ -164,18 +166,22 @@ class KNeighborsClassifier:
         self._rows = np.ascontiguousarray(rows)
         self._row_index = row_index
         # distinct row j's training indices, ascending:
-        # _members[_starts[j] : _starts[j] + _counts[j]]
-        self._members = np.argsort(row_index, kind="stable")
+        # _members[_starts[j] : _starts[j] + _counts[j]]; a stable
+        # argsort is one permutation whatever the key dtype, and numpy
+        # radix-sorts keys of 16 bits or fewer
+        narrow = np.min_scalar_type(rows.shape[0] - 1)
+        self._members = np.argsort(row_index.astype(narrow), kind="stable")
         self._counts = np.bincount(row_index, minlength=rows.shape[0])
         self._starts = np.cumsum(self._counts) - self._counts
         d = rows.shape[1]
         self._sq_norms = np.einsum("ij,ij->i", self._rows, self._rows)
         self._max_norm = float(np.sqrt(self._sq_norms.max()))
         # DESIGN §10: screened and exact distances both lie within
-        # γ_{d+2}·(|q| + |x|)² of the true one, so no row that ranks
-        # exactly lies above the kd-th screened distance by more than
-        # 4γ_{d+2}·(|q| + max|x|)²; γ_{d+4} also covers rounding the
-        # threshold, and the absolute term gradual underflow
+        # γ_{d+2}·(|q| + |x|)² of the true one, so no row holding one of
+        # the k nearest points lies above the screened value at which the
+        # nearest rows' copies reach k by more than 4γ_{d+2}·(|q| +
+        # max|x|)²; γ_{d+4} also covers rounding the threshold, and the
+        # absolute term gradual underflow
         self._slack = (
             4.0 * _gamma(d + 4),
             8.0 * d * float(np.finfo(np.float64).smallest_subnormal),
@@ -210,29 +216,27 @@ class KNeighborsClassifier:
         """Squared distances and training indices of the k nearest points
         to each query row, nearest first.
 
-        Distinct row j's first copy precedes the first copy of every row
-        after it, so ranking rows by ``(distance, j)`` ranks them by their
-        smallest ``(distance, training index)`` pair: the k nearest points
-        are copies of the ``min(k, m)`` nearest rows, and each row
-        contributes at most its first k copies.
+        Distinct row j's copies tie at every query and rank by training
+        index, so each row contributes at most its first k copies, and
+        the k nearest points are the k smallest ``(distance, training
+        index)`` pairs among the first k copies of the rows
+        :meth:`_candidate_rows` rescores.
         """
-        kd = min(k, self._rows.shape[0])
-        rd, cols = self._nearest_rows(q, kd)
-        take = np.minimum(self._counts[cols], k).ravel()
-        qrow = np.repeat(np.arange(q.shape[0]), kd)
+        rd, qrow, cols = self._candidate_rows(q, k)
+        take = np.minimum(self._counts[cols], k)
         offset = np.arange(take.sum()) - np.repeat(np.cumsum(take) - take, take)
-        members = self._members[np.repeat(self._starts[cols].ravel(), take) + offset]
+        members = self._members[np.repeat(self._starts[cols], take) + offset]
         return _flat_topk(
-            np.repeat(qrow, take), np.repeat(rd.ravel(), take), members, q.shape[0], k
+            np.repeat(qrow, take), np.repeat(rd, take), members, q.shape[0], k
         )
 
-    def _nearest_rows(self, q: np.ndarray, kd: int):
-        """The kd nearest distinct rows by exact squared distance, ranked
-        by ``(distance, row)``.
+    def _candidate_rows(self, q: np.ndarray, k: int):
+        """``(exact squared distance, query, row)`` of every (query, row)
+        pair that may hold one of the query's k nearest points.
 
-        The BLAS screen only bounds which rows can rank: every row within
-        the DESIGN §10 slack of the kd-th screened distance is rescored
-        exactly, and the ranking uses the exact distances alone.
+        A query's threshold τ is the screened value at which its nearest
+        rows by screen hold k points.  Every row within the DESIGN §10
+        slack of τ is rescored exactly; the screen itself ranks nothing.
         """
         # |q|² is the same for every row of a query, so the screen
         # |x|² - 2 q·x leaves it out
@@ -242,10 +246,17 @@ class KNeighborsClassifier:
         rel, floor = self._slack
         norms = np.sqrt(np.einsum("ij,ij->i", q, q))
         slack = rel * (norms + self._max_norm) ** 2 + floor
-        kth = np.partition(screen, kd - 1, axis=1)[:, kd - 1]
-        near = np.flatnonzero(screen <= (kth + slack)[:, None])
+        # the min(k, m) nearest rows by screen hold at least k points
+        kd = min(k, screen.shape[1])
+        qs = np.arange(q.shape[0])
+        part = np.argpartition(screen, kd - 1, axis=1)[:, :kd]
+        value = screen[qs[:, None], part]
+        order = np.argsort(value, axis=1)
+        copies = np.cumsum(self._counts[part[qs[:, None], order]], axis=1)
+        tau = value[qs, order[qs, np.argmax(copies >= k, axis=1)]]
+        near = np.flatnonzero(screen <= (tau + slack)[:, None])
         qrow, cols = np.divmod(near, screen.shape[1])
-        return _flat_topk(qrow, self._rescore(q, qrow, cols), cols, q.shape[0], kd)
+        return self._rescore(q, qrow, cols), qrow, cols
 
     def _rescore(self, q: np.ndarray, qrow: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Exact squared distances of (query, row) pairs, per pair as

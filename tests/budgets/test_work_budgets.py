@@ -121,6 +121,29 @@ def test_knn_predict_holds_at_most_two_pair_blocks(knn, sanitize):
     assert peak <= 2.5 * block, f"peak {peak / block:.2f} blocks"
 
 
+def test_knn_predict_holds_at_most_two_pair_blocks_over_singleton_rows(sanitize):
+    """The same bound where every query rescores k pairs.  In the
+    served shape above every row holds k or more copies, so a query
+    stops at its nearest row and rescores about one pair, and a copy of
+    the pairs would cost a fifth of a block there; here every row holds
+    one copy, so each query rescores its k nearest rows."""
+    rng = np.random.default_rng(2024)
+    model = KNeighborsClassifier().fit_rows(
+        rng.normal(size=(130, DIM)), np.arange(130), rng.integers(0, 2, 130)
+    )
+    queries = rng.normal(size=(256, DIM))
+    block = queries.shape[0] * model.n_neighbors * DIM * 8
+    model.predict(queries)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        model.predict(queries)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * block, f"peak {peak / block:.2f} blocks"
+
+
 def test_knn_fit_rows_work_is_flat_in_jobs(sanitize):
     def fit(n_jobs: int):
         rng = np.random.default_rng(n_jobs)
@@ -227,3 +250,19 @@ def test_submission_ids_work_per_job_is_bounded(tiny_trace, sanitize):
     n_large = len(tiny_trace)
     python, c_calls = per_item(key_work(256), key_work(n_large), 256, n_large)
     assert python <= 1 and c_calls <= 2, (python, c_calls)
+
+
+def test_submission_ids_work_is_flat_in_jobs_per_run(tiny_trace, sanitize):
+    """Identical jobs arrive in runs (§V-C.c), and the key map is
+    consulted once per run: with the runs fixed, repeating every job
+    eight times in place adds no work."""
+    encoder = FeatureEncoder()
+
+    def key_work(per_run: int):
+        result = ResultSet(
+            {f: np.repeat(np.asarray(tiny_trace[f][:256]), per_run) for f in encoder.feature_set}
+        )
+        known: dict = {}
+        return work(lambda: encoder.submission_ids(result, known))
+
+    assert key_work(1) == key_work(8)

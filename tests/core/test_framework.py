@@ -200,17 +200,23 @@ class TestPredictMemo:
         assert np.array_equal(second, expected)
         assert len(memo_fw._predict_memo) > 0
 
-    def test_repeats_within_a_call_encode_once(self, tiny_trace, now):
+    def test_repeats_within_a_call_encode_once(self, tiny_trace, now, monkeypatch):
         fw = make_framework(tiny_trace)
         fw.train(now, alpha_days=20)
         records = fw.fetcher.fetch(start_time=now, end_time=now + DAY_SECONDS)
-        batch = [records[0]] * 5 + [records[1]] * 3
+        # submissions the window never held, so the warm memo misses them
+        unseen = [dict(r, job_name=f"unseen-{i}") for i, r in enumerate(records[:2])]
+        batch = [unseen[0]] * 5 + [unseen[1]] * 3
+        embedder = fw.encoder.embedder
+        encode, encoded = embedder.encode, []
+        monkeypatch.setattr(
+            embedder, "encode", lambda strings: encoded.append(list(strings)) or encode(strings)
+        )
         labels = fw.predict_records(batch)
         assert np.unique(labels[:5]).size == 1
         assert np.unique(labels[5:]).size == 1
-        # only the distinct submissions were memoized
-        distinct = {fw.encoder.feature_string(r) for r in batch}
-        assert set(fw._predict_memo) == distinct
+        # each distinct miss reached the embedder once, in one call
+        assert encoded == [[fw.encoder.feature_string(r) for r in unseen]]
 
     def test_memo_is_bounded(self, tiny_trace, now):
         fw = make_framework(tiny_trace, predict_memo=2)
@@ -241,6 +247,149 @@ class TestPredictMemo:
         records = fw.fetcher.fetch(start_time=now, end_time=now + DAY_SECONDS)
         fw.predict_records(records)
         assert len(fw._predict_memo) == 0
+
+
+def _renamed(trace, *, every: int):
+    """``trace`` with every ``every``-th job's name made unique
+    (``<name>-<job_id>``), as parameter sweeps name them."""
+    from repro.fugaku.trace import JobTrace
+
+    cols = {c: trace[c] for c in trace.column_names}
+    names = trace["job_name"].tolist()
+    for i, job in enumerate(trace["job_id"].tolist()):
+        if i % every == 0:
+            names[i] = f"{names[i]}-{job}"
+    cols["job_name"] = np.array(names, dtype=object)
+    return JobTrace(cols)
+
+
+class TestWarmMemo:
+    """train installs the new model's labels of its window's repeated
+    submissions as the memo, in the critical section that installs it."""
+
+    @pytest.mark.parametrize(
+        "algorithm, params",
+        [
+            ("KNN", {"n_neighbors": 5}),
+            ("RF", {"n_estimators": 5, "max_depth": 8, "splitter": "hist", "random_state": 0}),
+        ],
+    )
+    def test_warm_labels_are_the_unmemoized_labels(self, tiny_trace, now, algorithm, params):
+        cfg = dict(algorithm=algorithm, model_params=params)
+        fw = make_framework(tiny_trace, **cfg)
+        plain = make_framework(tiny_trace, predict_memo=0, **cfg)
+        fw.train(now, alpha_days=20)
+        plain.train(now, alpha_days=20)
+        warm = dict(fw._predict_memo)
+        assert len(warm) > 0
+        for text, label in warm.items():
+            assert plain._predict_strings(plain.model, [text]).tolist() == [label]
+
+    def test_warms_the_window_s_repeated_submissions_most_recent_last(self, tiny_trace, now):
+        # every fifth job is a parameter-sweep singleton
+        fw = make_framework(_renamed(tiny_trace, every=5))
+        fw.train(now, alpha_days=20)
+        start = now - 20 * DAY_SECONDS
+        texts = [
+            fw.encoder.feature_string(r)
+            for r in fw.fetcher.fetch(start_time=start, end_time=now)
+        ]
+        copies = {t: texts.count(t) for t in texts}
+        last = {t: i for i, t in enumerate(texts)}
+        repeated = sorted((t for t, n in copies.items() if n >= 2), key=last.get)
+        assert list(fw._predict_memo) == repeated
+        assert len(repeated) < len(copies)  # singletons stay cold
+
+    def test_a_sampled_window_warms_its_latest_sampled_repeats(self, tiny_trace, now):
+        """Above the reservoir, copies and recency count the sampled
+        jobs: a submission ranks by the stream position of its latest
+        sampled copy, not by the reservoir slot that holds it, and the
+        memo keeps the ``predict_memo`` most recent."""
+        import functools
+        from collections import Counter
+
+        batch_rows, cap, memo = 40, 200, 8
+        fw = make_framework(
+            tiny_trace,
+            algorithm="KNN",
+            model_params={"n_neighbors": 3},
+            train_reservoir=cap,
+            predict_memo=memo,
+        )
+        fw.fetcher.fetch_batches = functools.partial(
+            fw.fetcher.fetch_batches, batch_rows=batch_rows
+        )
+        summary = fw.train(now, alpha_days=30)
+        assert summary["n_jobs"] > 3 * cap
+
+        # replay the reservoir fold over stream positions
+        rng = np.random.default_rng(fw.config.embedder_seed)
+        sampled = np.empty(cap, dtype=np.int64)
+        texts: list[str] = []
+        for batch in fw.fetcher.fetch_batches(now - 30 * DAY_SECONDS, now):
+            positions = len(texts) + np.arange(len(batch))
+            texts += fw.encoder.feature_strings_from_result(batch)
+            fill = positions < cap
+            sampled[positions[fill]] = positions[fill]
+            rest = ~fill
+            if np.any(rest):
+                slots = rng.integers(0, positions[rest] + 1)
+                hits = slots < cap
+                sampled[slots[hits]] = positions[rest][hits]
+        assert len(texts) == summary["n_jobs"]
+        copies = Counter(texts[p] for p in sampled.tolist())
+        last = {texts[p]: p for p in sorted(sampled.tolist())}
+        repeated = sorted((t for t, n in copies.items() if n >= 2), key=last.get)
+        assert len(repeated) > memo
+        assert list(fw._predict_memo) == repeated[-memo:]
+
+    def test_a_window_of_singletons_warms_nothing(self, tiny_trace, now):
+        fw = make_framework(_renamed(tiny_trace, every=1))
+        fw.train(now, alpha_days=20)
+        assert fw._memo_model is fw.model
+        assert len(fw._predict_memo) == 0
+
+    def test_a_predict_holding_the_replaced_model_leaves_the_new_memo(self, tiny_trace, now):
+        fw = make_framework(tiny_trace)
+        fw.train(now, alpha_days=20)
+        stale = fw.model
+        records = fw.fetcher.fetch(start_time=now, end_time=now + DAY_SECONDS)
+        texts = [fw.encoder.feature_string(r) for r in records]
+        texts += [f"unseen-{i},{t}" for i, t in enumerate(texts[:3])]
+        fw.train(now + DAY_SECONDS, alpha_days=20)
+        installed = list(fw._predict_memo.items())
+        labels = fw._predict_strings(stale, texts)
+        assert list(fw._predict_memo.items()) == installed
+        assert fw._memo_model is fw.model
+        plain = make_framework(tiny_trace, predict_memo=0)
+        plain.train(now, alpha_days=20)
+        assert np.array_equal(labels, plain._predict_strings(plain.model, texts))
+
+    def test_cap_zero_labels_nothing_at_train(self, tiny_trace, now, monkeypatch):
+        from repro.core.classification_model import ClassificationModel
+
+        fw = make_framework(tiny_trace, predict_memo=0)
+        calls = []
+        inference = ClassificationModel.inference
+        monkeypatch.setattr(
+            ClassificationModel,
+            "inference",
+            lambda self, X: calls.append(len(X)) or inference(self, X),
+        )
+        fw.train(now, alpha_days=20)
+        assert calls == []
+        assert len(fw._predict_memo) == 0
+
+    def test_a_restarted_framework_memoizes(self, tiny_trace, now, tmp_path):
+        fw = make_framework(tiny_trace, tmp_path)
+        fw.train(now, alpha_days=20)
+        restarted = make_framework(tiny_trace, tmp_path)
+        records = fw.fetcher.fetch(start_time=now, end_time=now + DAY_SECONDS)
+        labels = restarted.predict_records(records)
+        assert restarted._memo_model is restarted.model
+        distinct = {restarted.encoder.feature_string(r) for r in records}
+        assert set(restarted._predict_memo) == distinct
+        assert np.array_equal(labels, fw.predict_records(records))
 
 
 class TestStreamingTrain:

@@ -180,6 +180,18 @@ class TestNeighborEquivalence:
         assert i_b[0, 0] == i_ref[0, 0] == 1
         assert np.array_equal(d_b, d_ref)
         assert knn.predict(q)[0] == 1
+        # the search's own screen |x|² - 2q·x ranks A first too, and with
+        # A held three times and k = 3 the threshold stops at A: the k-th
+        # distinct row (0.0) would admit B, so here only the slack does
+        own = (X * X)[:, 0] - 2.0 * (q @ X.T)[0]
+        assert own[0] < own[1]
+        X3 = X[[0, 0, 0, 1, 2]]
+        knn3 = KNeighborsClassifier(3).fit(X3, [1, 0, 0, 1, 0])
+        d_b, i_b = knn3.kneighbors(q)
+        d_ref, i_ref = brute_kneighbors_scalar(X3, q, 3)
+        assert i_b.tolist() == i_ref.tolist() == [[3, 0, 1]]
+        assert np.array_equal(d_b, d_ref)
+        assert knn3.predict(q)[0] == 1
 
 
 class TestSplitFinderEquivalence:

@@ -19,12 +19,13 @@ prediction loop is preserved in :mod:`repro.mlcore.reference`.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from repro.mlcore.base import check_is_fitted, check_random_state, check_X_y, encode_labels
 from repro.mlcore.histogram import FeatureQuantizer
 from repro.mlcore.tree import DecisionTreeClassifier
-from repro.parallel.executor import ExecutorConfig, parallel_map_sharded
 
 __all__ = ["RandomForestClassifier"]
 
@@ -182,15 +183,13 @@ class RandomForestClassifier:
             tree.fit(X, y_enc, sample_indices=bootstraps[t], _hist_cache=hist_cache)
             return tree
 
-        exec_cfg = ExecutorConfig(
-            backend="thread" if self.n_jobs > 1 else "serial",
-            n_workers=self.n_jobs,
-        )
-        # exec_cfg pins thread/serial, so the closure may share X and
-        # hist_cache by reference without crossing a process boundary
-        self.estimators_ = parallel_map_sharded(
-            fit_one, range(self.n_estimators), config=exec_cfg
-        )
+        if self.n_jobs > 1:
+            # threads, so the closure shares X and hist_cache by reference;
+            # map keeps the trees in index order
+            with ThreadPoolExecutor(max_workers=self.n_jobs) as pool:
+                self.estimators_ = list(pool.map(fit_one, range(self.n_estimators)))
+        else:
+            self.estimators_ = [fit_one(t) for t in range(self.n_estimators)]
         self._packed = None  # stale after refit; rebuilt lazily on predict
 
         if oob_votes is not None and self.bootstrap:

@@ -7,6 +7,7 @@ different generator parameters build their own.
 from __future__ import annotations
 
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,23 @@ def jobs_db(tiny_trace):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(99)
+
+
+@pytest.fixture()
+def clock_steps_back(monkeypatch):
+    """Patch ``time.time`` to read one hour earlier on each call, as a
+    wall clock stepped back mid-run does; durations measured with it go
+    negative, and a timestamp differs between any two reads."""
+    wall = time.time
+    reads = 0
+
+    def stepped() -> float:
+        nonlocal reads
+        reads += 1
+        return wall() - reads * 3600.0
+
+    monkeypatch.setattr(time, "time", stepped)
+    assert time.time() > time.time()
 
 
 @pytest.fixture()

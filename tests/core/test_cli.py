@@ -47,6 +47,14 @@ class TestCharacterize:
         assert "ridge point" in out
         assert "ratio" in out
 
+    def test_report_is_replayable(self, trace_path, capsys, clock_steps_back):
+        # with the clock stepping, a timestamp would differ between runs
+        reports = []
+        for _ in range(2):
+            assert main(["characterize", str(trace_path)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
 
 class TestEvaluate:
     def test_knn_run(self, trace_path, capsys):

@@ -213,6 +213,16 @@ class TestInvariants:
         assert np.array_equal(a.feature_, b.feature_)
         assert np.array_equal(a.threshold_, b.threshold_, equal_nan=True)
 
+    @pytest.mark.parametrize("minority, majority", [(1, 4), (1, 6)])
+    def test_split_that_only_gains_rounding_stays_a_leaf(self, splitter, minority, majority):
+        # both values of x hold the parent's class mix, so no split gains
+        # anything; the computed gain is a rounding residue of ~1e-16,
+        # below zero for 1:4 and above it for 1:6
+        half = [0] * minority + [1] * majority
+        X = np.repeat([0.0, 1.0], len(half))[:, None]
+        t = DecisionTreeClassifier(splitter=splitter).fit(X, np.array(half + half))
+        assert t.feature_.tolist() == [-1]
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             DecisionTreeClassifier().fit(np.zeros((5, 2)), np.zeros(5))

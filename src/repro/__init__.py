@@ -14,6 +14,9 @@ Layers (see README.md and DESIGN.md):
 - :mod:`repro.web` — the micro web framework behind the deployment.
 - :mod:`repro.sanitizers` — opt-in runtime checks (``REPRO_SANITIZE=1``)
   of the retrain/serve loop's locking and numerics.
+- :mod:`repro.staticcheck` — the single-file lint rules that tier-1 runs
+  over ``src/repro`` (replayable randomness, monotonic timing, honest
+  ``__all__``, ...).
 - :mod:`repro.evaluation` — the §V online-evaluation experiment harness.
 - :mod:`repro.analysis` — the §IV characterization analyses and the
   §V-C.d impact estimator.

@@ -23,7 +23,7 @@ def check_random_state(seed) -> np.random.Generator:
     if seed is None:
         # sklearn-compatible escape hatch: random_state=None explicitly asks
         # for OS entropy; every repro pipeline passes a concrete seed.
-        return np.random.default_rng()
+        return np.random.default_rng()  # staticcheck: ignore[unseeded-rng] - None means caller opted out of replayability
     if isinstance(seed, np.random.Generator):
         return seed
     if isinstance(seed, (int, np.integer)):

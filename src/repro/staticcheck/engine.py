@@ -1,50 +1,38 @@
 """File discovery, parsing, rule execution and suppression filtering.
 
-The engine is the only component that touches the filesystem; single-file
-rules see a :class:`ModuleContext` with the parsed tree, the raw source,
-and shared helpers (import-alias resolution, dotted-name rendering) so
-each rule stays a pure AST visitor.  Project rules see a
-:class:`~repro.staticcheck.project.graph.ProjectContext` assembled from
-per-module summaries.  Every run parses every file, in process: a cold
-lint of the whole repository takes well under two seconds.
+The engine is the only component that touches the filesystem; rules see
+a :class:`ModuleContext` with the parsed tree, the raw source, and shared
+helpers (import-alias resolution, dotted-name rendering) so each rule
+stays a pure AST visitor.  Every run parses every file, in process: a
+cold lint of the whole repository takes well under a second.
 """
 
 from __future__ import annotations
 
 import ast
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.staticcheck.findings import Finding
-from repro.staticcheck.project.graph import ProjectContext
-from repro.staticcheck.project.summary import (
-    ModuleSummary,
-    build_import_table,
-    build_summary,
-    dotted_name,
-    module_name_for_path,
-    resolve_relative,
+from repro.staticcheck.registry import Rule, all_rules, resolve_rules
+from repro.staticcheck.suppressions import (
+    WILDCARD,
+    Directive,
+    SuppressionIndex,
+    parse_directives,
 )
-from repro.staticcheck.registry import (
-    ProjectRule,
-    Rule,
-    all_project_rules,
-    all_rules,
-    resolve_project_rules,
-    resolve_rules,
-)
-from repro.staticcheck.suppressions import WILDCARD, Directive, SuppressionIndex
 
 __all__ = [
     "CheckResult",
-    "CheckStats",
     "ModuleContext",
     "UsageError",
+    "build_import_table",
     "check_paths",
     "check_source",
     "iter_python_files",
+    "module_name_for_path",
+    "resolve_relative",
 ]
 
 #: Rule id used for files that do not parse; not suppressible.
@@ -59,8 +47,78 @@ UNUSED_SUPPRESSION_ID = "unused-suppression"
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache", "build", "dist"}
 
 
+def module_name_for_path(path: Path) -> tuple[str, bool]:
+    """Dotted module name for a file, plus whether it is a package init.
+
+    The package root is found by walking up while ``__init__.py`` exists,
+    so ``src/repro/core/server.py`` maps to ``repro.core.server`` without
+    any configuration.  Files outside any package map to their bare stem.
+    """
+    path = Path(path).resolve()
+    is_package = path.name == "__init__.py"
+    parts: list[str] = [] if is_package else [path.stem]
+    current = path.parent
+    while (current / "__init__.py").is_file():
+        parts.insert(0, current.name)
+        parent = current.parent
+        if parent == current:  # filesystem root
+            break
+        current = parent
+    return ".".join(parts), is_package
+
+
+def resolve_relative(module_name: str, is_package: bool, level: int, target: str | None) -> str | None:
+    """Absolute dotted name for a ``from ...x import`` statement.
+
+    Returns ``None`` when the relative import climbs above the package
+    root (a real ImportError at runtime, and nothing we can resolve).
+    """
+    if not module_name:
+        return None
+    base = module_name.split(".")
+    if not is_package:
+        base = base[:-1]
+    drop = level - 1
+    if drop > len(base):
+        return None
+    if drop:
+        base = base[:-drop]
+    if target:
+        base = base + target.split(".")
+    return ".".join(base) if base else None
+
+
+def build_import_table(tree: ast.Module, module_name: str = "", is_package: bool = False) -> dict[str, str]:
+    """Local name -> fully qualified origin, for every import in the tree.
+
+    ``import numpy as np`` maps ``np -> numpy``; ``from numpy.random
+    import default_rng as rng`` maps ``rng -> numpy.random.default_rng``.
+    Relative imports (``from .encoder import FeatureEncoder``) resolve to
+    absolute names when the module's own dotted name is known.
+    """
+    table: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                table[alias.asname or alias.name.split(".")[0]] = (
+                    alias.name if alias.asname else alias.name.split(".")[0]
+                )
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                origin = node.module
+            else:
+                origin = resolve_relative(module_name, is_package, node.level, node.module)
+            if not origin:
+                continue
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                table[alias.asname or alias.name] = f"{origin}.{alias.name}"
+    return table
+
+
 class UsageError(ValueError):
-    """A caller mistake (bad path arguments), reported as exit code 2."""
+    """A caller mistake: a path argument that is not a Python file."""
 
 
 @dataclass
@@ -109,44 +167,20 @@ class ModuleContext:
 
 
 @dataclass
-class CheckStats:
-    """What a run actually did — surfaced by the CLI's ``--statistics``."""
-
-    files_checked: int = 0
-    reference_files: int = 0
-    wall_seconds: float = 0.0
-    findings_per_rule: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
 class CheckResult:
-    """Outcome of a run: active, suppressed and baselined findings."""
+    """Outcome of a run: active and suppressed findings."""
 
     findings: list[Finding]
     suppressed: list[Finding]
     files_checked: int
-    baselined: list[Finding] = field(default_factory=list)
-    stats: CheckStats | None = None
 
     @property
     def clean(self) -> bool:
         return not self.findings
 
-    def to_dict(self) -> dict:
-        # Deliberately excludes ``stats``: wall time is never
-        # reproducible, and two runs over one tree must report the same
-        # bytes.
-        return {
-            "version": 2,
-            "files_checked": self.files_checked,
-            "findings": [f.to_dict() for f in self.findings],
-            "suppressed": [f.to_dict() for f in self.suppressed],
-            "baselined": [f.to_dict() for f in self.baselined],
-        }
-
 
 def _known_rule_ids(extra: Iterable[str] = ()) -> set[str]:
-    known = set(all_rules()) | set(all_project_rules())
+    known = set(all_rules())
     known.update(extra)
     known.update((SYNTAX_ERROR_ID, UNKNOWN_SUPPRESSION_ID, UNUSED_SUPPRESSION_ID, WILDCARD))
     return known
@@ -165,7 +199,7 @@ def _directive_findings(path: str, directives: list[Directive], known_ids: set[s
                     rule_id=UNKNOWN_SUPPRESSION_ID,
                     message=(
                         f"ignore[{rule_id}] names a rule that does not exist; "
-                        "the directive silences nothing (see --list-rules)"
+                        "the directive silences nothing"
                     ),
                 )
             )
@@ -199,7 +233,7 @@ def check_source(
     path: str = "<string>",
     rules: Sequence[Rule] | None = None,
 ) -> CheckResult:
-    """Run the single-file rule set over one source string."""
+    """Run the rule set over one source string."""
     rules = list(rules) if rules is not None else resolve_rules()
     active, suppressed, _ = _analyze(source, path, rules)
     return CheckResult(findings=sorted(active), suppressed=sorted(suppressed), files_checked=1)
@@ -211,8 +245,8 @@ def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
     Directories are walked recursively; explicit file arguments must be
     existing ``.py`` files — a missing path raises ``FileNotFoundError``
     and an existing non-Python file raises :class:`UsageError` instead of
-    being silently dropped (``repro.staticcheck README.md`` must not
-    exit 0 "clean").
+    being silently dropped (``check_paths(["README.md"])`` must not come
+    back "clean").
     """
     seen: set[Path] = set()
     for raw in paths:
@@ -240,11 +274,12 @@ def _analyze(
     rules: Sequence[Rule],
     module_name: str = "",
     is_package: bool = False,
-) -> tuple[list[Finding], list[Finding], ModuleSummary | None]:
-    """Parse one module, run the single-file rules and build its summary.
+) -> tuple[list[Finding], list[Finding], list[Directive] | None]:
+    """Parse one module, run the rules and collect its directives.
 
-    Returns the active and suppressed findings and the summary, which is
-    None when the source does not parse.
+    Returns the active and suppressed findings and the module's
+    ``ignore[...]`` directives, which are None when the source does not
+    parse.
     """
     try:
         tree = ast.parse(source, filename=path)
@@ -261,56 +296,11 @@ def _analyze(
     module = ModuleContext(
         path=path, source=source, tree=tree, module_name=module_name, is_package=is_package
     )
-    summary = build_summary(path, source, tree, module_name, is_package)
+    directives = parse_directives(source)
     raw = [finding for rule in rules for finding in rule.check(module)]
-    raw.extend(_directive_findings(path, summary.directives, _known_rule_ids(r.id for r in rules)))
-    active, suppressed = _partition(raw, SuppressionIndex.from_directives(summary.directives))
-    return active, suppressed, summary
-
-
-def _harvest_reference(path: Path) -> dict:
-    """Usage facts (imports, star imports, dotted refs) of one reference file."""
-    source = path.read_text(encoding="utf-8")
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError:
-        return {"uses": [], "stars": []}
-    module_name, is_package = module_name_for_path(path)
-    imports = build_import_table(tree, module_name, is_package)
-    uses = {origin for origin in imports.values() if "." in origin}
-    stars: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            name = dotted_name(node, imports)
-            if name and "." in name:
-                uses.add(name)
-        elif isinstance(node, ast.ImportFrom) and any(a.name == "*" for a in node.names):
-            origin = (
-                node.module
-                if node.level == 0
-                else resolve_relative(module_name, is_package, node.level, node.module)
-            )
-            if origin:
-                stars.add(origin)
-    return {"uses": sorted(uses), "stars": sorted(stars)}
-
-
-def _run_project_rules(
-    project_rules: Sequence[ProjectRule],
-    summaries: dict[str, ModuleSummary],
-    reference_usage: list[dict],
-    indexes: dict[str, SuppressionIndex],
-) -> tuple[list[Finding], list[Finding]]:
-    project = ProjectContext(summaries=summaries, reference_usage=reference_usage)
-    active: list[Finding] = []
-    suppressed: list[Finding] = []
-    for rule in project_rules:
-        for finding in rule.check(project):
-            index = indexes.get(finding.path)
-            file_active, file_suppressed = _partition([finding], index or SuppressionIndex({}))
-            active.extend(file_active)
-            suppressed.extend(file_suppressed)
-    return active, suppressed
+    raw.extend(_directive_findings(path, directives, _known_rule_ids(r.id for r in rules)))
+    active, suppressed = _partition(raw, SuppressionIndex.from_directives(directives))
+    return active, suppressed, directives
 
 
 def _unused_suppression_findings(
@@ -324,7 +314,7 @@ def _unused_suppression_findings(
     A directive is *used* when some finding on a line it covers was
     suppressed under one of its rule ids.  Per-rule checks only apply to
     rules that actually ran (an ``ignore[unseeded-rng]`` is not stale
-    just because ``--select`` skipped that rule), and the ``ignore[*]``
+    just because a ``rules=`` subset left that rule out), and the ``ignore[*]``
     wildcard is only judged on full-registry runs for the same reason.
     Unknown rule ids are already reported as ``unknown-suppression`` and
     are skipped here.
@@ -377,55 +367,28 @@ def _unused_suppression_findings(
 def check_paths(
     paths: Iterable[str | Path],
     rules: Sequence[Rule] | None = None,
-    project_rules: Sequence[ProjectRule] | None = None,
-    *,
-    reference_paths: Iterable[str | Path] = (),
 ) -> CheckResult:
-    """Run single-file and project rules over every ``.py`` under ``paths``.
-
-    ``reference_paths`` are parsed for import-usage facts only (they feed
-    the ``dead-export`` rule) and are never linted.
-    """
-    started = time.perf_counter()
+    """Run the rules over every ``.py`` under ``paths``."""
     rules = list(rules) if rules is not None else resolve_rules()
-    project_rules = (
-        list(project_rules) if project_rules is not None else resolve_project_rules()
-    )
     files = iter_python_files(paths)
-    file_keys = {str(f) for f in files}
-    reference_files = [f for f in iter_python_files(reference_paths) if str(f) not in file_keys]
 
     findings: list[Finding] = []
     suppressed: list[Finding] = []
-    summaries: dict[str, ModuleSummary] = {}
-    indexes: dict[str, SuppressionIndex] = {}
     directives_by_path: dict[str, list[Directive]] = {}
     for path in files:
         module_name, is_package = module_name_for_path(path)
-        file_active, file_suppressed, summary = _analyze(
+        file_active, file_suppressed, directives = _analyze(
             path.read_text(encoding="utf-8"), str(path), rules, module_name, is_package
         )
         findings.extend(file_active)
         suppressed.extend(file_suppressed)
-        if summary is None:
-            continue
-        summaries[summary.module] = summary
-        directives_by_path[summary.path] = summary.directives
-        indexes[summary.path] = SuppressionIndex.from_directives(summary.directives)
+        if directives is not None:
+            directives_by_path[str(path)] = directives
 
-    if project_rules:
-        reference_usage = [_harvest_reference(f) for f in reference_files]
-        project_active, project_suppressed = _run_project_rules(
-            project_rules, summaries, reference_usage, indexes
-        )
-        findings.extend(project_active)
-        suppressed.extend(project_suppressed)
-
-    # -- stale-suppression audit (after every layer has had its say) ---------
+    # -- stale-suppression audit (after every rule has had its say) ----------
     rule_ids = {r.id for r in rules}
-    project_rule_ids = {r.id for r in project_rules}
-    ran_ids = rule_ids | project_rule_ids | {UNKNOWN_SUPPRESSION_ID}
-    full_run = rule_ids == set(all_rules()) and project_rule_ids == set(all_project_rules())
+    ran_ids = rule_ids | {UNKNOWN_SUPPRESSION_ID}
+    full_run = rule_ids == set(all_rules())
     for unused in _unused_suppression_findings(directives_by_path, suppressed, ran_ids, full_run):
         # Only an *explicit* ignore[unused-suppression] silences the audit:
         # letting ignore[*] swallow its own staleness report would make
@@ -448,18 +411,8 @@ def check_paths(
         else:
             findings.append(unused)
 
-    result = CheckResult(
+    return CheckResult(
         findings=sorted(findings),
         suppressed=sorted(suppressed),
         files_checked=len(files),
     )
-    counts: dict[str, int] = {}
-    for finding in result.findings:
-        counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
-    result.stats = CheckStats(
-        files_checked=len(files),
-        reference_files=len(reference_files),
-        wall_seconds=time.perf_counter() - started,
-        findings_per_rule=counts,
-    )
-    return result

@@ -1,8 +1,7 @@
 """The unit of output of every rule: a :class:`Finding`.
 
 A finding pins a rule violation to a ``path:line:col`` location.  Findings
-sort by location so reports are stable across rule-execution order, and
-they serialize to plain dicts for the JSON reporter.
+sort by location so reports are stable across rule-execution order.
 """
 
 from __future__ import annotations
@@ -27,16 +26,6 @@ class Finding:
     rule_id: str = field(compare=False)
     message: str = field(compare=False)
     suppressed: bool = field(default=False, compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule_id,
-            "message": self.message,
-            "suppressed": self.suppressed,
-        }
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule_id}: {self.message}"

@@ -1,24 +1,18 @@
-"""Engine mechanics: suppressions, discovery, registry, reporters."""
+"""Engine mechanics: suppressions, discovery, registry."""
 
-import json
 import textwrap
 
 import pytest
 
-from repro.staticcheck import (
-    Finding,
-    all_rules,
-    check_paths,
-    check_source,
-    render_json,
-    render_text,
-    resolve_rules,
-)
+from repro.staticcheck import all_rules, check_paths, check_source, resolve_rules
 from repro.staticcheck.engine import (
     SYNTAX_ERROR_ID,
     UNKNOWN_SUPPRESSION_ID,
     UsageError,
+    build_import_table,
     iter_python_files,
+    module_name_for_path,
+    resolve_relative,
 )
 from repro.staticcheck.suppressions import parse_directives, parse_suppressions
 
@@ -96,9 +90,6 @@ class TestUnknownSuppression:
 
     def test_wildcard_is_not_reported(self):
         assert check_source("x = 1  # staticcheck: ignore[*]\n").clean
-
-    def test_project_rule_ids_are_known(self):
-        assert check_source("x = 1  # staticcheck: ignore[dead-export]\n").clean
 
     def test_mixed_known_and_unknown_ids(self):
         src = "import time\nt0 = time.time()  # staticcheck: ignore[wallclock-timing, bogus-rule]\n"
@@ -189,7 +180,6 @@ class TestRelativeImports:
             "from .sibling import helper\n"
             "from ..other import thing as t\n"
         )
-        from repro.staticcheck.project.summary import build_import_table, module_name_for_path
         import ast
 
         name, is_pkg = module_name_for_path(sub / "mod.py")
@@ -200,8 +190,6 @@ class TestRelativeImports:
         assert table["t"] == "pkg.other.thing"
 
     def test_relative_import_above_package_root_is_skipped(self):
-        from repro.staticcheck.project.summary import resolve_relative
-
         assert resolve_relative("pkg.mod", False, 3, "x") is None
 
 
@@ -231,32 +219,3 @@ class TestRegistry:
     def test_every_rule_has_description(self):
         for cls in all_rules().values():
             assert cls.description
-
-
-class TestReporters:
-    def test_text_report_has_summary(self):
-        result = check_source(TRIGGER, path="mod.py")
-        text = render_text(result)
-        assert "mod.py:2:" in text
-        assert "1 finding (0 suppressed) in 1 file" in text
-
-    def test_json_report_round_trips(self):
-        result = check_source(TRIGGER, path="mod.py")
-        doc = json.loads(render_json(result))
-        assert doc["version"] == 2
-        assert doc["files_checked"] == 1
-        assert doc["baselined"] == []
-        (finding,) = doc["findings"]
-        assert finding["rule"] == "wallclock-timing"
-        assert finding["suppressed"] is False
-
-    def test_finding_to_dict(self):
-        f = Finding(path="a.py", line=3, col=1, rule_id="x-y", message="m")
-        assert f.to_dict() == {
-            "path": "a.py",
-            "line": 3,
-            "col": 1,
-            "rule": "x-y",
-            "message": "m",
-            "suppressed": False,
-        }

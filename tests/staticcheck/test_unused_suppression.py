@@ -79,7 +79,7 @@ class TestUnusedSuppression:
         )
         registry = all_rules()
         only_float = [registry["float-equality"]()]
-        result = check_paths([target], rules=only_float, project_rules=[])
+        result = check_paths([target], rules=only_float)
         assert unused_findings(result) == []
 
     def test_wildcard_audited_only_on_full_runs(self, tmp_path):
@@ -96,7 +96,7 @@ class TestUnusedSuppression:
         assert "ignore[*]" in finding.message
 
         registry = all_rules()
-        partial = check_paths([target], rules=[registry["float-equality"]()], project_rules=[])
+        partial = check_paths([target], rules=[registry["float-equality"]()])
         assert unused_findings(partial) == []
 
     def test_unknown_rule_id_reports_unknown_not_unused(self, tmp_path):
